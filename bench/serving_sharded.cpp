@@ -298,65 +298,6 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // --- Section 3: simulate-stage kernel backend A/B. --------------------
-  // Caches and memo disabled so every request really simulates: the two
-  // EngineConfig::kernel_backend flavours over the same unique points,
-  // reporting uncached circuit throughput. Predictions must stay bitwise
-  // equal to the sequential reference either way — the batched kernel
-  // layer is a scheduling choice, and this is the serving-level gate.
-  struct BackendRun {
-    double circuits_per_s = 0.0;
-    std::uint64_t mismatches = 0;
-  };
-  // Both engines live for the whole A/B and the reps INTERLEAVE between
-  // them: on a busy/throttling box back-to-back blocks are order-biased
-  // (the later block sees the hotter, slower machine), and alternating
-  // reps spreads that drift evenly over both flavours.
-  const auto make_engine = [&](linalg::KernelBackend backend) {
-    serve::EngineConfig ecfg;
-    ecfg.num_threads = 2;
-    ecfg.cache_capacity = 0;
-    ecfg.memo_capacity = 0;
-    ecfg.kernel_backend = backend;
-    return std::make_unique<serve::InferenceEngine>(setup.bundle, ecfg);
-  };
-  std::printf("\nuncached simulate stage, kernel backend A/B (%lld unique "
-              "points, cache+memo off):\n",
-              static_cast<long long>(n_unique));
-  BackendRun backend_serial, backend_batched;
-  {
-    const auto serial_engine = make_engine(linalg::KernelBackend::kSerial);
-    const auto batched_engine =
-        make_engine(linalg::KernelBackend::kOpenMPBatched);
-    const int ab_reps = quick ? 3 : 6;
-    double serial_s = 0.0, batched_s = 0.0;
-    const auto timed_rep = [&](serve::InferenceEngine& engine,
-                               BackendRun& run, double& seconds) {
-      Timer t;
-      const auto preds = engine.predict_batch(scaling_stream.unique_points);
-      seconds += t.seconds();
-      for (std::size_t i = 0; i < preds.size(); ++i)
-        if (preds[i].decision_value != scaling_ref[i]) ++run.mismatches;
-    };
-    for (int rep = 0; rep < ab_reps; ++rep) {
-      timed_rep(*serial_engine, backend_serial, serial_s);
-      timed_rep(*batched_engine, backend_batched, batched_s);
-    }
-    backend_serial.circuits_per_s =
-        static_cast<double>(serial_engine->stats().circuits_simulated) /
-        serial_s;
-    backend_batched.circuits_per_s =
-        static_cast<double>(batched_engine->stats().circuits_simulated) /
-        batched_s;
-  }
-  const double backend_speedup =
-      backend_batched.circuits_per_s / backend_serial.circuits_per_s;
-  std::printf("  %-16s %10.1f circuits/s\n", "serial lanes",
-              backend_serial.circuits_per_s);
-  std::printf("  %-16s %10.1f circuits/s (%.2fx)\n", "batched kernels",
-              backend_batched.circuits_per_s, backend_speedup);
-  total_mismatches += backend_serial.mismatches + backend_batched.mismatches;
-
   if (total_mismatches > 0)
     std::printf("\nPARITY FAILURE: %llu served predictions diverged from the "
                 "sequential pipeline\n",
@@ -393,11 +334,6 @@ int main(int argc, char** argv) {
     jw.field("scaling_scenario_digest",
              hex_digest(workload::scenario_digest(scaling_stream)));
     jw.field("speedup_max_shards_vs_1", speedup);
-    jw.field("uncached_serial_circuit_throughput_per_s",
-             backend_serial.circuits_per_s);
-    jw.field("uncached_batched_circuit_throughput_per_s",
-             backend_batched.circuits_per_s);
-    jw.field("kernel_backend_speedup_batched_vs_serial", backend_speedup);
     jw.begin_array("scenarios");
     for (const ScenarioRow& row : rows) {
       const RunResult& r = row.result;

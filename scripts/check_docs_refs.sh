@@ -4,14 +4,18 @@
 # DESIGN.md section that was never written is how this script came to be).
 #
 # What counts as a reference: a backtick-quoted path rooted at one of the
-# source directories (src/ tests/ bench/ examples/ scripts/ tools/), or a
-# backtick-quoted top-level *.md file. Runtime artifacts (build/ paths,
-# JSON outputs) and glob-ish names containing <>* are ignored. A bench,
-# example, or tool referenced by its executable name (e.g.
-# `bench/serving_ranked`, `tools/serving_rankd`) resolves if the matching
-# .cpp exists.
+# source directories (src/ tests/ bench/ examples/ scripts/ tools/), a
+# backtick-quoted path relative to src/ that starts with a subsystem
+# directory (`linalg/policy.hpp`, `mps/simulator`), or a backtick-quoted
+# top-level *.md file. Runtime artifacts (build/ paths, JSON outputs) and
+# glob-ish names containing <>* are ignored. A bench, example, or tool
+# referenced by its executable name (e.g. `bench/serving_ranked`,
+# `tools/serving_rankd`) resolves if the matching .cpp exists.
 set -eu
 cd "$(dirname "$0")/.."
+
+subsystems=$(cd src && for d in */; do printf '%s|' "${d%/}"; done)
+subsystems=${subsystems%|}
 
 status=0
 for doc in README.md DESIGN.md; do
@@ -21,10 +25,16 @@ for doc in README.md DESIGN.md; do
     continue
   fi
   refs=$(grep -oE '`[A-Za-z0-9_./-]+`' "$doc" | tr -d '`' |
-         grep -E '^((src|tests|bench|examples|scripts|tools)/[A-Za-z0-9_./-]+|[A-Za-z0-9_-]+\.md)$' |
+         grep -E "^((src|tests|bench|examples|scripts|tools|$subsystems)/[A-Za-z0-9_./-]+|[A-Za-z0-9_-]+\\.md)\$" |
          sort -u)
   for ref in $refs; do
-    if [ -e "$ref" ] || [ -e "$ref.cpp" ] || [ -e "$ref.hpp" ]; then
+    case "$ref" in
+      src/* | tests/* | bench/* | examples/* | scripts/* | tools/*)
+        path=$ref ;;
+      */*) path=src/$ref ;;
+      *) path=$ref ;;
+    esac
+    if [ -e "$path" ] || [ -e "$path.cpp" ] || [ -e "$path.hpp" ]; then
       continue
     fi
     echo "$doc references missing path: $ref"

@@ -23,8 +23,8 @@ struct Bidiagonalization {
 
 /// Reusable scratch for bidiagonalize_into: the working copy of A, the
 /// column/row gather buffer, and the reflector stacks all keep their heap
-/// blocks across calls, so a sweep over same-shaped matrices (the batched
-/// kernel layer's shape buckets) allocates only on the first one.
+/// blocks across calls, so a sweep over same-shaped matrices (a gate
+/// sweep at settled bond dimensions) allocates only on the first one.
 struct BidiagWorkspace {
   Matrix work;
   std::vector<cplx> buf;

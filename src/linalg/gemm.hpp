@@ -20,8 +20,8 @@ Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy,
             Op op_a = Op::None, Op op_b = Op::None);
 
 /// C = A * B into a caller-owned output (resized in place, so repeated
-/// calls on a persistent C reuse its heap block — the batched kernel
-/// layer's no-churn path). C must not alias A or B. Arithmetic is
+/// calls on a persistent C reuse its heap block — the gate sweep's
+/// no-churn path). C must not alias A or B. Arithmetic is
 /// identical to gemm(): the two entry points are bitwise-interchangeable.
 void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ExecPolicy policy);
 

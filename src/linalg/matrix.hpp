@@ -22,8 +22,8 @@ class Matrix {
   static Matrix zeros(idx rows, idx cols) { return Matrix(rows, cols); }
 
   /// Reshape to rows x cols with every entry zeroed. Reuses the existing
-  /// heap block whenever capacity allows — the primitive the batched kernel
-  /// workspaces (linalg/batched.hpp) rely on to avoid per-matrix churn.
+  /// heap block whenever capacity allows — the primitive the gate sweep's
+  /// scratch (mps/gate_application.hpp) relies on to avoid per-gate churn.
   void resize(idx rows, idx cols) {
     const std::size_t n = check_size(rows, cols);
     rows_ = rows;

@@ -60,10 +60,10 @@ class KernelThreadScope {
 int kernel_team_width();
 
 /// Effective-concurrency probe: every thread executing inside a dense
-/// kernel region (blocked gemm team member, batched-pass worker) counts
-/// itself in, and the high-water mark is kept. Tests reset the peak, drive
-/// a workload, and assert the observed concurrency never exceeded the
-/// configured budget — the oversubscription regression gate.
+/// kernel region (each blocked gemm team member) counts itself in, and the
+/// high-water mark is kept. Tests reset the peak, drive a workload, and
+/// assert the observed concurrency never exceeded the configured budget —
+/// the oversubscription regression gate.
 void kernel_probe_reset();
 int kernel_probe_peak();
 

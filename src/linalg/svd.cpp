@@ -135,8 +135,8 @@ bool bidiagonal_qr(std::vector<double>& d, std::vector<double>& e, Matrix& u,
 /// Writes the sorted factors straight into `out`, reusing whatever heap
 /// blocks `out` already owns (resize_for_overwrite). The value written to
 /// every slot is the same one the old copy-then-adjoint code produced, so
-/// results stay bitwise identical while a warm caller (the batched kernel
-/// layer hands each SvdTask a persistent SvdResult) allocates nothing.
+/// results stay bitwise identical while a warm caller (the gate sweep
+/// keeps one SvdResult per simulate() call) allocates nothing.
 void finalize(SvdResult& out, std::vector<double>& d, Matrix& u, Matrix& v,
               std::vector<idx>& perm) {
   const idx n = static_cast<idx>(d.size());
@@ -201,10 +201,6 @@ void svd_tall_into(const Matrix& a, ExecPolicy policy, SvdResult& out,
 
 SvdResult svd(const Matrix& a, ExecPolicy policy) {
   SvdWorkspace ws;
-  return svd(a, policy, ws);
-}
-
-SvdResult svd(const Matrix& a, ExecPolicy policy, SvdWorkspace& ws) {
   SvdResult out;
   svd_into(a, policy, out, ws);
   return out;

@@ -25,10 +25,10 @@ struct SvdResult {
 /// and is the single hottest kernel in the simulator.
 SvdResult svd(const Matrix& a, ExecPolicy policy = ExecPolicy::Reference);
 
-/// Reusable scratch for the SVD driver. A long-lived workspace (one per
-/// batched-kernel worker lane, see linalg/batched.hpp) collapses the
-/// ~2n+10 heap allocations of a cold svd() call to the handful that
-/// escape into the returned factors.
+/// Reusable scratch for the SVD driver. A long-lived workspace (the gate
+/// sweep keeps one per simulate() call, see mps/gate_application.hpp)
+/// collapses the ~2n+10 heap allocations of a cold svd() call to the
+/// handful that escape into the returned factors.
 struct SvdWorkspace {
   Bidiagonalization bd;
   BidiagWorkspace bidiag;
@@ -37,15 +37,11 @@ struct SvdWorkspace {
   std::vector<idx> perm;
 };
 
-/// Workspace-reusing variant; bitwise-identical results to svd() — the
-/// batched layer's per-backend parity tests pin this down.
-SvdResult svd(const Matrix& a, ExecPolicy policy, SvdWorkspace& ws);
-
 /// Fully in-place variant: factors are written into `out`, reusing the heap
 /// blocks it already owns. A caller that keeps `out` alive across calls
-/// (the batched kernel driver hands each SvdTask a persistent SvdResult,
-/// see linalg/batched.hpp) runs the entire decomposition allocation-free
-/// once warm. Bitwise-identical results to svd().
+/// (the gate sweep's TwoQubitStep) runs the entire decomposition
+/// allocation-free once warm. Bitwise-identical results to svd(), whatever
+/// `out` and `ws` held before (tests/test_svd.cpp).
 void svd_into(const Matrix& a, ExecPolicy policy, SvdResult& out,
               SvdWorkspace& ws);
 

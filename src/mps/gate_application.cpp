@@ -11,20 +11,10 @@
 
 namespace qkmps::mps {
 
-void apply_single_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q) {
-  QKMPS_CHECK(q >= 0 && q < psi.num_sites());
-  QKMPS_CHECK(u.rows() == 2 && u.cols() == 2);
-  SiteTensor& t = psi.site(q);
-  for (idx l = 0; l < t.left; ++l) {
-    for (idx r = 0; r < t.right; ++r) {
-      const cplx a0 = t.at(l, 0, r);
-      const cplx a1 = t.at(l, 1, r);
-      t.at(l, 0, r) = u(0, 0) * a0 + u(0, 1) * a1;
-      t.at(l, 1, r) = u(1, 0) * a0 + u(1, 1) * a1;
-    }
-  }
-}
+namespace {
 
+/// Canonicalizes the bond (q, q+1) and matricizes both site tensors into
+/// the step; `u` is copied into step.gate.
 void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
                           TwoQubitStep& step, linalg::ExecPolicy policy) {
   QKMPS_CHECK(q >= 0 && q + 1 < psi.num_sites());
@@ -77,6 +67,9 @@ void permute_theta_for_svd(TwoQubitStep& step) {
               step.theta_u(s0 * 2 + s1, l * dr + r);
 }
 
+/// After step.f = svd(theta_m): truncates per `trunc`, writes the two site
+/// tensors back and lands the center at q+1. Returns the discarded weight
+/// (and records it into `stats` when non-null).
 double commit_two_qubit_gate(Mps& psi, TwoQubitStep& step,
                              const TruncationConfig& trunc,
                              TruncationStats* stats) {
@@ -102,22 +95,7 @@ double commit_two_qubit_gate(Mps& psi, TwoQubitStep& step,
   return discarded;
 }
 
-double apply_adjacent_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
-                                     const TruncationConfig& trunc,
-                                     linalg::ExecPolicy policy,
-                                     TruncationStats* stats) {
-  // The serial path runs the same four phases the batched driver submits
-  // to the batched kernel layer — one arithmetic path for both.
-  TwoQubitStep step;
-  stage_two_qubit_gate(psi, u, q, step, policy);
-  linalg::gemm_into(step.theta, step.a_left, step.b_right, policy);
-  permute_theta_for_gate(step);
-  linalg::gemm_into(step.theta_u, step.gate, step.theta_p, policy);
-  permute_theta_for_svd(step);
-  step.f = linalg::svd(step.theta_m, policy);
-  return commit_two_qubit_gate(psi, step, trunc, stats);
-}
-
+/// The |q0 q1> -> |lo hi> reordering of a two-qubit gate matrix.
 linalg::Matrix chain_ordered_gate(const circuit::Gate& g) {
   linalg::Matrix u = g.matrix();
   if (g.q0 > g.q1) {
@@ -132,8 +110,41 @@ linalg::Matrix chain_ordered_gate(const circuit::Gate& g) {
   return u;
 }
 
+}  // namespace
+
+void apply_single_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q) {
+  QKMPS_CHECK(q >= 0 && q < psi.num_sites());
+  QKMPS_CHECK(u.rows() == 2 && u.cols() == 2);
+  SiteTensor& t = psi.site(q);
+  for (idx l = 0; l < t.left; ++l) {
+    for (idx r = 0; r < t.right; ++r) {
+      const cplx a0 = t.at(l, 0, r);
+      const cplx a1 = t.at(l, 1, r);
+      t.at(l, 0, r) = u(0, 0) * a0 + u(0, 1) * a1;
+      t.at(l, 1, r) = u(1, 0) * a0 + u(1, 1) * a1;
+    }
+  }
+}
+
+double apply_adjacent_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
+                                     const TruncationConfig& trunc,
+                                     linalg::ExecPolicy policy,
+                                     TruncationStats* stats,
+                                     TwoQubitStep* scratch) {
+  TwoQubitStep fresh;
+  TwoQubitStep& step = scratch != nullptr ? *scratch : fresh;
+  stage_two_qubit_gate(psi, u, q, step, policy);
+  linalg::gemm_into(step.theta, step.a_left, step.b_right, policy);
+  permute_theta_for_gate(step);
+  linalg::gemm_into(step.theta_u, step.gate, step.theta_p, policy);
+  permute_theta_for_svd(step);
+  linalg::svd_into(step.theta_m, policy, step.f, step.svd);
+  return commit_two_qubit_gate(psi, step, trunc, stats);
+}
+
 void apply_gate(Mps& psi, const circuit::Gate& g, const TruncationConfig& trunc,
-                linalg::ExecPolicy policy, TruncationStats* stats) {
+                linalg::ExecPolicy policy, TruncationStats* stats,
+                TwoQubitStep* scratch) {
   if (!g.is_two_qubit()) {
     apply_single_qubit_gate(psi, g.matrix(), g.q0);
     return;
@@ -142,7 +153,7 @@ void apply_gate(Mps& psi, const circuit::Gate& g, const TruncationConfig& trunc,
                   "non-adjacent two-qubit gate; route the circuit first");
   const idx lo = std::min(g.q0, g.q1);
   apply_adjacent_two_qubit_gate(psi, chain_ordered_gate(g), lo, trunc, policy,
-                                stats);
+                                stats, scratch);
 }
 
 }  // namespace qkmps::mps

@@ -8,36 +8,13 @@
 
 namespace qkmps::mps {
 
-/// Applies a single-qubit gate to site q: a pure contraction with the site
-/// tensor (Fig. 1a); bond dimensions are unchanged and no truncation is
-/// needed.
-void apply_single_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q);
-
-/// Applies a two-qubit gate on adjacent sites (q, q+1) following Fig. 1b:
-/// move the orthogonality center to the bond, contract the two site tensors
-/// with the gate into a theta tensor, SVD, truncate per `trunc` (Eq. 8),
-/// and absorb the singular values into the right factor (leaving the center
-/// at q+1). `u` is 4x4 in the |q, q+1> basis. Returns the discarded weight.
-double apply_adjacent_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
-                                     const TruncationConfig& trunc,
-                                     linalg::ExecPolicy policy,
-                                     TruncationStats* stats = nullptr);
-
-/// Gate dispatcher: routes 1q gates to the contraction path and adjacent 2q
-/// gates to the SVD path. Non-adjacent 2q gates are a precondition
-/// violation — run circuit::route_to_chain first.
-void apply_gate(Mps& psi, const circuit::Gate& g, const TruncationConfig& trunc,
-                linalg::ExecPolicy policy, TruncationStats* stats = nullptr);
-
-/// Staged state of one two-qubit gate application, decomposing Fig. 1b
-/// into phases so the batched driver (mps/batched_apply.cpp) can collect
-/// the gemm/SVD work of many independent states and submit it to the
-/// batched kernel layer (linalg/batched.hpp) in lockstep. All buffers are
-/// persistent: a step reused gate after gate resizes them in place, so the
-/// per-gate heap churn of the hot loop disappears once bond dimensions
-/// stabilize. apply_adjacent_two_qubit_gate runs these exact phases
-/// serially — one arithmetic path, so batched and sequential execution
-/// are bitwise-identical by construction.
+/// Scratch of the two-qubit gate path (Fig. 1b): the matricized site
+/// tensors, theta in its three layouts, the SVD factors and the SVD
+/// driver's workspace. Every buffer is resized in place, so a scratch
+/// reused gate after gate (MpsSimulator::simulate keeps one per call)
+/// stops allocating once bond dimensions settle. What a scratch held
+/// before never changes a result: a warm and a fresh scratch give
+/// bitwise-identical states (tests/test_simulator.cpp).
 struct TwoQubitStep {
   idx q = 0;                ///< left site of the bond
   idx dl = 0, dr = 0, k = 0;  ///< outer-left, outer-right, shared bond dims
@@ -49,30 +26,31 @@ struct TwoQubitStep {
   linalg::Matrix theta_u;   ///< gate * theta_p
   linalg::Matrix theta_m;   ///< theta_u permuted to (l s0) x (s1 r)
   linalg::SvdResult f;      ///< SVD of theta_m
+  linalg::SvdWorkspace svd; ///< the SVD driver's scratch
 };
 
-/// Phase 1: canonicalize the bond (q, q+1) and matricize both site
-/// tensors into the step. `u` is copied into step.gate.
-void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
-                          TwoQubitStep& step, linalg::ExecPolicy policy);
+/// Applies a single-qubit gate to site q: a pure contraction with the site
+/// tensor (Fig. 1a); bond dimensions are unchanged and no truncation is
+/// needed.
+void apply_single_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q);
 
-/// Phase 2 (after theta = a_left * b_right): permute into the (s0 s1) x
-/// (l r) layout so the gate contraction is a plain 4 x (dl*dr) gemm.
-void permute_theta_for_gate(TwoQubitStep& step);
+/// Applies a two-qubit gate on adjacent sites (q, q+1) following Fig. 1b:
+/// move the orthogonality center to the bond, contract the two site tensors
+/// with the gate into a theta tensor, SVD, truncate per `trunc` (Eq. 8),
+/// and absorb the singular values into the right factor (leaving the center
+/// at q+1). `u` is 4x4 in the |q, q+1> basis. Works in `scratch` when
+/// given, else in a fresh one. Returns the discarded weight.
+double apply_adjacent_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
+                                     const TruncationConfig& trunc,
+                                     linalg::ExecPolicy policy,
+                                     TruncationStats* stats = nullptr,
+                                     TwoQubitStep* scratch = nullptr);
 
-/// Phase 3 (after theta_u = gate * theta_p): permute back to the
-/// ((l s0), (s1 r)) bipartition layout for the SVD.
-void permute_theta_for_svd(TwoQubitStep& step);
-
-/// Phase 4 (after step.f = svd(theta_m)): truncate per `trunc`, write the
-/// two site tensors back, land the center at q+1. Returns the discarded
-/// weight (and records it into `stats` when non-null).
-double commit_two_qubit_gate(Mps& psi, TwoQubitStep& step,
-                             const TruncationConfig& trunc,
-                             TruncationStats* stats);
-
-/// The |q0 q1> -> |lo hi> gate-matrix reordering used by apply_gate for
-/// descending-index two-qubit gates; exposed for the batched driver.
-linalg::Matrix chain_ordered_gate(const circuit::Gate& g);
+/// Gate dispatcher: routes 1q gates to the contraction path and adjacent 2q
+/// gates to the SVD path (in `scratch` when given). Non-adjacent 2q gates
+/// are a precondition violation — run circuit::route_to_chain first.
+void apply_gate(Mps& psi, const circuit::Gate& g, const TruncationConfig& trunc,
+                linalg::ExecPolicy policy, TruncationStats* stats = nullptr,
+                TwoQubitStep* scratch = nullptr);
 
 }  // namespace qkmps::mps

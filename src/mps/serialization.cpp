@@ -44,6 +44,17 @@ Mps load_mps(std::istream& is) {
   const auto center = static_cast<idx>(read_pod<std::int64_t>(is));
   QKMPS_CHECK(sites >= 1 && center >= 0 && center < sites);
 
+  // Every allocation below is sized from header fields, so each must fit
+  // in the bytes the stream still holds: a hostile header fails here as
+  // qkmps::Error, before the allocator sees it. A site takes its two bond
+  // fields plus left * right pairs of amplitudes (at least one pair).
+  constexpr std::int64_t kBondBytes = 2 * sizeof(std::int64_t);
+  constexpr std::int64_t kPairBytes = 2 * sizeof(cplx);
+  std::int64_t budget = io::remaining_bytes(is);
+  QKMPS_CHECK_MSG(io::fits_budget(budget, sites, 1, kBondBytes + kPairBytes),
+                  "MPS header claims " << sites
+                                       << " sites, more than the stream holds");
+
   Mps psi(sites);
   idx prev_right = 1;
   for (idx i = 0; i < sites; ++i) {
@@ -51,10 +62,15 @@ Mps load_mps(std::istream& is) {
     const auto right = static_cast<idx>(read_pod<std::int64_t>(is));
     QKMPS_CHECK_MSG(left == prev_right, "inconsistent bond dimensions");
     QKMPS_CHECK(left >= 1 && right >= 1);
+    if (budget >= 0) budget -= kBondBytes;
+    QKMPS_CHECK_MSG(io::fits_budget(budget, left, right, kPairBytes),
+                    "MPS site " << i << " claims a " << left << "x2x" << right
+                                << " tensor, more than the stream holds");
     SiteTensor t(left, right);
     is.read(reinterpret_cast<char*>(t.a.data()),
             static_cast<std::streamsize>(t.a.size() * sizeof(cplx)));
     QKMPS_CHECK_MSG(is.good(), "truncated MPS payload");
+    if (budget >= 0) budget -= left * right * kPairBytes;
     psi.site(i) = std::move(t);
     prev_right = right;
   }
@@ -99,6 +115,11 @@ kernel::RealMatrix load_kernel(const std::string& path) {
   const auto rows = static_cast<idx>(read_pod<std::int64_t>(is));
   const auto cols = static_cast<idx>(read_pod<std::int64_t>(is));
   QKMPS_CHECK(rows >= 0 && cols >= 0);
+  QKMPS_CHECK_MSG(io::fits_budget(io::remaining_bytes(is), rows, cols,
+                                  sizeof(double)),
+                  "kernel header claims a " << rows << "x" << cols
+                                            << " matrix, more than the file "
+                                               "holds");
   kernel::RealMatrix k(rows, cols);
   is.read(reinterpret_cast<char*>(k.data()),
           static_cast<std::streamsize>(static_cast<std::size_t>(rows) *

@@ -14,6 +14,9 @@ namespace qkmps::mps {
 /// the quantum states from the training stage are stored in memory");
 /// persisting them makes the train-once / infer-later split work across
 /// program runs too. Format: little-endian, versioned magic header.
+/// Loaders treat their bytes as hostile: a corrupt file fails as
+/// qkmps::Error, and no allocation sized from a header field may exceed
+/// what a seekable stream still holds (io::remaining_bytes).
 
 void save_mps(const Mps& psi, std::ostream& os);
 Mps load_mps(std::istream& is);

@@ -20,10 +20,13 @@ SimulationResult MpsSimulator::simulate(const circuit::Circuit& c,
       c.is_nearest_neighbour() ? c : circuit::route_to_chain(c);
 
   SimulationResult out{std::move(initial), {}, {}, 0.0, 0};
+  // One gate scratch for the whole sweep: its buffers and SVD workspace
+  // are reused gate after gate, so the warm loop stops allocating.
+  TwoQubitStep scratch;
   Timer timer;
   for (const circuit::Gate& g : routed.gates()) {
     apply_gate(out.state, g, config_.truncation, config_.policy,
-               &out.truncation);
+               &out.truncation, &scratch);
     ++out.gates_applied;
     if (config_.track_memory) {
       out.memory.record(out.gates_applied, out.state.memory_bytes(),

@@ -1,10 +1,6 @@
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "circuit/circuit.hpp"
-#include "linalg/batched.hpp"
 #include "linalg/policy.hpp"
 #include "mps/memory_tracker.hpp"
 #include "mps/mps.hpp"
@@ -34,6 +30,10 @@ struct SimulationResult {
 
 /// MPS circuit simulator (Sec. II-B). Circuits must be nearest-neighbour;
 /// if not, they are routed through circuit::route_to_chain transparently.
+/// simulate() is the one gate-sweep driver; it keeps all its scratch in
+/// locals of the call, so one const simulator may serve many threads at
+/// once (the serving engine runs one circuit per pool lane on a shared
+/// instance).
 class MpsSimulator {
  public:
   explicit MpsSimulator(SimulatorConfig config = {});
@@ -45,20 +45,6 @@ class MpsSimulator {
 
   /// Simulates `c` starting from a caller-provided state (e.g. |+>^m).
   SimulationResult simulate(const circuit::Circuit& c, Mps initial) const;
-
-  /// Simulates a batch of independent circuits (each from |0...0>) in
-  /// lockstep: all states advance together and each round's two-qubit-gate
-  /// gemm/SVD work across the batch is submitted to the batched kernel
-  /// layer as one pass (linalg/batched.hpp), under `kernels`' backend and
-  /// thread budget (the per-matrix policy is taken from this simulator's
-  /// config, overriding kernels.policy). Per-circuit results — states,
-  /// truncation stats, memory profiles — are bitwise-identical to
-  /// simulate() on each circuit alone; batching is a scheduling choice.
-  /// SimulationResult::seconds reports the whole batch's wall time in
-  /// every entry (lockstep execution has no per-circuit wall time).
-  std::vector<SimulationResult> simulate_batch(
-      const std::vector<circuit::Circuit>& circuits,
-      const linalg::KernelBatchConfig& kernels) const;
 
  private:
   SimulatorConfig config_;

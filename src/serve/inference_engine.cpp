@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "circuit/ansatz.hpp"
+#include "linalg/policy.hpp"
 #include "mps/inner_product.hpp"
 #include "mps/simulator.hpp"
 #include "obs/metrics.hpp"
@@ -258,39 +259,20 @@ std::vector<Prediction> InferenceEngine::run_batch(
   t.cache_seconds = stage.seconds();
   stage.reset();
 
-  // Simulate uncached circuits. The serial backend runs one circuit per
-  // pool lane (each lane's kernels pinned to a single thread — lane
-  // parallelism and kernel OpenMP must not multiply, the oversubscription
-  // contract in DESIGN.md); the batched backend advances all circuits in
-  // lockstep and submits each round's gemm/SVD micro-batch to the batched
-  // kernel layer under the same pool-width budget. Per-circuit arithmetic
-  // is identical in both, so results are deterministic and independent of
-  // batch composition and backend.
+  // Simulate uncached circuits, one per pool lane. Each lane pins its
+  // kernels to one thread: lane parallelism and kernel OpenMP must not
+  // multiply (the thread-budget contract, DESIGN.md §9). simulate() is the
+  // call the sequential pipeline makes, so results are deterministic and
+  // independent of batch composition.
   std::vector<std::shared_ptr<const mps::Mps>> fresh(unique_miss.size());
   const mps::MpsSimulator sim(bundle_->config.sim);
-  if (config_.kernel_backend == linalg::KernelBackend::kSerial) {
-    pool_.parallel_for(unique_miss.size(), [&](std::size_t u) {
-      linalg::KernelThreadScope kernel_scope(1);
-      const std::size_t i = unique_miss[u];
-      const circuit::Circuit c =
-          circuit::feature_map_circuit(bundle_->config.ansatz, keys[i]);
-      fresh[u] = std::make_shared<const mps::Mps>(sim.simulate(c).state);
-    });
-  } else if (!unique_miss.empty()) {
-    std::vector<circuit::Circuit> circuits;
-    circuits.reserve(unique_miss.size());
-    for (std::size_t i : unique_miss)
-      circuits.push_back(
-          circuit::feature_map_circuit(bundle_->config.ansatz, keys[i]));
-    linalg::KernelBatchConfig kc;
-    kc.backend = config_.kernel_backend;
-    kc.thread_budget = static_cast<int>(pool_.size());
-    std::vector<mps::SimulationResult> results =
-        sim.simulate_batch(circuits, kc);
-    for (std::size_t u = 0; u < unique_miss.size(); ++u)
-      fresh[u] =
-          std::make_shared<const mps::Mps>(std::move(results[u].state));
-  }
+  pool_.parallel_for(unique_miss.size(), [&](std::size_t u) {
+    linalg::KernelThreadScope kernel_scope(1);
+    const std::size_t i = unique_miss[u];
+    const circuit::Circuit c =
+        circuit::feature_map_circuit(bundle_->config.ansatz, keys[i]);
+    fresh[u] = std::make_shared<const mps::Mps>(sim.simulate(c).state);
+  });
   for (std::size_t u = 0; u < unique_miss.size(); ++u) {
     const std::size_t i = unique_miss[u];
     states[i] = cache_.insert(keys[i], hashes[i], fresh[u]);

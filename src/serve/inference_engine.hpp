@@ -10,7 +10,6 @@
 
 #include "util/sync.hpp"
 
-#include "linalg/batched.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/model_bundle.hpp"
 #include "serve/prediction_memo.hpp"
@@ -28,21 +27,15 @@ namespace qkmps::serve {
 struct EngineConfig {
   std::size_t max_batch = 32;  ///< drain at most this many requests per batch
   std::chrono::microseconds batch_deadline{2000};  ///< max wait for a batch
-  std::size_t num_threads = 0;     ///< simulation/kernel pool; 0 = hardware
+  /// Pool lanes; 0 = hardware. Uncached circuits simulate one per lane,
+  /// each lane's kernels on one thread; kernel rows spread over the lanes.
+  std::size_t num_threads = 0;
   std::size_t cache_capacity = 4096;  ///< StateCache entries; 0 disables
   /// Decision-value memo entries; 0 disables. An exact-repeat request
   /// (identical scaled feature bits) short-circuits before the StateCache:
   /// no simulation, no kernel row, no SVC pass — it replays the identical
   /// prediction bits. ROADMAP's decision-value memoization.
   std::size_t memo_capacity = 1024;
-  /// Kernel execution for the simulate stage: kOpenMPBatched (default)
-  /// collects the batch's uncached circuits and drives their gate-sweep
-  /// gemm/SVD micro-batches through one batched pass per round
-  /// (linalg/batched.hpp), under a thread budget equal to the engine's
-  /// pool width; kSerial keeps the one-circuit-per-pool-lane reference
-  /// path. Predictions are bitwise-identical either way — the serving
-  /// benches gate on it.
-  linalg::KernelBackend kernel_backend = linalg::KernelBackend::kOpenMPBatched;
 };
 
 /// One scored request.

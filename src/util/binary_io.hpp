@@ -52,6 +52,35 @@ void write_vector(std::ostream& os, const std::vector<T>& v) {
   }
 }
 
+/// Bytes left between the read position and the end of a seekable
+/// stream, or -1 when the stream is not seekable (pipes, sockets). The
+/// read position is restored. Readers bound every allocation sized from a
+/// header field by it (fits_budget), so a corrupt or hostile size fails
+/// as qkmps::Error instead of bad_alloc or a runaway allocation.
+inline std::int64_t remaining_bytes(std::istream& is) {
+  const std::istream::pos_type pos = is.tellg();
+  if (pos == std::istream::pos_type(-1)) return -1;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  // The probe seeks must not leave sticky eof/fail state behind on
+  // stream types whose end-seek trips a state bit; the payload read
+  // re-checks health on its own.
+  is.clear();
+  is.seekg(pos);
+  QKMPS_CHECK_MSG(is.good(), "stream seek failed during length check");
+  return end >= pos ? static_cast<std::int64_t>(end - pos) : 0;
+}
+
+/// True when a rows x cols payload of `elem_bytes`-byte elements fits in
+/// `budget` bytes, checked without overflowing the product. A negative
+/// budget (remaining_bytes of a non-seekable stream) admits any shape.
+inline bool fits_budget(std::int64_t budget, std::int64_t rows,
+                        std::int64_t cols, std::int64_t elem_bytes) {
+  if (budget < 0 || rows == 0 || cols == 0) return true;
+  return rows > 0 && cols > 0 && rows <= budget / elem_bytes &&
+         cols <= budget / elem_bytes / rows;
+}
+
 namespace detail {
 template <typename T>
 std::vector<T> read_vector_payload(std::istream& is, std::int64_t n) {
@@ -70,26 +99,10 @@ std::vector<T> read_vector(std::istream& is) {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto n = read_pod<std::int64_t>(is);
   QKMPS_CHECK_MSG(n >= 0, "negative vector length");
-  // Bound the length against the bytes actually left in the stream (when
-  // it is seekable) so a corrupt length prefix fails as qkmps::Error
-  // instead of bad_alloc / a runaway allocation. Non-seekable streams
-  // (tellg() == -1: pipes, sockets) get no bound here — callers reading
-  // untrusted bytes must use the explicit byte-budget overload below.
-  const std::istream::pos_type pos = is.tellg();
-  if (pos != std::istream::pos_type(-1)) {
-    is.seekg(0, std::ios::end);
-    const std::istream::pos_type end = is.tellg();
-    // The probe seeks must not leave sticky eof/fail state behind on
-    // stream types whose end-seek trips a state bit; the payload read
-    // below re-checks health on its own.
-    is.clear();
-    is.seekg(pos);
-    QKMPS_CHECK_MSG(is.good(), "stream seek failed during length check");
-    QKMPS_CHECK_MSG(
-        end >= pos &&
-            n <= (end - pos) / static_cast<std::streamoff>(sizeof(T)),
-        "vector length " << n << " exceeds remaining stream size");
-  }
+  // Non-seekable streams get no bound here — callers reading untrusted
+  // bytes from one must use the explicit byte-budget overload below.
+  QKMPS_CHECK_MSG(fits_budget(remaining_bytes(is), n, 1, sizeof(T)),
+                  "vector length " << n << " exceeds remaining stream size");
   return detail::read_vector_payload<T>(is, n);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "linalg/gemm.hpp"
@@ -76,6 +77,20 @@ TEST_P(GemmShapes, AllKernelsAgree) {
   EXPECT_LT(max_abs_diff(gemm_blocked(a, b, true), expect) / scale, 1e-13);
   EXPECT_LT(max_abs_diff(gemm(a, b, ExecPolicy::Reference), expect) / scale, 1e-13);
   EXPECT_LT(max_abs_diff(gemm(a, b, ExecPolicy::Accelerated), expect) / scale, 1e-13);
+
+  // gemm_into into a warm output of another shape is bitwise gemm().
+  for (const ExecPolicy policy :
+       {ExecPolicy::Reference, ExecPolicy::Accelerated}) {
+    Matrix into = testing::random_matrix(3, 2, rng);
+    gemm_into(into, a, b, policy);
+    const Matrix fresh = gemm(a, b, policy);
+    ASSERT_EQ(into.rows(), fresh.rows());
+    ASSERT_EQ(into.cols(), fresh.cols());
+    EXPECT_EQ(std::memcmp(into.data(), fresh.data(),
+                          static_cast<std::size_t>(m * n) * sizeof(cplx)),
+              0)
+        << "policy=" << to_string(policy);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "circuit/ansatz.hpp"
 #include "mps/inner_product.hpp"
@@ -75,6 +77,75 @@ TEST_F(SerializationTest, RejectsTruncatedPayload) {
   const std::string full = ss.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_mps(cut), Error);
+}
+
+// Hostile headers: each stream below claims an allocation far larger
+// than its payload. The loaders must reject it as qkmps::Error before
+// allocating — not with std::bad_alloc, and not after reserving gigabytes.
+template <typename T>
+void put(std::ostream& os, T v) {
+  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+std::stringstream mps_header(std::int64_t sites, std::int64_t center) {
+  std::stringstream ss;
+  put<std::uint32_t>(ss, 0x51'4B'4D'53);  // "QKMS"
+  put<std::uint32_t>(ss, 1);
+  put<std::int64_t>(ss, sites);
+  put<std::int64_t>(ss, center);
+  return ss;
+}
+
+TEST_F(SerializationTest, RejectsHugeSiteCount) {
+  std::stringstream ss = mps_header(std::int64_t{1} << 40, 0);
+  put<std::int64_t>(ss, 1);
+  put<std::int64_t>(ss, 1);
+  put<cplx>(ss, 1.0);
+  put<cplx>(ss, 0.0);
+  EXPECT_THROW(load_mps(ss), Error);
+}
+
+TEST_F(SerializationTest, RejectsHugeBondDimension) {
+  // A huge right bond on the first site, with a payload of one amplitude.
+  std::stringstream right = mps_header(1, 0);
+  put<std::int64_t>(right, 1);
+  put<std::int64_t>(right, std::int64_t{1} << 40);
+  put<cplx>(right, 1.0);
+  EXPECT_THROW(load_mps(right), Error);
+
+  // A huge left bond on a later site (matching the previous site's
+  // right bond, so it passes the consistency check), and a bond pair whose
+  // element count overflows 64 bits.
+  for (const auto& [l, r] :
+       {std::make_pair(std::int64_t{1} << 40, std::int64_t{1}),
+        std::make_pair(std::int64_t{1} << 62, std::int64_t{1} << 62)}) {
+    std::stringstream left = mps_header(2, 0);
+    put<std::int64_t>(left, 1);
+    put<std::int64_t>(left, l);
+    put<cplx>(left, 1.0);
+    put<cplx>(left, 0.0);
+    put<std::int64_t>(left, l);
+    put<std::int64_t>(left, r);
+    EXPECT_THROW(load_mps(left), Error) << "left=" << l << " right=" << r;
+  }
+}
+
+TEST_F(SerializationTest, KernelRejectsOverflowingShape) {
+  // rows * cols * 8 wraps to 0 in 64 bits: without an overflow-checked
+  // bound this would load a 2^32 x 2^32 matrix with no storage.
+  for (const auto& [rows, cols] :
+       {std::make_pair(std::int64_t{1} << 32, std::int64_t{1} << 32),
+        std::make_pair(std::int64_t{1}, std::int64_t{1} << 40)}) {
+    {
+      std::ofstream os(path_, std::ios::binary);
+      put<std::uint32_t>(os, 0x51'4B'4B'4D);  // "QKKM"
+      put<std::uint32_t>(os, 1);
+      put<std::int64_t>(os, rows);
+      put<std::int64_t>(os, cols);
+      put<double>(os, 1.0);
+    }
+    EXPECT_THROW(load_kernel(path_), Error) << rows << "x" << cols;
+  }
 }
 
 TEST_F(SerializationTest, KernelRoundTrip) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "circuit/ansatz.hpp"
 #include "circuit/routing.hpp"
 #include "circuit/statevector.hpp"
+#include "mps/gate_application.hpp"
 #include "mps/simulator.hpp"
 #include "test_helpers.hpp"
 
@@ -17,6 +20,30 @@ double state_diff(const Mps& psi, const circuit::Statevector& sv) {
   for (std::size_t i = 0; i < v.size(); ++i)
     diff = std::max(diff, std::abs(v[i] - sv.amplitudes()[i]));
   return diff;
+}
+
+bool bitwise_equal(const Mps& x, const Mps& y) {
+  if (x.num_sites() != y.num_sites() || x.center() != y.center())
+    return false;
+  for (idx i = 0; i < x.num_sites(); ++i) {
+    const SiteTensor& sx = x.site(i);
+    const SiteTensor& sy = y.site(i);
+    if (sx.left != sy.left || sx.right != sy.right ||
+        sx.a.size() != sy.a.size() ||
+        std::memcmp(sx.a.data(), sy.a.data(), sx.a.size() * sizeof(cplx)) !=
+            0)
+      return false;
+  }
+  return true;
+}
+
+bool bitwise_equal(const TruncationStats& x, const TruncationStats& y) {
+  return std::memcmp(&x.total_discarded_weight, &y.total_discarded_weight,
+                     sizeof(double)) == 0 &&
+         std::memcmp(&x.discarded_compensation, &y.discarded_compensation,
+                     sizeof(double)) == 0 &&
+         x.truncation_count == y.truncation_count &&
+         x.max_bond_seen == y.max_bond_seen;
 }
 
 class SimulatorVsStatevector
@@ -161,6 +188,56 @@ TEST(Simulator, InitialStateOverload) {
   for (std::size_t i = 0; i < va.size(); ++i)
     diff = std::max(diff, std::abs(va[i] - vb[i]));
   EXPECT_LT(diff, 1e-12);
+}
+
+TEST(Simulator, WarmScratchMatchesColdGateLoopBitwise) {
+  // simulate() keeps one gate scratch (buffers and SVD workspace) for its
+  // whole sweep; a gate-by-gate apply_gate loop gets a fresh one per
+  // gate. What the scratch held before must never show in a result:
+  // site tensors, centre and truncation stats are memcmp-equal, for both
+  // kernel policies, with and without truncation, on a nearest-neighbour
+  // circuit and on circuits that need routing.
+  Rng rng(36);
+  const circuit::AnsatzParams p{.num_features = 8, .layers = 2, .distance = 3,
+                                .gamma = 1.0};
+  std::vector<circuit::Circuit> circuits{
+      qkmps::testing::random_circuit(6, 60, rng, /*nearest_neighbour_only=*/true),
+      qkmps::testing::random_circuit(6, 60, rng),
+      circuit::feature_map_circuit(p, qkmps::testing::random_features(8, rng))};
+  ASSERT_TRUE(circuits[0].is_nearest_neighbour());
+  ASSERT_FALSE(circuits[1].is_nearest_neighbour());
+  ASSERT_FALSE(circuits[2].is_nearest_neighbour());
+
+  const TruncationConfig exact;
+  const TruncationConfig lossy{.max_discarded_weight = 1e-4, .max_bond = 3};
+  for (const linalg::ExecPolicy policy :
+       {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated}) {
+    for (const TruncationConfig& trunc : {exact, lossy}) {
+      const MpsSimulator sim({.policy = policy, .truncation = trunc});
+      for (std::size_t ci = 0; ci < circuits.size(); ++ci) {
+        const circuit::Circuit& c = circuits[ci];
+        const SimulationResult warm = sim.simulate(c);
+
+        const circuit::Circuit routed =
+            c.is_nearest_neighbour() ? c : circuit::route_to_chain(c);
+        Mps cold(c.num_qubits());
+        TruncationStats cold_stats;
+        for (const circuit::Gate& g : routed.gates())
+          apply_gate(cold, g, trunc, policy, &cold_stats);
+
+        EXPECT_TRUE(bitwise_equal(warm.state, cold))
+            << "circuit " << ci << " policy=" << to_string(policy)
+            << " max_bond=" << trunc.max_bond;
+        EXPECT_TRUE(bitwise_equal(warm.truncation, cold_stats))
+            << "circuit " << ci << " policy=" << to_string(policy)
+            << " max_bond=" << trunc.max_bond;
+        EXPECT_EQ(warm.gates_applied, routed.size());
+        if (trunc.max_bond > 0 && ci == 2) {
+          EXPECT_GT(warm.truncation.total_discarded_weight, 0.0);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "linalg/bidiag.hpp"
 #include "linalg/qr.hpp"
@@ -46,13 +48,23 @@ TEST_P(SvdShapes, SingularValuesSortedNonNegative) {
 }
 
 TEST_P(SvdShapes, AgreesWithJacobiOracle) {
+  // Both kernel policies against the oracle: they are different arithmetic
+  // (blocked, threaded reflectors vs serial loops), so they agree to the
+  // repo-wide 1e-10 parity tolerance, not bitwise.
   const auto [m, n] = GetParam();
   Rng rng(static_cast<std::uint64_t>(m * 503 + n * 13));
   const Matrix a = testing::random_matrix(m, n, rng);
   const SvdResult qr_based = svd(a);
+  const SvdResult accelerated = svd(a, ExecPolicy::Accelerated);
   const SvdResult oracle = jacobi_svd(a);
-  for (std::size_t i = 0; i < qr_based.s.size(); ++i)
-    EXPECT_NEAR(qr_based.s[i], oracle.s[i], 1e-10 * (oracle.s[0] + 1.0));
+  const double tol = 1e-10 * (oracle.s[0] + 1.0);
+  for (std::size_t i = 0; i < qr_based.s.size(); ++i) {
+    EXPECT_NEAR(qr_based.s[i], oracle.s[i], tol);
+    EXPECT_NEAR(accelerated.s[i], oracle.s[i], tol);
+  }
+  EXPECT_LT(max_abs_diff(testing::reconstruct(accelerated),
+                         testing::reconstruct(qr_based)),
+            tol);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeSweep, SvdShapes,
@@ -162,6 +174,46 @@ TEST(TruncateSvd, ShrinksFactorsConsistently) {
   EXPECT_EQ(f.vh.rows(), 3);
   EXPECT_EQ(f.s.size(), 3u);
   EXPECT_LT(orthonormality_defect(f.u), 1e-12);
+}
+
+TEST(Svd, WarmWorkspaceAndOutputAreBitwiseInvisible) {
+  // The gate sweep keeps one SvdWorkspace and one SvdResult for a whole
+  // circuit and decomposes with svd_into. Whatever an earlier call left in
+  // them — other shapes, tall and wide, a truncated result, a zero matrix —
+  // must not change a bit of the next factorization.
+  Rng rng(27);
+  std::vector<Matrix> inputs;
+  for (int rep = 0; rep < 2; ++rep) {
+    inputs.push_back(testing::random_matrix(8, 8, rng));
+    inputs.push_back(testing::random_matrix(16, 4, rng));
+    inputs.push_back(testing::random_matrix(4, 16, rng));
+    inputs.push_back(gemm_reference(testing::random_matrix(8, 2, rng),
+                                    testing::random_matrix(2, 8, rng)));
+    inputs.push_back(Matrix(6, 5));
+    inputs.push_back(testing::random_matrix(1, 7, rng));
+    inputs.push_back(testing::random_matrix(2, 2, rng));
+  }
+  const auto same = [](const Matrix& x, const Matrix& y) {
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(),
+                       static_cast<std::size_t>(x.rows() * x.cols()) *
+                           sizeof(cplx)) == 0;
+  };
+  for (const ExecPolicy policy :
+       {ExecPolicy::Reference, ExecPolicy::Accelerated}) {
+    SvdWorkspace ws;
+    SvdResult warm;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const SvdResult cold = svd(inputs[i], policy);
+      svd_into(inputs[i], policy, warm, ws);
+      EXPECT_TRUE(warm.s.size() == cold.s.size() &&
+                  std::memcmp(warm.s.data(), cold.s.data(),
+                              cold.s.size() * sizeof(double)) == 0 &&
+                  same(warm.u, cold.u) && same(warm.vh, cold.vh))
+          << "input " << i << " policy=" << to_string(policy);
+      truncate_svd(warm, 1);
+    }
+  }
 }
 
 // --- Degenerate-input regressions --------------------------------------
