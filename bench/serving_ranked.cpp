@@ -1,8 +1,8 @@
-/// Rank-distributed serving benchmark: serve::RankShardedEngine — the
-/// sharded frontend whose shard boundary is a parallel::Transport (see
-/// DESIGN.md) — driven by the same deterministic serve::workload scenarios
-/// as bench/serving_sharded, so the two frontends' numbers are directly
-/// comparable.
+/// Sharded serving benchmark: serve::RankShardedEngine — the sharded
+/// frontend whose shard boundary is a parallel::Transport (see DESIGN.md)
+/// — driven by the deterministic serve::workload scenarios the parity
+/// tests replay (every load shape published here is reproducible byte for
+/// byte, see the scenario digests in the artifact).
 ///
 /// Transports (--transport=inproc|socket, default inproc):
 ///  - inproc: shards are parallel::RankRuntime ranks, messages over typed
@@ -13,12 +13,16 @@
 ///    time, overridable with --worker=PATH); throughput/p99 against the
 ///    inproc numbers shows the framing + loopback cost.
 ///
-/// Three sections:
+/// Four sections:
 ///  1. Rank scaling (both transports): the cache-pressure uniform stream
 ///     swept over worker counts {1, 2, 4}, consistent-hash routing.
-///     Per-shard resources fixed, so the aggregate cache scales with the
-///     worker count exactly as in the in-process frontend.
-///  2. Elastic resize (both transports — over sockets this grows a live
+///     Per-shard resources fixed, so sharding scales the aggregate cache
+///     as well as the drain parallelism.
+///  2. Scenario sweep (both transports): every standard workload scenario
+///     through 2 shards with tight admission queues (capacity 32,
+///     shed-oldest), arrival-paced, reporting served/shed/rejected and
+///     queue depths.
+///  3. Elastic resize (both transports — over sockets this grows a live
 ///     worker fleet: a new serving_rankd process is spawned and
 ///     handshaken while the survivors keep serving): a Zipf hot-key
 ///     stream served at N workers, then add_shard() to N+1 and the
@@ -28,7 +32,7 @@
 ///     re-simulate: the ring keeps ~(1 - 1/(N+1)) of the StateCaches
 ///     warm, modulo cold-starts nearly everything. Gate: the ring
 ///     replay's cache hit-rate must beat modulo's.
-///  3. Self-heal (socket only): a worker is SIGKILL'd mid-stream. Every
+///  4. Self-heal (socket only): a worker is SIGKILL'd mid-stream. Every
 ///     in-flight future must still resolve (served or shed — zero lost),
 ///     the monitor must respawn the worker, and the respawned process
 ///     must serve again. Gate: respawn observed + zero lost futures.
@@ -115,9 +119,12 @@ struct RunResult {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   std::uint64_t served = 0;
+  std::uint64_t shed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t circuits = 0;
+  std::uint64_t max_queue_depth = 0;
   double cache_hit_rate = 0.0;
+  double memo_hit_rate = 0.0;
   std::uint64_t parity_mismatches = 0;
   std::uint64_t untraced = 0;         ///< served with trace_id == 0
   std::uint64_t no_worker_spans = 0;  ///< served without a kWorker span
@@ -129,17 +136,25 @@ struct RunResult {
 std::vector<double> g_served_latencies;
 
 /// Fire-and-join replay of a scenario through a ranked engine, parity-
-/// checked per served prediction. `prior` subtracts an earlier snapshot so
-/// resize rounds report per-round circuit/cache numbers.
+/// checked per served prediction; `pace_arrivals` submits each request at
+/// its scenario arrival time instead of all at once. `prior` subtracts an
+/// earlier snapshot so resize rounds report per-round circuit/cache
+/// numbers.
 RunResult run_scenario(serve::RankShardedEngine& engine,
                        const workload::Scenario& scenario,
                        const std::vector<double>& reference,
-                       const serve::RankShardedStats* prior = nullptr) {
+                       const serve::RankShardedStats* prior = nullptr,
+                       bool pace_arrivals = false) {
   std::vector<std::future<serve::RoutedPrediction>> futures;
   futures.reserve(static_cast<std::size_t>(scenario.size()));
   Timer total;
-  for (idx r = 0; r < scenario.size(); ++r)
+  for (idx r = 0; r < scenario.size(); ++r) {
+    if (pace_arrivals) {
+      const double target_us = scenario.arrival_us[static_cast<std::size_t>(r)];
+      while (total.seconds() * 1e6 < target_us) std::this_thread::yield();
+    }
     futures.push_back(engine.submit(scenario.request(r)));
+  }
 
   RunResult res;
   std::vector<double> latencies;
@@ -160,6 +175,8 @@ RunResult run_scenario(serve::RankShardedEngine& engine,
       if (p.prediction.decision_value !=
           reference[static_cast<std::size_t>(u)])
         ++res.parity_mismatches;
+    } else if (p.status == serve::ServeStatus::kShed) {
+      ++res.shed;
     } else {
       ++res.rejected;
     }
@@ -173,11 +190,17 @@ RunResult run_scenario(serve::RankShardedEngine& engine,
 
   const serve::RankShardedStats st = engine.stats();
   std::uint64_t hits = 0, lookups = 0, circuits = 0;
+  std::uint64_t memo_hits = 0, memo_lookups = 0;
   for (std::size_t i = 0; i < st.shards.size(); ++i) {
     hits += st.shards[i].engine.cache.hits;
     lookups += st.shards[i].engine.cache.hits +
                st.shards[i].engine.cache.misses;
     circuits += st.shards[i].engine.circuits_simulated;
+    memo_hits += st.shards[i].engine.memo.hits;
+    memo_lookups +=
+        st.shards[i].engine.memo.hits + st.shards[i].engine.memo.misses;
+    res.max_queue_depth = std::max<std::uint64_t>(
+        res.max_queue_depth, st.shards[i].max_queue_depth);
   }
   if (prior != nullptr) {
     std::uint64_t prior_hits = 0, prior_lookups = 0, prior_circuits = 0;
@@ -195,16 +218,27 @@ RunResult run_scenario(serve::RankShardedEngine& engine,
   if (lookups > 0)
     res.cache_hit_rate =
         static_cast<double>(hits) / static_cast<double>(lookups);
+  if (memo_lookups > 0)
+    res.memo_hit_rate =
+        static_cast<double>(memo_hits) / static_cast<double>(memo_lookups);
   return res;
 }
 
 void print_row(const char* label, const RunResult& r) {
-  std::printf("%-26s %9.0f req/s %8.2f ms %8.2f ms %6.0f%% %6llu %5llu/%llu\n",
-              label, r.throughput, r.p50_ms, r.p99_ms,
-              100.0 * r.cache_hit_rate,
-              static_cast<unsigned long long>(r.circuits),
-              static_cast<unsigned long long>(r.served),
-              static_cast<unsigned long long>(r.rejected));
+  std::printf(
+      "%-26s %9.0f req/s %8.2f ms %8.2f ms %6.0f%% %6.0f%% %6llu "
+      "%5llu/%llu/%llu\n",
+      label, r.throughput, r.p50_ms, r.p99_ms, 100.0 * r.cache_hit_rate,
+      100.0 * r.memo_hit_rate, static_cast<unsigned long long>(r.circuits),
+      static_cast<unsigned long long>(r.served),
+      static_cast<unsigned long long>(r.shed),
+      static_cast<unsigned long long>(r.rejected));
+}
+
+void print_table_header(const char* first_column) {
+  std::printf("%-26s %15s %11s %11s %7s %7s %7s %13s\n", first_column,
+              "throughput", "p50", "p99", "cache", "memo", "circ",
+              "srv/shed/rej");
 }
 
 std::string hex_digest(std::uint64_t digest) {
@@ -333,14 +367,14 @@ int main(int argc, char** argv) {
               pressure.name.c_str(),
               hex_digest(workload::scenario_digest(scaling_stream)).c_str(),
               socket_mode ? "socket" : "inproc");
-  std::printf("%-26s %15s %11s %11s %7s %7s %10s\n", "configuration",
-              "throughput", "p50", "p99", "cache", "circ", "srv/rej");
+  print_table_header("configuration");
 
   std::vector<RunResult> scaling;
   for (std::size_t ranks : rank_counts) {
     serve::RankShardedEngineConfig rcfg;
     rcfg.num_shards = ranks;
-    rcfg.ingress_capacity = static_cast<std::size_t>(n_requests);  // admit all
+    // Admit all: this section measures scaling, not admission.
+    rcfg.admission_capacity = static_cast<std::size_t>(n_requests);
     rcfg.engine.max_batch = 16;
     rcfg.engine.cache_capacity = static_cast<std::size_t>(cache_entries);
     rcfg.engine.memo_capacity = static_cast<std::size_t>(cache_entries);
@@ -362,7 +396,43 @@ int main(int argc, char** argv) {
               socket_mode ? "QKFR-framed unix sockets"
                           : "the typed Comm channel pair");
 
-  // --- Section 2: elastic resize, ring vs modulo on a Zipf stream. ------
+  // --- Section 2: every standard scenario through tight admission. ------
+  std::printf("\nstandard scenarios, 2 shards, admission capacity 32, "
+              "shed-oldest, arrival-paced:\n");
+  print_table_header("scenario");
+  struct ScenarioRow {
+    workload::ScenarioConfig cfg;
+    std::uint64_t digest = 0;
+    RunResult result;
+  };
+  std::vector<ScenarioRow> rows;
+  for (const workload::ScenarioConfig& cfg : workload::standard_scenarios(
+           quick ? n_requests / 2 : n_requests, n_unique, 7)) {
+    ScenarioRow row;
+    row.cfg = cfg;
+    const workload::Scenario scenario =
+        workload::make_scenario(cfg, setup.pool);
+    row.digest = workload::scenario_digest(scenario);
+    const std::vector<double> ref =
+        reference_values(*setup.bundle, scenario.unique_points);
+    serve::RankShardedEngineConfig rcfg;
+    rcfg.num_shards = 2;
+    rcfg.admission_capacity = 32;
+    rcfg.policy = serve::AdmissionPolicy::kShedOldest;
+    rcfg.engine.max_batch = 16;
+    rcfg.engine.cache_capacity = static_cast<std::size_t>(cache_entries);
+    rcfg.engine.memo_capacity = static_cast<std::size_t>(cache_entries);
+    configure_transport(rcfg);
+    serve::RankShardedEngine engine(setup.bundle, rcfg);
+    row.result = run_scenario(engine, scenario, ref, nullptr,
+                              /*pace_arrivals=*/true);
+    print_row(cfg.name.c_str(), row.result);
+    total_mismatches += row.result.parity_mismatches;
+    count_trace_gate(row.result);
+    rows.push_back(std::move(row));
+  }
+
+  // --- Section 3: elastic resize, ring vs modulo on a Zipf stream. ------
   // Both transports: over sockets the add_shard() spawns and handshakes a
   // live serving_rankd process while the survivors keep serving.
   const std::size_t resize_from = quick ? 2 : 3;
@@ -390,8 +460,7 @@ int main(int argc, char** argv) {
                 resize_from, resize_from + 1,
                 socket_mode ? "worker processes" : "ranks", zipf.name.c_str(),
                 hex_digest(workload::scenario_digest(zipf_stream)).c_str());
-    std::printf("%-26s %15s %11s %11s %7s %7s %10s\n", "configuration",
-                "throughput", "p50", "p99", "cache", "circ", "srv/rej");
+    print_table_header("configuration");
 
     for (const serve::RouterKind kind :
          {serve::RouterKind::kConsistentHash,
@@ -404,7 +473,7 @@ int main(int argc, char** argv) {
       serve::RankShardedEngineConfig rcfg;
       rcfg.num_shards = resize_from;
       rcfg.router = router_cfg;
-      rcfg.ingress_capacity = static_cast<std::size_t>(zipf.num_requests);
+      rcfg.admission_capacity = static_cast<std::size_t>(zipf.num_requests);
       rcfg.engine.max_batch = 16;
       // Cache sized for the whole working set so the replay measures key
       // remigration, not capacity eviction; memo off so the StateCache is
@@ -482,7 +551,7 @@ int main(int argc, char** argv) {
               1e3 * hist_p50, 1e3 * exact_p50, p50_factor, p50_tolerance,
               latency_gate_ok ? "" : "  <-- LATENCY GATE FAILURE");
 
-  // --- Section 3: self-heal (socket only): SIGKILL a worker mid-stream. -
+  // --- Section 4: self-heal (socket only): SIGKILL a worker mid-stream. -
   // Gate: every future resolves (zero lost), the monitor respawns the
   // victim, and the respawned process serves again.
   struct SelfHealOutcome {
@@ -504,7 +573,7 @@ int main(int argc, char** argv) {
     heal.ran = true;
     serve::RankShardedEngineConfig rcfg;
     rcfg.num_shards = 2;
-    rcfg.ingress_capacity = static_cast<std::size_t>(zipf.num_requests);
+    rcfg.admission_capacity = static_cast<std::size_t>(zipf.num_requests);
     rcfg.engine.max_batch = 16;
     rcfg.engine.cache_capacity = static_cast<std::size_t>(cache_entries);
     rcfg.engine.memo_capacity = static_cast<std::size_t>(cache_entries);
@@ -661,6 +730,27 @@ int main(int argc, char** argv) {
     jw.field("scaling_scenario_digest",
              hex_digest(workload::scenario_digest(scaling_stream)));
     jw.field("speedup_max_ranks_vs_1", speedup);
+    jw.begin_array("scenarios");
+    for (const ScenarioRow& row : rows) {
+      const RunResult& r = row.result;
+      jw.begin_array_object();
+      jw.field("name", row.cfg.name);
+      jw.field("digest", hex_digest(row.digest));
+      jw.field("throughput_rps", r.throughput);
+      jw.field("p50_ms", r.p50_ms);
+      jw.field("p99_ms", r.p99_ms);
+      jw.field("served", static_cast<long long>(r.served));
+      jw.field("shed", static_cast<long long>(r.shed));
+      jw.field("rejected", static_cast<long long>(r.rejected));
+      jw.field("max_queue_depth", static_cast<long long>(r.max_queue_depth));
+      jw.field("cache_hit_rate", r.cache_hit_rate);
+      jw.field("memo_hit_rate", r.memo_hit_rate);
+      jw.field("circuits", static_cast<long long>(r.circuits));
+      jw.field("parity_mismatches",
+               static_cast<long long>(r.parity_mismatches));
+      jw.end_object();
+    }
+    jw.end_array();
     jw.field("resize_from_ranks", static_cast<long long>(resize_from));
     jw.field("resize_scenario_digest",
              hex_digest(workload::scenario_digest(zipf_stream)));

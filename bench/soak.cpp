@@ -1,12 +1,13 @@
-/// Streaming soak bench: drives the sharded serving frontends through the
-/// src/soak harness — pull-based workload, composed arrival shapes,
+/// Streaming soak bench: drives the sharded serving frontend
+/// (serve::RankShardedEngine, in-process transport) through the src/soak
+/// harness — pull-based workload, composed arrival shapes,
 /// priority classes through admission control, an SLO ledger reconciled
 /// exactly against engine counters, and coverage-guided metamorphic
 /// fuzzing over the relation x engine-state matrix (DESIGN.md §10).
 ///
 /// Sections:
-///  1. Steady soak: sustained + diurnal + flash-crowd composite through a
-///     ShardedEngine, in-stream bitwise parity + routing checks.
+///  1. Steady soak: sustained + diurnal + flash-crowd composite through the
+///     engine, in-stream bitwise parity + routing checks.
 ///     Gates: zero lost futures, zero violations, exact SLO ledger
 ///     reconciliation.
 ///  2. Overload soak: the same composite into a deliberately undersized
@@ -35,7 +36,7 @@
 #include "bench_common.hpp"
 #include "kernel/gram.hpp"
 #include "serve/model_bundle.hpp"
-#include "serve/sharded_engine.hpp"
+#include "serve/rank_sharded_engine.hpp"
 #include "soak/arrival.hpp"
 #include "soak/coverage.hpp"
 #include "soak/fuzz.hpp"
@@ -199,11 +200,11 @@ int main(int argc, char** argv) {
   // --- Section 1: steady soak, composite offered load. ------------------
   soak::SoakReport steady;
   {
-    serve::ShardedEngineConfig scfg;
-    scfg.num_shards = shards;
-    scfg.engine.num_threads = 0;
-    scfg.router = {serve::RouterKind::kConsistentHash, 64};
-    serve::ShardedEngine engine(bundle, scfg);
+    serve::RankShardedEngineConfig rcfg;
+    rcfg.num_shards = shards;
+    rcfg.engine.num_threads = 0;
+    rcfg.router = {serve::RouterKind::kConsistentHash, 64};
+    serve::RankShardedEngine engine(bundle, rcfg);
 
     soak::SoakConfig cfg;
     cfg.seed = 2026;
@@ -225,13 +226,13 @@ int main(int argc, char** argv) {
   // --- Section 2: overload soak, shedding admission queue. ---------------
   soak::SoakReport overload;
   {
-    serve::ShardedEngineConfig scfg;
-    scfg.num_shards = shards;
-    scfg.engine.num_threads = 0;
-    scfg.router = {serve::RouterKind::kConsistentHash, 64};
-    scfg.admission_capacity = 8;  // deliberately undersized
-    scfg.policy = serve::AdmissionPolicy::kShedOldest;
-    serve::ShardedEngine engine(bundle, scfg);
+    serve::RankShardedEngineConfig rcfg;
+    rcfg.num_shards = shards;
+    rcfg.engine.num_threads = 0;
+    rcfg.router = {serve::RouterKind::kConsistentHash, 64};
+    rcfg.admission_capacity = 8;  // deliberately undersized
+    rcfg.policy = serve::AdmissionPolicy::kShedOldest;
+    serve::RankShardedEngine engine(bundle, rcfg);
 
     soak::SoakConfig cfg;
     cfg.seed = 2027;
@@ -311,11 +312,11 @@ int main(int argc, char** argv) {
     ran_long = true;
     const std::uint64_t long_requests = static_cast<std::uint64_t>(
         env_int("QKMPS_SOAK_LONG_REQUESTS", 1'000'000));
-    serve::ShardedEngineConfig scfg;
-    scfg.num_shards = shards;
-    scfg.engine.num_threads = 0;
-    scfg.router = {serve::RouterKind::kConsistentHash, 64};
-    serve::ShardedEngine engine(bundle, scfg);
+    serve::RankShardedEngineConfig rcfg;
+    rcfg.num_shards = shards;
+    rcfg.engine.num_threads = 0;
+    rcfg.router = {serve::RouterKind::kConsistentHash, 64};
+    serve::RankShardedEngine engine(bundle, rcfg);
 
     soak::SoakConfig cfg;
     cfg.seed = 2028;

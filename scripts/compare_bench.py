@@ -22,7 +22,7 @@ baseline leaf is classified by how machine-dependent it is:
     way: they are already normalized to the machine (both sides of the
     ratio ran on the same box), so a drop below (1 - tolerance) of the
     baseline ratio means the optimization itself regressed — e.g. the
-    sharded frontend (serving_sharded.json) losing its edge over one
+    sharded frontend (serving_ranked.json) losing its edge over one
     shard.
   * Everything else (latencies, hit rates, pids, timings) is
     informational and never gates.

@@ -1,5 +1,6 @@
 #include "mps/serialization.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -70,6 +71,11 @@ Mps load_mps(std::istream& is) {
     is.read(reinterpret_cast<char*>(t.a.data()),
             static_cast<std::streamsize>(t.a.size() * sizeof(cplx)));
     QKMPS_CHECK_MSG(is.good(), "truncated MPS payload");
+    // A NaN or inf amplitude loads as a valid-looking state whose every
+    // overlap is NaN, and a NaN decision value scores as label -1.
+    for (const cplx& amp : t.a)
+      QKMPS_CHECK_MSG(std::isfinite(amp.real()) && std::isfinite(amp.imag()),
+                      "MPS site " << i << " holds a non-finite amplitude");
     if (budget >= 0) budget -= left * right * kPairBytes;
     psi.site(i) = std::move(t);
     prev_right = right;

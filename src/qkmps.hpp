@@ -55,7 +55,6 @@
 #include "serve/prediction_memo.hpp" // IWYU pragma: export
 #include "serve/rank_sharded_engine.hpp"  // IWYU pragma: export
 #include "serve/router.hpp"          // IWYU pragma: export
-#include "serve/sharded_engine.hpp"  // IWYU pragma: export
 #include "serve/state_cache.hpp"     // IWYU pragma: export
 #include "serve/workload.hpp"        // IWYU pragma: export
 #include "svm/metrics.hpp"           // IWYU pragma: export

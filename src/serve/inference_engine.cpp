@@ -78,9 +78,9 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const ModelBundle> bundle,
   QKMPS_CHECK(bundle_->model.alpha.size() == bundle_->sv_states.size());
   QKMPS_CHECK(config_.max_batch >= 1);
   // The batcher thread starts lazily on the first submit(): callers that
-  // only ever use the synchronous predict_batch() path — notably the N
-  // inner engines of a ShardedEngine, whose drainers batch for them —
-  // never pay for a permanently idle thread.
+  // only ever use the synchronous predict_batch() path — notably the
+  // shard engines of a RankShardedEngine, whose shard workers batch for
+  // them — never pay for a permanently idle thread.
 }
 
 InferenceEngine::~InferenceEngine() {

@@ -103,10 +103,8 @@ struct EngineStats {
 /// tests/test_inference_engine.cpp pins down.
 ///
 /// The bundle is held through shared_ptr<const ModelBundle>, so N engines
-/// (e.g. the shards of a ShardedEngine) keep one copy of the resident
-/// support-vector states between them.
-class ShardedEngine;
-class RankShardedEngine;
+/// (e.g. the in-process shards of a RankShardedEngine) keep one copy of
+/// the resident support-vector states between them.
 
 class InferenceEngine {
  public:
@@ -127,9 +125,8 @@ class InferenceEngine {
   /// compute path as the async batches (bypassing the queue and deadline).
   std::vector<Prediction> predict_batch(const kernel::RealMatrix& x);
 
-  /// Same, taking the rows directly — the sharded frontend's drainer
-  /// moves the admitted requests' feature vectors straight in, with no
-  /// intermediate matrix packing/unpacking copies.
+  /// Same, taking the rows directly, with no intermediate matrix
+  /// packing/unpacking copies.
   std::vector<Prediction> predict_batch(
       std::vector<std::vector<double>> features);
 
@@ -139,15 +136,12 @@ class InferenceEngine {
   const EngineConfig& config() const { return config_; }
 
  private:
-  /// The sharded frontends validate each request once at admission; their
-  /// drainers (ShardedEngine) and shard workers (the shared
-  /// serve::run_shard_worker loop behind RankShardedEngine and
-  /// serving_rankd) then score through predict_batch_trusted and skip the
-  /// re-validation scan on the latency-critical drain path. Socket-mode
-  /// requests were validated by the router's submit() before they ever
-  /// crossed the wire.
-  friend class ShardedEngine;
-  friend class RankShardedEngine;
+  /// The sharded frontend validates each request once at admission; its
+  /// shard workers (the shared serve::run_shard_worker loop behind
+  /// RankShardedEngine and serving_rankd) then score through
+  /// predict_batch_trusted and skip the re-validation scan on the
+  /// latency-critical drain path. Socket-mode requests were validated by
+  /// the router's submit() before they ever crossed the wire.
   friend bool run_shard_worker(parallel::Transport& link,
                                InferenceEngine& engine,
                                const struct ShardWorkerOptions& options);
@@ -188,7 +182,7 @@ class InferenceEngine {
   std::atomic<std::uint64_t> max_batch_seen_{0};
 
   /// Started lazily by the first submit() (predict_batch-only callers,
-  /// like ShardedEngine's inner engines, never start it). Last member:
+  /// like the shard workers' engines, never start it). Last member:
   /// joins before the pool dies.
   std::thread batcher_;
 };

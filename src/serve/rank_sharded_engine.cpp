@@ -9,12 +9,15 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "parallel/partition.hpp"
 #include "serve/feature_key.hpp"
 #include "serve/shard_worker.hpp"
 #include "util/error.hpp"
@@ -89,6 +92,32 @@ std::string format_weight(double weight) {
 
 }  // namespace
 
+const char* to_string(ServeStatus status) {
+  switch (status) {
+    case ServeStatus::kServed:
+      return "served";
+    case ServeStatus::kRejected:
+      return "rejected";
+    case ServeStatus::kShed:
+      return "shed";
+  }
+  return "unknown";
+}
+
+std::vector<std::size_t> shard_thread_lanes(std::size_t requested,
+                                            std::size_t num_shards) {
+  if (requested > 0)
+    return std::vector<std::size_t>(num_shards, requested);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const idx total = static_cast<idx>(hw == 0 ? 2 : hw);
+  const std::vector<idx> sizes =
+      parallel::split_sizes(total, static_cast<idx>(num_shards));
+  std::vector<std::size_t> lanes(num_shards, 1);
+  for (std::size_t i = 0; i < num_shards; ++i)
+    lanes[i] = std::max<std::size_t>(1, static_cast<std::size_t>(sizes[i]));
+  return lanes;
+}
+
 const char* to_string(TransportKind kind) {
   switch (kind) {
     case TransportKind::kInProcess:
@@ -112,8 +141,8 @@ RankShardedEngine::RankShardedEngine(std::shared_ptr<const ModelBundle> bundle,
               std::max<std::size_t>(1, config_.flight_event_capacity)) {
   QKMPS_CHECK(bundle_ != nullptr);
   QKMPS_CHECK_MSG(config_.num_shards >= 1, "need at least one shard");
-  QKMPS_CHECK_MSG(config_.ingress_capacity >= 1,
-                  "ingress queue needs capacity >= 1");
+  QKMPS_CHECK_MSG(config_.admission_capacity >= 1,
+                  "admission queue needs capacity >= 1");
   std::vector<double> weights = config_.shard_weights;
   if (weights.empty()) weights.assign(config_.num_shards, 1.0);
   QKMPS_CHECK_MSG(weights.size() == config_.num_shards,
@@ -185,39 +214,83 @@ std::size_t RankShardedEngine::drain_batch_limit() const {
 std::future<RoutedPrediction> RankShardedEngine::submit(
     std::vector<double> features) {
   check_request_features(features, bundle_->num_features());
-  Ingress request;
+  Pending request;
+  request.hash = feature_hash(features);
   request.features = std::move(features);
   request.trace = obs::TraceContext::begin();
   request.submitted = request.trace.epoch;  // one clock read, two uses
   std::future<RoutedPrediction> fut = request.promise.get_future();
+  int shard;
+  {
+    util::MutexLock topo(topology_mu_);
+    shard = router_->shard_for_hash(request.hash);
+  }
 
+  std::optional<Pending> victim;  // kShedOldest eviction, resolved unlocked
   bool rejected = false;
   {
     util::MutexLock lock(mu_);
     if (runtime_error_) std::rethrow_exception(runtime_error_);
     QKMPS_CHECK_MSG(!stopped_, "submit on a stopped RankShardedEngine");
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (ingress_.size() >= config_.ingress_capacity) {
-      rejected = true;
-    } else {
-      ingress_.push_back(std::move(request));
-      admitted_.fetch_add(1, std::memory_order_relaxed);
+    const auto s = static_cast<std::size_t>(shard);
+    if (queues_.size() <= s) queues_.resize(s + 1);
+    ShardQueue& queue = queues_[s];
+    if (queue.requests.size() >= config_.admission_capacity) {
+      if (config_.policy == AdmissionPolicy::kRejectNew) {
+        rejected = true;
+      } else {
+        victim.emplace(std::move(queue.requests.front()));
+        queue.requests.pop_front();
+        shed_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (!rejected) {
+      queue.requests.push_back(std::move(request));
+      queue.high_water = std::max(queue.high_water, queue.requests.size());
+      // Release pairs with the acquire load in stats(): a sampler that
+      // sees this admission also sees the completions and sheds that made
+      // room for it.
+      admitted_.fetch_add(1, std::memory_order_release);
     }
   }
+
+  const auto now = std::chrono::steady_clock::now();
+  if (victim) {
+    RoutedPrediction out;
+    out.status = ServeStatus::kShed;
+    out.shard = shard;
+    out.total_seconds = seconds_between(victim->submitted, now);
+    // A shed request was admitted (and traced); its whole life was the
+    // admission wait it lost.
+    victim->trace.add_span("admission_wait", victim->submitted, now);
+    out.trace = std::move(victim->trace).finish(now);
+    victim->promise.set_value(std::move(out));
+  }
   if (rejected) {
-    // The request never reached the router, so no shard is charged for
-    // it: shard stays -1 (routing happens router-side, after admission).
     rejected_.fetch_add(1, std::memory_order_relaxed);
     RoutedPrediction out;
     out.status = ServeStatus::kRejected;
-    out.shard = -1;
-    out.total_seconds =
-        seconds_between(request.submitted, std::chrono::steady_clock::now());
-    request.promise.set_value(out);
+    out.shard = shard;
+    out.total_seconds = seconds_between(request.submitted, now);
+    request.promise.set_value(std::move(out));
   } else {
-    cv_ingress_.notify_all();
+    cv_router_.notify_all();
   }
   return fut;
+}
+
+void RankShardedEngine::pause_draining() {
+  util::MutexLock lock(mu_);
+  paused_ = true;
+}
+
+void RankShardedEngine::resume_draining() {
+  {
+    util::MutexLock lock(mu_);
+    paused_ = false;
+  }
+  cv_router_.notify_all();
 }
 
 void RankShardedEngine::start_runtime() {
@@ -435,7 +508,7 @@ void RankShardedEngine::stop_runtime(bool final_stop) {
     draining_ = true;
     if (final_stop) stopped_ = true;
   }
-  cv_ingress_.notify_all();
+  cv_router_.notify_all();
   if (runtime_thread_.joinable()) runtime_thread_.join();
   runtime_.reset();
   // Socket teardown: closing the links EOFs any worker the shutdown
@@ -480,7 +553,7 @@ void RankShardedEngine::add_shard(double weight) {
       if (runtime_error_) std::rethrow_exception(runtime_error_);
       topology_requests_.push_back(std::move(cmd));
     }
-    cv_ingress_.notify_all();
+    cv_router_.notify_all();
     done.get();  // rethrows a failed spawn/handshake
     resizes_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -542,7 +615,7 @@ void RankShardedEngine::remove_shard(std::size_t shard) {
       if (runtime_error_) std::rethrow_exception(runtime_error_);
       topology_requests_.push_back(std::move(cmd));
     }
-    cv_ingress_.notify_all();
+    cv_router_.notify_all();
     done.get();
     resizes_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -1009,30 +1082,56 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
                          "");
   };
 
+  // Flow control: a live shard is sent at most two drain batches — one
+  // scoring, one gathered behind it. Everything else waits in its pending
+  // queue, where admission bounds it.
+  const std::size_t window = 2 * std::max<std::size_t>(1, drain_batch_limit());
+  std::vector<std::size_t> room;
+  std::vector<Pending> pulled;
   for (;;) {
     bool progress = false;
     bool drain = false;
-    std::deque<Ingress> pulled;
     std::optional<std::promise<std::vector<EngineStats>>> stats_request;
     std::optional<TopologyCommand> topology_command;
+
+    // What each shard may still take. A removed or dead shard's queue
+    // empties without limit: its requests re-route or shed below.
+    room.assign(links.size(), window);
+    for (const auto& [id, fl] : inflight) {
+      std::size_t& left = room[static_cast<std::size_t>(fl.shard)];
+      left -= std::min<std::size_t>(left, 1);
+    }
+    for (std::size_t s = 0; s < room.size(); ++s)
+      if (!routable(static_cast<int>(s)))
+        room[s] = std::numeric_limits<std::size_t>::max();
+    pulled.clear();
     {
       util::UniqueLock lock(mu_);
-      // Idle with nothing in flight: sleep on the ingress cv (bounded by
+      // Idle with nothing in flight: sleep on the router cv (bounded by
       // router_poll so a drain request can't be missed). With work in
       // flight, fall through and poll the reply links instead.
-      if (ingress_.empty() && inflight.empty() && !draining_ &&
+      if (inflight.empty() && !draining_ && (paused_ || queues_empty()) &&
           stats_requests_.empty() && topology_requests_.empty()) {
         const auto idle_deadline =
             std::chrono::steady_clock::now() + config_.router_poll;
-        while (!draining_ && ingress_.empty() && stats_requests_.empty() &&
-               topology_requests_.empty()) {
-          if (cv_ingress_.wait_until(lock, idle_deadline) ==
+        while (!draining_ && (paused_ || queues_empty()) &&
+               stats_requests_.empty() && topology_requests_.empty()) {
+          if (cv_router_.wait_until(lock, idle_deadline) ==
               std::cv_status::timeout)
             break;
         }
       }
-      pulled.swap(ingress_);
       drain = draining_;
+      if (!paused_ || drain) {
+        for (std::size_t s = 0; s < queues_.size(); ++s) {
+          std::deque<Pending>& queue = queues_[s].requests;
+          std::size_t take = s < room.size() ? room[s] : queue.size();
+          for (; take > 0 && !queue.empty(); --take) {
+            pulled.push_back(std::move(queue.front()));
+            queue.pop_front();
+          }
+        }
+      }
       if (!stats_requests_.empty()) {
         stats_request = std::move(stats_requests_.front());
         stats_requests_.pop_front();
@@ -1043,14 +1142,16 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       }
     }
 
-    for (Ingress& request : pulled) {
+    for (Pending& request : pulled) {
       progress = true;
       const std::uint64_t id = next_id_++;
+      // Routed again by the topology in force now: a request admitted
+      // before a resize follows its key to the shard that owns it today.
       int shard;
       ShardState* target;
       {
         util::MutexLock topo(topology_mu_);
-        shard = router_->shard_for_hash(feature_hash(request.features));
+        shard = router_->shard_for_hash(request.hash);
         target = shard_state_[static_cast<std::size_t>(shard)].get();
       }
       InFlight fl;
@@ -1183,16 +1284,16 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       }
       if (progress)
         drain_stall_deadline = std::chrono::steady_clock::now() + kDrainStall;
-      bool ingress_empty;
+      bool queued;
       {
         util::MutexLock lock(mu_);
-        ingress_empty = ingress_.empty();
+        queued = !queues_empty();
       }
       bool acked = true;
       for (int s = 0; s < n; ++s)
         if (routable(s) && !drain_acked[static_cast<std::size_t>(s)])
           acked = false;
-      if (ingress_empty && inflight.empty() && acked) break;
+      if (!queued && inflight.empty() && acked) break;
       if (socket && std::chrono::steady_clock::now() > drain_stall_deadline) {
         std::vector<char> owes(static_cast<std::size_t>(n), 0);
         for (const auto& [id, fl] : inflight)
@@ -1250,6 +1351,12 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
   }
 }
 
+bool RankShardedEngine::queues_empty() const {
+  for (const ShardQueue& queue : queues_)
+    if (!queue.requests.empty()) return false;
+  return true;
+}
+
 std::vector<EngineStats> RankShardedEngine::fetch_remote_stats() const {
   std::size_t n;
   {
@@ -1264,7 +1371,7 @@ std::vector<EngineStats> RankShardedEngine::fetch_remote_stats() const {
       return std::vector<EngineStats>(n);
     stats_requests_.push_back(std::move(promise));
   }
-  cv_ingress_.notify_all();
+  cv_router_.notify_all();
   if (fut.wait_for(std::chrono::seconds(10)) != std::future_status::ready)
     return std::vector<EngineStats>(n);
   std::vector<EngineStats> snapshot = fut.get();
@@ -1274,8 +1381,10 @@ std::vector<EngineStats> RankShardedEngine::fetch_remote_stats() const {
 
 RankShardedStats RankShardedEngine::stats() const {
   RankShardedStats agg;
+  // admitted first, with acquire (see submit()), then completed and shed:
+  // admitted - completed - shed never overstates what is unresolved.
+  agg.admitted = admitted_.load(std::memory_order_acquire);
   agg.submitted = submitted_.load(std::memory_order_relaxed);
-  agg.admitted = admitted_.load(std::memory_order_relaxed);
   agg.rejected = rejected_.load(std::memory_order_relaxed);
   agg.completed = completed_.load(std::memory_order_relaxed);
   agg.shed = shed_.load(std::memory_order_relaxed);
@@ -1286,6 +1395,12 @@ RankShardedStats RankShardedEngine::stats() const {
   // topology_mu_ — waiting on it while it waited on us would deadlock.
   if (config_.transport == TransportKind::kSocket)
     engine_stats = fetch_remote_stats();
+  std::vector<std::pair<std::size_t, std::size_t>> depths;  // now, high water
+  {
+    util::MutexLock lock(mu_);
+    for (const ShardQueue& queue : queues_)
+      depths.emplace_back(queue.requests.size(), queue.high_water);
+  }
   util::MutexLock topo(topology_mu_);
   if (config_.transport != TransportKind::kSocket) {
     engine_stats.reserve(engines_.size());
@@ -1303,6 +1418,8 @@ RankShardedStats RankShardedEngine::stats() const {
     s.respawns = shard_state_[i]->respawns.load(std::memory_order_relaxed);
     s.generation = shard_state_[i]->generation.load(std::memory_order_relaxed);
     s.weight = shard_state_[i]->weight;
+    if (i < depths.size())
+      std::tie(s.queue_depth, s.max_queue_depth) = depths[i];
     s.engine = i < engine_stats.size() ? engine_stats[i] : EngineStats{};
     agg.shards.push_back(std::move(s));
   }

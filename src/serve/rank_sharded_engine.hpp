@@ -13,6 +13,7 @@
 #include "util/sync.hpp"
 
 #include "obs/flight_recorder.hpp"
+#include "obs/trace.hpp"
 #include "parallel/rank_runtime.hpp"
 #include "parallel/socket_transport.hpp"
 #include "parallel/transport.hpp"
@@ -20,9 +21,66 @@
 #include "serve/model_bundle.hpp"
 #include "serve/router.hpp"
 #include "serve/shard_wire.hpp"
-#include "serve/sharded_engine.hpp"
 
 namespace qkmps::serve {
+
+/// What admission does when a request arrives and the routed shard's
+/// pending queue is already at capacity.
+enum class AdmissionPolicy {
+  /// The *new* request is refused immediately: its future resolves with
+  /// ServeStatus::kRejected (no exception — rejection is an expected
+  /// overload outcome, not an error).
+  kRejectNew,
+  /// The *oldest* pending request is evicted (its future resolves
+  /// ServeStatus::kShed) and the new one is admitted — freshest-first
+  /// semantics for feeds where stale scores lose their value (a fraud
+  /// decision after the transaction cleared helps nobody).
+  kShedOldest,
+};
+
+/// Outcome of a routed request. Exactly one of the three states; every
+/// future issued by RankShardedEngine::submit resolves with one of them
+/// (or with the exception that killed its shard batch) — futures are
+/// never dropped, including on shutdown with queued work.
+enum class ServeStatus {
+  kServed = 0,  ///< admitted, forwarded, scored; `prediction` is valid
+  kRejected,    ///< refused at admission (kRejectNew)
+  kShed,        ///< admitted, then evicted by kShedOldest or lost to a
+                ///< dead shard worker before it was scored
+};
+
+const char* to_string(ServeStatus status);
+
+/// Per-shard simulation/kernel lane counts. requested == 0 partitions the
+/// hardware threads across the shards via parallel::split_sizes (N shards
+/// each draining through a full-width pool would just contend with each
+/// other; a plain total/N would drop the remainder lanes). Every shard
+/// gets at least one lane.
+std::vector<std::size_t> shard_thread_lanes(std::size_t requested,
+                                            std::size_t num_shards);
+
+/// Latency-measurement primitive of the serving frontend.
+inline double seconds_between(std::chrono::steady_clock::time_point from,
+                              std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
+
+struct RoutedPrediction {
+  ServeStatus status = ServeStatus::kServed;
+  int shard = -1;           ///< which shard the feature-key hash routed to
+  Prediction prediction;    ///< valid only when status == kServed
+  double queue_seconds = 0.0;  ///< admission -> forward (0 if rejected)
+  double total_seconds = 0.0;  ///< admission -> future fulfilment
+  /// Why a request was shed without being scored when a shard worker
+  /// died (socket transport); empty for load-shedding and every other
+  /// status.
+  std::string error;
+  /// The request's stitched trace (obs/trace.hpp): router-side spans
+  /// plus — over the socket transport — the worker-side spans shipped
+  /// back in the reply, re-based onto the router timeline.
+  /// trace.trace_id == 0 for rejected requests (never admitted).
+  obs::TraceSummary trace;
+};
 
 /// Which transport carries the ShardEnvelope/ShardReply protocol between
 /// the router and its shards (see shard_wire.hpp for the messages and
@@ -80,8 +138,8 @@ struct RankShardedEngineConfig {
   /// Socket: num_shards spawned worker processes.
   std::size_t num_shards = 2;
   /// Per-shard engine knobs; num_threads == 0 divides hardware threads
-  /// across the shards exactly as in ShardedEngine — including socket
-  /// workers, which are handed their lane count on the command line (the
+  /// across the shards (shard_thread_lanes) — including socket workers,
+  /// which are handed their lane count on the command line (the
   /// processes share this host, so full-width pools would oversubscribe
   /// it N-fold).
   EngineConfig engine;
@@ -89,15 +147,16 @@ struct RankShardedEngineConfig {
   /// this engine supports add_shard(): growth only remigrates ~1/(N+1) of
   /// keys, so the per-shard StateCaches stay warm across a resize.
   RouterConfig router{RouterKind::kConsistentHash, 64};
-  /// Bound on requests queued at the router (admission control). When
-  /// full, submit() resolves the new future kRejected immediately —
-  /// reject-new semantics; the blocking/shedding policies of
-  /// ShardedEngine belong to the in-process frontend where the submitter
-  /// and the queue share an address space.
-  std::size_t ingress_capacity = 1024;
-  /// Per shard-drain batch bound; 0 = engine.max_batch.
+  /// Bound on each shard's pending queue (admission control): requests
+  /// admitted by submit() but not yet forwarded to the shard.
+  std::size_t admission_capacity = 256;
+  /// What submit() does when the routed shard's pending queue is full.
+  AdmissionPolicy policy = AdmissionPolicy::kRejectNew;
+  /// Per shard-drain batch bound; 0 = engine.max_batch. The router keeps
+  /// at most two such batches in flight per shard (one scoring, one
+  /// gathered behind it); the rest wait in the pending queue.
   std::size_t drain_max_batch = 0;
-  /// How long the idle router sleeps between ingress/reply polls. Lower =
+  /// How long the idle router sleeps between queue/reply polls. Lower =
   /// less added latency, more wakeups; the default adds at most ~0.1 ms.
   std::chrono::microseconds router_poll{100};
   /// Transport selection + socket-mode knobs.
@@ -132,13 +191,17 @@ struct RankShardStats {
   std::uint64_t respawns = 0;    ///< successful self-heals of this slot
   std::uint64_t generation = 0;  ///< current spawn generation (0 = initial)
   double weight = 1.0;           ///< consistent-hash ring weight
+  std::size_t queue_depth = 0;   ///< pending (admitted, not yet forwarded)
+  std::size_t max_queue_depth = 0;  ///< high-water mark of queue_depth
   EngineStats engine;
 };
 
 /// Aggregate snapshot. Invariant (once traffic settles): submitted ==
 /// admitted + rejected and admitted == completed + shed — shed counts
-/// requests lost to a dead worker (socket mode only; the in-process
-/// transport cannot lose a shard).
+/// kShedOldest evictions plus requests lost to a dead worker (socket
+/// mode only; the in-process transport cannot lose a shard). stats()
+/// loads `admitted` before `completed` and `shed`, so admitted -
+/// completed - shed never overstates the requests still unresolved.
 struct RankShardedStats {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
@@ -149,23 +212,31 @@ struct RankShardedStats {
   std::vector<RankShardStats> shards;
 };
 
-/// Rank-distributed sharded serving frontend: the shard boundary of
-/// ShardedEngine lifted onto a parallel::Transport, per the ROADMAP's
-/// socket-transport step.
+/// Sharded serving frontend: N InferenceEngine shards behind per-shard
+/// bounded admission queues, with the shard boundary on a
+/// parallel::Transport.
 ///
-///   caller threads ── submit() ─► [ingress queue]
-///                                      │ router thread:
-///                                      │   route = Router(feature_hash)
-///                                      ▼   forward / poll replies
+///   submit(x) ─ Router(feature_hash(x)) ─► [pending queue s] ─ full? policy
+///                                                  │ router: re-route, forward
+///                                                  ▼ while s owes < 2 batches
 ///      shard 0 ◄── ShardEnvelope ── Transport ── ShardEnvelope ──► shard N-1
 ///   InferenceEngine                    ▲                  InferenceEngine
 ///      └────────── ShardReply ─────────┴───── ShardReply ──────────┘
 ///
-/// The router pulls submitted requests off the ingress queue, assigns
-/// ids, routes by feature-bit hash through the configured Router,
-/// forwards request envelopes, and multiplexes the shards' reply links
-/// with try_recv. Each shard owns an InferenceEngine (with its
-/// StateCache and memo) and runs the shared gather->predict->reply loop
+/// Admission happens in submit(): the request is routed by feature-bit
+/// hash through the configured Router and admitted into that shard's
+/// pending queue, bounded by admission_capacity; on a full queue the
+/// AdmissionPolicy rejects the newcomer or sheds the shard's oldest
+/// pending request, and either verdict resolves before submit() returns.
+/// The router thread does flow control: it forwards to a shard only
+/// while that shard owes fewer than two drain batches, so the queue
+/// bound holds in both transports and admitted-but-unresolved requests
+/// stay below num_shards x (admission_capacity + 2 x batch bound). It
+/// assigns ids, routes each request again from its stored hash by the
+/// topology in force when it is forwarded (a request admitted during a
+/// resize never reaches a removed shard), and multiplexes the shards'
+/// reply links with try_recv. Each shard owns an InferenceEngine (with
+/// its StateCache and memo) and runs the shared gather->predict->reply loop
 /// (serve::run_shard_worker): block on the first envelope,
 /// opportunistically try_recv more up to the drain batch bound, score
 /// through the engine, reply per request. The only state crossing the
@@ -187,8 +258,9 @@ struct RankShardedStats {
 /// request on that shard, and every later request routed to it while it
 /// is down, resolves ServeStatus::kShed with RoutedPrediction::error
 /// naming the cause. Other shards keep serving. Requests are
-/// deliberately not re-routed: the assignment must stay a pure function
-/// of (hash, topology) so client-side routing stays possible.
+/// deliberately not re-routed away from a dead shard: the assignment
+/// must stay a pure function of (hash, topology) so client-side routing
+/// stays possible.
 ///
 /// Self-healing (socket mode, socket.respawn): after shedding, the
 /// router respawns the dead slot — reap the corpse, bump the slot's
@@ -218,29 +290,30 @@ struct RankShardedStats {
 /// every resize; with the consistent-hash router growth remigrates only
 /// ~1/(N+1) of keys, so hot caches stay hot
 /// (tests/test_rank_sharded_engine.cpp pins the retention). Requests
-/// submitted during a resize simply wait in the ingress queue for the
+/// submitted during a resize simply wait in their pending queues for the
 /// new topology.
 ///
-/// Determinism contract: identical to ShardedEngine's — routing,
-/// batching, and transport are scheduling decisions only; every served
-/// prediction is bitwise-identical to the sequential simulate_states +
-/// decision_values pipeline regardless of shard count, transport, batch
-/// composition, arrival order, or resize history.
+/// Determinism contract: routing, admission, batching, and transport are
+/// scheduling decisions only; every served prediction is
+/// bitwise-identical to the sequential simulate_states + decision_values
+/// pipeline regardless of shard count, transport, admission policy,
+/// queue pressure, batch composition, arrival order, or resize history.
 ///
 /// Thread safety: submit(), shard_for(), num_shards(), worker_pid(),
-/// and stats() are safe from any number of threads. add_shard() and
-/// remove_shard() serialize against each other and the destructor
-/// (lifecycle_mu_), and may run concurrently with submitters. In socket
-/// mode the router thread is the single writer of the live topology
-/// (links, ring, shard slots); external readers synchronize through
-/// topology_mu_, never through the router — so a resize can make
-/// progress while stats()/shard_for() callers come and go.
+/// stats(), pause_draining(), and resume_draining() are safe from any
+/// number of threads. add_shard() and remove_shard() serialize against
+/// each other and the destructor (lifecycle_mu_), and may run
+/// concurrently with submitters. In socket mode the router thread is the
+/// single writer of the live topology (links, ring, shard slots);
+/// external readers synchronize through topology_mu_, never through the
+/// router — so a resize can make progress while stats()/shard_for()
+/// callers come and go.
 ///
 /// Shutdown contract: the destructor stops admission (later submits
-/// throw), serves every request already admitted to the ingress queue or
-/// in flight (shedding those owed to dead workers), shuts the shards
-/// down with control envelopes, joins the router, and reaps worker
-/// processes — no future is ever dropped.
+/// throw), serves every request already admitted to a pending queue or
+/// in flight (shedding those owed to dead workers) even while draining
+/// is paused, shuts the shards down with control envelopes, joins the
+/// router, and reaps worker processes — no future is ever dropped.
 class RankShardedEngine {
  public:
   explicit RankShardedEngine(ModelBundle bundle,
@@ -252,10 +325,12 @@ class RankShardedEngine {
   RankShardedEngine(const RankShardedEngine&) = delete;
   RankShardedEngine& operator=(const RankShardedEngine&) = delete;
 
-  /// Validates, applies ingress admission, and returns a future that
-  /// always resolves: kServed or kRejected, plus kShed when the routed
-  /// shard's worker died (socket mode). Throws immediately on a
-  /// malformed feature vector, or on submit after the destructor began.
+  /// Validates, routes, applies the admission policy, and returns a
+  /// future that always resolves: kServed, kRejected, or kShed (evicted
+  /// by kShedOldest, or owed to a dead worker in socket mode). Throws
+  /// immediately on a malformed feature vector — admission statuses are
+  /// for load, not for bad input — or on submit after the destructor
+  /// began.
   std::future<RoutedPrediction> submit(std::vector<double> features);
 
   /// The shard `features` routes to under the current topology (pure
@@ -285,6 +360,13 @@ class RankShardedEngine {
   /// stopped). Test/ops hook — it is inherently racy against respawn.
   long worker_pid(std::size_t shard) const;
 
+  /// Operational drain control: while paused, requests are admitted (and
+  /// the policy enforced) but the router forwards nothing new, so queues
+  /// fill deterministically — used by maintenance windows and by the
+  /// admission tests. Resizes and destruction drain regardless of pause.
+  void pause_draining();
+  void resume_draining();
+
   RankShardedStats stats() const;
   std::size_t num_shards() const;
   const RankShardedEngineConfig& config() const { return config_; }
@@ -297,14 +379,22 @@ class RankShardedEngine {
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
 
  private:
-  struct Ingress {
+  struct Pending {
     std::vector<double> features;
+    std::uint64_t hash = 0;  ///< feature_hash(features): routes at forward
     std::promise<RoutedPrediction> promise;
     std::chrono::steady_clock::time_point submitted;
     /// Begun at submit() (epoch == submitted); the router appends its
     /// spans, stitches the worker's in, and finishes it into
     /// RoutedPrediction::trace.
     obs::TraceContext trace;
+  };
+
+  /// One shard's admission queue, indexed by the shard submit() routed
+  /// the request to.
+  struct ShardQueue {
+    std::deque<Pending> requests;
+    std::size_t high_water = 0;
   };
 
   /// Router-side per-shard slot: routing counters, liveness, and the
@@ -362,6 +452,7 @@ class RankShardedEngine {
   /// router services between iterations.
   std::vector<EngineStats> fetch_remote_stats() const;
   std::size_t drain_batch_limit() const;
+  bool queues_empty() const QKMPS_REQUIRES(mu_);
 
   const std::shared_ptr<const ModelBundle> bundle_;
   const RankShardedEngineConfig config_;
@@ -393,9 +484,12 @@ class RankShardedEngine {
   std::vector<std::unique_ptr<ShardState>> shard_state_
       QKMPS_GUARDED_BY(topology_mu_);
 
-  mutable util::Mutex mu_;  ///< guards ingress_, request queues, flags
-  mutable util::CondVar cv_ingress_;
-  std::deque<Ingress> ingress_ QKMPS_GUARDED_BY(mu_);
+  mutable util::Mutex mu_;  ///< guards the pending queues, requests, flags
+  mutable util::CondVar cv_router_;
+  /// Per-shard pending queues; grown by submit() when it first routes to
+  /// a shard, so there may be fewer than shards. A deque: growing it
+  /// never moves a queue (a deque of promises cannot be copied).
+  std::deque<ShardQueue> queues_ QKMPS_GUARDED_BY(mu_);
   /// stats() -> router handoff (socket mode): the router answers each
   /// with a kStats sweep of the live workers.
   mutable std::deque<std::promise<std::vector<EngineStats>>> stats_requests_
@@ -404,6 +498,8 @@ class RankShardedEngine {
   std::deque<TopologyCommand> topology_requests_ QKMPS_GUARDED_BY(mu_);
   /// Router: finish outstanding work and return.
   bool draining_ QKMPS_GUARDED_BY(mu_) = false;
+  /// pause_draining(): the router forwards nothing unless draining_.
+  bool paused_ QKMPS_GUARDED_BY(mu_) = false;
   /// Terminal: submit() throws from now on.
   bool stopped_ QKMPS_GUARDED_BY(mu_) = false;
 

@@ -35,8 +35,8 @@ struct RouterConfig {
   std::size_t virtual_nodes = 64;
 };
 
-/// Stable key->shard assignment shared by serve::ShardedEngine (in-process
-/// shards) and serve::RankShardedEngine (rank-distributed shards).
+/// Stable key->shard assignment of serve::RankShardedEngine: its submit()
+/// admits by it and its router forwards by it.
 ///
 /// Thread safety: shard_for / shard_for_hash / num_shards are const and
 /// safe to call concurrently from any number of threads. add_shard and
@@ -78,8 +78,8 @@ class Router {
   int shard_for(const std::vector<double>& features) const;
 };
 
-/// `hash % N` (the original ShardedEngine routing, now behind the Router
-/// interface). add_shard() is supported but remaps almost every key;
+/// `hash % N`, the first routing of the sharded frontend, behind the
+/// Router interface. add_shard() is supported but remaps almost every key;
 /// weights other than 1.0 and mid-topology removal are unsupported (the
 /// modulo map cannot skip an id or skew its spread) and throw.
 class ModuloRouter final : public Router {

@@ -90,7 +90,7 @@ bool run_shard_worker(parallel::Transport& link, InferenceEngine& engine,
     }
 
     // Gather: micro-batching emerges under load exactly as in the
-    // in-process frontend — whatever envelopes are already queued join
+    // single engine — whatever envelopes are already queued join
     // the batch, up to the drain bound; an idle link means a batch of
     // one. A control envelope ends the gather and is honoured after the
     // batch is scored (FIFO: its ack must follow our replies).

@@ -145,7 +145,7 @@ std::uint64_t scenario_digest(const Scenario& scenario);
 /// The shared suite: one scenario per (key pattern x arrival shape) the
 /// serving frontend claims to handle — uniform/steady, Zipf hot-key,
 /// duplicate-heavy, uniform/burst, Zipf/ramp. Tests iterate it for the
-/// metamorphic parity sweep; bench/serving_sharded.cpp replays it for
+/// metamorphic parity sweep; bench/serving_ranked.cpp replays it for
 /// load numbers, so every published load shape is reproducible.
 std::vector<ScenarioConfig> standard_scenarios(idx num_requests,
                                                idx num_unique,

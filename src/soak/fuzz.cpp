@@ -89,7 +89,7 @@ FuzzLab::EngineSlot& FuzzLab::slot_for(bool post_resize, bool post_death) {
 
 serve::RoutedPrediction FuzzLab::submit_served(EngineSlot& slot, idx row) {
   // A respawning worker sheds its keyspace for a short window and a full
-  // ingress rejects; both are expected soak weather, so retry with a
+  // pending queue rejects; both are expected soak weather, so retry with a
   // bounded budget rather than failing the relation on scheduling noise.
   for (int attempt = 0; attempt < 200; ++attempt) {
     serve::RoutedPrediction r =

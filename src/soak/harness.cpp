@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <thread>
 
 #include "util/error.hpp"
@@ -49,12 +50,11 @@ SoakHarness::SoakHarness(kernel::RealMatrix pool,
       "batch must gate at or below standard (strict priority order)");
 }
 
-SoakReport SoakHarness::run_impl(
-    const std::function<std::future<serve::RoutedPrediction>(
-        std::vector<double>)>& submit,
-    const std::function<SloAccountant::EngineTotals()>& engine_totals,
-    RelationCoverageMap* coverage,
+SoakReport SoakHarness::run(
+    serve::RankShardedEngine& engine, RelationCoverageMap* coverage,
     const std::function<void(const SoakReport&)>& progress) {
+  const SloAccountant::EngineTotals before =
+      SloAccountant::totals(engine.stats());
   const idx num_unique =
       config_.num_unique == 0 ? pool_.rows() : config_.num_unique;
   std::vector<ShapeConfig> shapes = config_.shapes;
@@ -180,7 +180,7 @@ SoakReport SoakHarness::run_impl(
     InFlight item;
     item.priority = priority;
     item.row = row;
-    item.future = submit(std::vector<double>(
+    item.future = engine.submit(std::vector<double>(
         pool_.row(row), pool_.row(row) + pool_.cols()));
     window.push_back(std::move(item));
     report.peak_in_flight =
@@ -195,7 +195,14 @@ SoakReport SoakHarness::run_impl(
 
   report.elapsed_seconds = timer.seconds();
   report.slo = slo.snapshot(report.elapsed_seconds, config_.report_window_s);
-  report.reconciled = slo.reconciles(engine_totals(), &report.reconcile_detail);
+  // The ledger only saw this run's traffic; reconcile against the
+  // engine's deltas, not its lifetime totals.
+  SloAccountant::EngineTotals delta = SloAccountant::totals(engine.stats());
+  delta.submitted -= before.submitted;
+  delta.completed -= before.completed;
+  delta.rejected -= before.rejected;
+  delta.shed -= before.shed;
+  report.reconciled = slo.reconciles(delta, &report.reconcile_detail);
   return report;
 }
 

@@ -2,12 +2,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <string>
 #include <vector>
 
 #include "kernel/kernel_matrix.hpp"
-#include "serve/sharded_engine.hpp"
+#include "serve/rank_sharded_engine.hpp"
 #include "soak/arrival.hpp"
 #include "soak/coverage.hpp"
 #include "soak/slo.hpp"
@@ -80,9 +79,7 @@ struct SoakReport {
 /// request source is the pool handed in at construction (rows drawn with
 /// replacement), so resident workload state is the pool plus O(num_unique)
 /// first-seen bookkeeping plus the in-flight window — independent of
-/// total_requests. Works against both sharded frontends through their
-/// common surface (submit -> future<RoutedPrediction>, stats with the
-/// shared counter names).
+/// total_requests.
 class SoakHarness {
  public:
   /// `reference[i]`, when non-empty, is the sequential-pipeline decision
@@ -92,42 +89,17 @@ class SoakHarness {
   SoakHarness(kernel::RealMatrix pool, std::vector<double> reference,
               SoakConfig config);
 
-  /// Runs the soak against `engine` (serve::ShardedEngine or
-  /// serve::RankShardedEngine). `coverage`, when non-null, receives one
-  /// relation-cell record per in-stream check; `progress`, when non-null,
-  /// fires every progress_every harvested requests with a live snapshot.
-  template <typename Engine>
-  SoakReport run(Engine& engine, RelationCoverageMap* coverage = nullptr,
-                 const std::function<void(const SoakReport&)>& progress = {}) {
-    const SloAccountant::EngineTotals before =
-        SloAccountant::totals(engine.stats());
-    return run_impl(
-        [&engine](std::vector<double> f) {
-          return engine.submit(std::move(f));
-        },
-        [&engine, before] {
-          SloAccountant::EngineTotals t = SloAccountant::totals(engine.stats());
-          // The ledger only saw this run's traffic; reconcile against the
-          // engine's deltas, not its lifetime totals.
-          t.submitted -= before.submitted;
-          t.completed -= before.completed;
-          t.rejected -= before.rejected;
-          t.shed -= before.shed;
-          return t;
-        },
-        coverage, progress);
-  }
+  /// Runs the soak against `engine`. `coverage`, when non-null, receives
+  /// one relation-cell record per in-stream check; `progress`, when
+  /// non-null, fires every progress_every harvested requests with a live
+  /// snapshot.
+  SoakReport run(serve::RankShardedEngine& engine,
+                 RelationCoverageMap* coverage = nullptr,
+                 const std::function<void(const SoakReport&)>& progress = {});
 
   const SoakConfig& config() const { return config_; }
 
  private:
-  SoakReport run_impl(
-      const std::function<std::future<serve::RoutedPrediction>(
-          std::vector<double>)>& submit,
-      const std::function<SloAccountant::EngineTotals()>& engine_totals,
-      RelationCoverageMap* coverage,
-      const std::function<void(const SoakReport&)>& progress);
-
   kernel::RealMatrix pool_;
   std::vector<double> reference_;
   SoakConfig config_;

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "serve/sharded_engine.hpp"
+#include "serve/rank_sharded_engine.hpp"
 
 namespace qkmps::soak {
 
@@ -90,17 +90,14 @@ class SloAccountant {
     return classes_[static_cast<std::size_t>(priority)].latency;
   }
 
-  /// Engine-side counter totals the ledger must match exactly. Both
-  /// ShardedStats and RankShardedStats carry these field names; the
-  /// template lifts either.
+  /// Engine-side counter totals the ledger must match exactly.
   struct EngineTotals {
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::uint64_t rejected = 0;
     std::uint64_t shed = 0;
   };
-  template <typename Stats>
-  static EngineTotals totals(const Stats& stats) {
+  static EngineTotals totals(const serve::RankShardedStats& stats) {
     return EngineTotals{stats.submitted, stats.completed, stats.rejected,
                         stats.shed};
   }

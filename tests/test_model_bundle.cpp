@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "kernel/gram.hpp"
 #include "mps/serialization.hpp"
@@ -169,6 +170,22 @@ TEST_F(ModelBundleTest, RejectsMissingStateFile) {
   save_bundle(bundle, dir_);
   ASSERT_GT(bundle.num_support_vectors(), 0);
   std::filesystem::remove(dir_ + "/sv_0.mps");
+  EXPECT_THROW(load_bundle(dir_), Error);
+}
+
+TEST_F(ModelBundleTest, RejectsStateWithNonFiniteAmplitude) {
+  const TrainedServing t = train_small_serving(8);
+  save_bundle(t.bundle, dir_);
+  // A NaN in the last amplitude of a support-vector state: loading it
+  // would make every served decision value NaN (each labelled -1).
+  const auto path = dir_ + "/sv_0.mps";
+  const auto size =
+      static_cast<std::streamoff>(std::filesystem::file_size(path));
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  f.seekp(size - static_cast<std::streamoff>(sizeof(nan)));
+  f.write(reinterpret_cast<const char*>(&nan), sizeof(nan));
+  f.close();
   EXPECT_THROW(load_bundle(dir_), Error);
 }
 

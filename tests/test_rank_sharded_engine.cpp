@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -118,7 +119,7 @@ TEST(RankShardedEngine, DestructionServesAllInFlightRequests) {
     for (idx i = 0; i < 16; ++i)
       futures.push_back(engine.submit(
           std::vector<double>(pool.row(i), pool.row(i) + pool.cols())));
-  }  // destructor: drain ingress + in-flight, shut ranks down, join
+  }  // destructor: drain pending + in-flight, shut ranks down, join
   for (idx i = 0; i < 16; ++i) {
     const RoutedPrediction p = futures[static_cast<std::size_t>(i)].get();
     ASSERT_EQ(p.status, ServeStatus::kServed);
@@ -142,7 +143,7 @@ TEST(RankShardedEngine, TightIngressKeepsAdmissionInvariants) {
   const auto pool = request_pool();
   RankShardedEngineConfig rcfg;
   rcfg.num_shards = 2;
-  rcfg.ingress_capacity = 1;  // any submit that outruns the router rejects
+  rcfg.admission_capacity = 1;  // a second pending request per shard rejects
   RankShardedEngine engine(s.bundle, rcfg);
 
   ScenarioConfig cfg;
@@ -168,7 +169,8 @@ TEST(RankShardedEngine, TightIngressKeepsAdmissionInvariants) {
                 ref[static_cast<std::size_t>(u)]);
     } else {
       ASSERT_EQ(p.status, ServeStatus::kRejected);
-      EXPECT_EQ(p.shard, -1);  // refused before routing
+      // Admission is per shard: a refusal names the shard that was full.
+      EXPECT_EQ(p.shard, engine.shard_for(scenario.request(r)));
       ++rejected;
     }
   }
@@ -178,6 +180,255 @@ TEST(RankShardedEngine, TightIngressKeepsAdmissionInvariants) {
   EXPECT_EQ(st.submitted, st.admitted + st.rejected);
   EXPECT_EQ(st.rejected, rejected);
   EXPECT_EQ(st.completed, served);
+}
+
+/// Admission policies are scheduling decisions too: with deliberately
+/// tight queues every future resolves with exactly one status, the
+/// counters agree, and every served prediction keeps bitwise parity.
+TEST(RankShardedEngine, ParityHoldsUnderEveryAdmissionPolicyUnderPressure) {
+  const Serving s = qkmps::testing::train_small_serving(22);
+  const auto pool = request_pool();
+  ScenarioConfig cfg;
+  cfg.name = "pressure";
+  cfg.seed = 17;
+  cfg.num_requests = 120;
+  cfg.num_unique = 12;
+  cfg.keys = workload::KeyPattern::kZipf;
+  const Scenario scenario = workload::make_scenario(cfg, pool);
+  const std::vector<double> ref =
+      sequential_reference(s, scenario.unique_points);
+
+  for (AdmissionPolicy policy :
+       {AdmissionPolicy::kRejectNew, AdmissionPolicy::kShedOldest}) {
+    RankShardedEngineConfig rcfg;
+    rcfg.num_shards = 2;
+    rcfg.admission_capacity = 4;  // deliberately tight: policies must fire
+    rcfg.policy = policy;
+    rcfg.engine.max_batch = 4;
+    RankShardedEngine engine(s.bundle, rcfg);
+
+    std::vector<std::future<RoutedPrediction>> futures;
+    for (idx r = 0; r < scenario.size(); ++r)
+      futures.push_back(engine.submit(scenario.request(r)));
+
+    std::uint64_t served = 0, rejected = 0, shed = 0;
+    for (idx r = 0; r < scenario.size(); ++r) {
+      const RoutedPrediction p = futures[static_cast<std::size_t>(r)].get();
+      switch (p.status) {
+        case ServeStatus::kServed: {
+          ++served;
+          const idx u = scenario.order[static_cast<std::size_t>(r)];
+          EXPECT_EQ(p.prediction.decision_value,
+                    ref[static_cast<std::size_t>(u)])
+              << "policy " << static_cast<int>(policy) << " request " << r;
+          break;
+        }
+        case ServeStatus::kRejected:
+          ++rejected;
+          break;
+        case ServeStatus::kShed:
+          ++shed;
+          break;
+      }
+    }
+    // Every future resolved with exactly one status; counters agree.
+    const RankShardedStats st = engine.stats();
+    EXPECT_EQ(served + rejected + shed,
+              static_cast<std::uint64_t>(scenario.size()));
+    EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(scenario.size()));
+    EXPECT_EQ(st.submitted, st.admitted + st.rejected);
+    EXPECT_EQ(st.rejected, rejected);
+    EXPECT_EQ(st.shed, shed);
+    if (policy == AdmissionPolicy::kShedOldest) {
+      EXPECT_EQ(rejected, 0u);
+    }
+  }
+}
+
+/// Admission-policy semantics are tested deterministically: draining is
+/// paused, so queue occupancy is exact, not a race against the router.
+TEST(RankShardedEngine, RejectNewRefusesExactlyWhenFull) {
+  const Serving s = qkmps::testing::train_small_serving(24);
+  const auto pool = request_pool();
+  RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 1;
+  rcfg.admission_capacity = 2;
+  rcfg.policy = AdmissionPolicy::kRejectNew;
+  RankShardedEngine engine(s.bundle, rcfg);
+  engine.pause_draining();
+
+  auto row = [&](idx i) {
+    return std::vector<double>(pool.row(i), pool.row(i) + pool.cols());
+  };
+  auto f0 = engine.submit(row(0));
+  auto f1 = engine.submit(row(1));
+  auto f2 = engine.submit(row(2));  // queue full: refused immediately
+  ASSERT_EQ(f2.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(f2.get().status, ServeStatus::kRejected);
+
+  engine.resume_draining();
+  EXPECT_EQ(f0.get().status, ServeStatus::kServed);
+  EXPECT_EQ(f1.get().status, ServeStatus::kServed);
+  const RankShardedStats st = engine.stats();
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.shards[0].max_queue_depth, 2u);
+}
+
+TEST(RankShardedEngine, ShedOldestEvictsTheOldestPendingRequest) {
+  const Serving s = qkmps::testing::train_small_serving(25);
+  const auto pool = request_pool();
+  RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 1;
+  rcfg.admission_capacity = 2;
+  rcfg.policy = AdmissionPolicy::kShedOldest;
+  RankShardedEngine engine(s.bundle, rcfg);
+  engine.pause_draining();
+
+  auto row = [&](idx i) {
+    return std::vector<double>(pool.row(i), pool.row(i) + pool.cols());
+  };
+  auto oldest = engine.submit(row(0));
+  auto middle = engine.submit(row(1));
+  auto newest = engine.submit(row(2));  // evicts row(0), admits row(2)
+  ASSERT_EQ(oldest.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(oldest.get().status, ServeStatus::kShed);
+
+  engine.resume_draining();
+  EXPECT_EQ(middle.get().status, ServeStatus::kServed);
+  EXPECT_EQ(newest.get().status, ServeStatus::kServed);
+  const RankShardedStats st = engine.stats();
+  EXPECT_EQ(st.shed, 1u);
+  EXPECT_EQ(st.rejected, 0u);
+  EXPECT_EQ(st.completed, 2u);
+}
+
+TEST(RankShardedEngine, DestructionDrainsQueuedWorkEvenWhilePaused) {
+  const Serving s = qkmps::testing::train_small_serving(28);
+  const auto pool = request_pool();
+  const std::vector<double> ref = sequential_reference(s, [&] {
+    kernel::RealMatrix pts(16, pool.cols());
+    for (idx i = 0; i < 16; ++i)
+      for (idx j = 0; j < pool.cols(); ++j) pts(i, j) = pool(i, j);
+    return pts;
+  }());
+
+  std::vector<std::future<RoutedPrediction>> futures;
+  {
+    RankShardedEngineConfig rcfg;
+    rcfg.num_shards = 2;
+    rcfg.admission_capacity = 32;
+    RankShardedEngine engine(s.bundle, rcfg);
+    engine.pause_draining();  // guarantee work is still queued at dtor time
+    for (idx i = 0; i < 16; ++i)
+      futures.push_back(engine.submit(
+          std::vector<double>(pool.row(i), pool.row(i) + pool.cols())));
+  }  // destructor must drain all 16 without deadlocking
+  for (idx i = 0; i < 16; ++i) {
+    const RoutedPrediction p = futures[static_cast<std::size_t>(i)].get();
+    ASSERT_EQ(p.status, ServeStatus::kServed);
+    EXPECT_EQ(p.prediction.decision_value, ref[static_cast<std::size_t>(i)]);
+  }
+}
+
+TEST(RankShardedEngine, PerShardStatsExposeEngineAndQueueCounters) {
+  const Serving s = qkmps::testing::train_small_serving(30);
+  const auto pool = request_pool();
+  RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 2;
+  rcfg.engine.memo_capacity = 0;
+  RankShardedEngine engine(s.bundle, rcfg);
+
+  // Two rounds, joined between them so the re-queries must come from the
+  // shard StateCaches rather than in-batch dedup.
+  for (idx rep = 0; rep < 2; ++rep) {
+    std::vector<std::future<RoutedPrediction>> futures;
+    for (idx i = 0; i < 12; ++i)
+      futures.push_back(engine.submit(
+          std::vector<double>(pool.row(i), pool.row(i) + pool.cols())));
+    for (auto& f : futures) EXPECT_EQ(f.get().status, ServeStatus::kServed);
+  }
+
+  const RankShardedStats st = engine.stats();
+  ASSERT_EQ(st.shards.size(), 2u);
+  std::uint64_t engine_requests = 0, cache_hits = 0, simulated = 0;
+  for (const RankShardStats& shard : st.shards) {
+    engine_requests += shard.engine.requests;
+    cache_hits += shard.engine.cache.hits;
+    simulated += shard.engine.circuits_simulated;
+    EXPECT_EQ(shard.routed, shard.served);
+    EXPECT_EQ(shard.queue_depth, 0u);  // everything admitted was forwarded
+    if (shard.routed > 0) {
+      EXPECT_GE(shard.max_queue_depth, 1u);
+    }
+  }
+  EXPECT_EQ(st.submitted, st.admitted + st.rejected);
+  EXPECT_EQ(engine_requests, 24u);
+  EXPECT_EQ(simulated, 12u);      // 12 unique points across both shards
+  EXPECT_GE(cache_hits, 12u);     // the re-query round hit shard caches
+  EXPECT_EQ(st.completed, 24u);
+}
+
+/// The admission bound under overload: a flood paced at one submit every
+/// ~20 us into two tight shards (capacity 4, batches of 4, one lane, no
+/// cache or memo) never has more than num_shards x (admission_capacity +
+/// 2 x max_batch) = 24 requests admitted but unresolved. The router sends
+/// a shard at most two batches, so the excess is refused at submit rather
+/// than piling up in the transport. Sampled after every submit. The flood
+/// sleeps until every fifth submit is due and sends five at once: a
+/// submitter spinning between submits would starve the router of CPU on
+/// a small host, and a starved router hides an unbounded transport.
+void flood_holds_admission_bound(const Serving& s,
+                                 RankShardedEngineConfig rcfg) {
+  const auto pool = request_pool();
+  rcfg.num_shards = 2;
+  rcfg.admission_capacity = 4;
+  rcfg.engine.max_batch = 4;
+  rcfg.engine.num_threads = 1;
+  rcfg.engine.cache_capacity = 0;
+  rcfg.engine.memo_capacity = 0;
+  RankShardedEngine engine(s.bundle, rcfg);
+  constexpr std::int64_t kBound = 2 * (4 + 2 * 4);
+
+  constexpr idx kRequests = 2000;
+  std::vector<std::future<RoutedPrediction>> futures;
+  futures.reserve(static_cast<std::size_t>(kRequests));
+  std::int64_t worst = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (idx r = 0; r < kRequests; ++r) {
+    if (r % 5 == 0)
+      std::this_thread::sleep_until(start + std::chrono::microseconds(20 * r));
+    const idx row = r % pool.rows();
+    futures.push_back(engine.submit(
+        std::vector<double>(pool.row(row), pool.row(row) + pool.cols())));
+    const RankShardedStats st = engine.stats();
+    // Signed: completions landing between the loads can exceed the
+    // admitted count read first.
+    worst = std::max(worst, static_cast<std::int64_t>(st.admitted) -
+                                static_cast<std::int64_t>(st.completed) -
+                                static_cast<std::int64_t>(st.shed));
+  }
+  EXPECT_LE(worst, kBound);
+
+  std::uint64_t served = 0, rejected = 0;
+  for (auto& fut : futures) {
+    const RoutedPrediction p = fut.get();
+    if (p.status == ServeStatus::kServed) {
+      ++served;
+    } else {
+      ASSERT_EQ(p.status, ServeStatus::kRejected);
+      ++rejected;
+    }
+  }
+  const RankShardedStats st = engine.stats();
+  EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(st.rejected, rejected);
+  EXPECT_EQ(st.completed, served);
+  EXPECT_EQ(st.admitted, st.completed + st.shed);
+}
+
+TEST(RankShardedEngine, FloodKeepsAdmittedButUnresolvedBounded) {
+  flood_holds_admission_bound(qkmps::testing::train_small_serving(31), {});
 }
 
 /// The tentpole elasticity claim, end to end: grow N -> N+1 under the
@@ -677,6 +928,13 @@ TEST_F(RankShardedSocketTest, RemoveShardOverSocketHandsOffKeys) {
     EXPECT_NE(p.shard, 1);
   }
   EXPECT_THROW(engine.remove_shard(1), Error);  // already removed
+}
+
+/// The admission bound holds over real worker processes too: flow
+/// control keeps the excess out of the socket buffers.
+TEST_F(RankShardedSocketTest, FloodKeepsAdmittedButUnresolvedBounded) {
+  flood_holds_admission_bound(qkmps::testing::train_small_serving(32),
+                              socket_config(bundle_dir_, 2));
 }
 
 /// The fd-hygiene bugfix, observed from outside: a spawned worker's fd

@@ -22,8 +22,8 @@ std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
 TEST(ModuloRouter, MatchesFeatureHashModulo) {
   ModuloRouter router(4);
   const std::vector<double> f{0.25, -1.5, 3.0};
-  // The modulo router must reproduce the original ShardedEngine routing
-  // bit-for-bit: hash % N.
+  // The modulo router must reproduce the original sharded-frontend
+  // routing bit-for-bit: hash % N.
   EXPECT_EQ(router.shard_for(f),
             static_cast<int>(feature_hash(f) % 4));
   for (std::uint64_t k : random_keys(256, 3)) {

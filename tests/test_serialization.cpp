@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -127,6 +129,30 @@ TEST_F(SerializationTest, RejectsHugeBondDimension) {
     put<std::int64_t>(left, l);
     put<std::int64_t>(left, r);
     EXPECT_THROW(load_mps(left), Error) << "left=" << l << " right=" << r;
+  }
+}
+
+TEST_F(SerializationTest, RejectsNonFiniteAmplitudes) {
+  // Overwrite the real part (NaN) or the imaginary part (+inf) of the
+  // last amplitude of a valid state: the load must name the site.
+  const Mps psi = ansatz_state(5, 8);
+  std::stringstream ss;
+  save_mps(psi, ss);
+  const std::string good = ss.str();
+  const std::pair<std::size_t, double> corruptions[] = {
+      {good.size() - sizeof(cplx), std::numeric_limits<double>::quiet_NaN()},
+      {good.size() - sizeof(double), std::numeric_limits<double>::infinity()}};
+  for (const auto& [offset, value] : corruptions) {
+    std::string bad = good;
+    std::memcpy(bad.data() + offset, &value, sizeof(value));
+    std::stringstream in(bad);
+    try {
+      load_mps(in);
+      ADD_FAILURE() << "loaded a state holding " << value;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("site 4"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 /// Concurrency torture for the sharded serving frontend: many producers
-/// slamming the admission queues while shards drain, plus shutdown under
-/// load. Carries the `stress` CTest label (and `serve`), and is excluded
-/// from the `smoke` subset — it trades a few seconds of wall clock for
-/// interleavings the deterministic suites cannot reach.
+/// slamming the admission queues while shards drain, plus shutdown and
+/// resizes under load. Carries the `stress` CTest label (and `serve`),
+/// and is excluded from the `smoke` subset — it trades a few seconds of
+/// wall clock for interleavings the deterministic suites cannot reach.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -22,7 +22,6 @@
 #include "serve/feature_key.hpp"
 #include "serve/lru_map.hpp"
 #include "serve/rank_sharded_engine.hpp"
-#include "serve/sharded_engine.hpp"
 #include "serve/workload.hpp"
 #include "serve_test_fixture.hpp"
 #include "test_helpers.hpp"
@@ -56,12 +55,12 @@ TEST(ServingStress, ManyProducersNoFutureIsDroppedAndParityHolds) {
     for (idx j = 0; j < pool.cols(); ++j) points(i, j) = pool(i, j);
   const std::vector<double> ref = reference_values(s, points);
 
-  ShardedEngineConfig scfg;
-  scfg.num_shards = 2;
-  scfg.admission_capacity = 8;  // tight: shedding will fire under load
-  scfg.policy = AdmissionPolicy::kShedOldest;
-  scfg.engine.max_batch = 8;
-  ShardedEngine engine(s.bundle, scfg);
+  RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 2;
+  rcfg.admission_capacity = 8;  // tight: shedding will fire under load
+  rcfg.policy = AdmissionPolicy::kShedOldest;
+  rcfg.engine.max_batch = 8;
+  RankShardedEngine engine(s.bundle, rcfg);
 
   constexpr int kProducers = 8;
   constexpr idx kPerProducer = 40;
@@ -111,55 +110,18 @@ TEST(ServingStress, ManyProducersNoFutureIsDroppedAndParityHolds) {
   EXPECT_EQ(rejected, 0u);  // shed-oldest never refuses the new request
   EXPECT_GT(served, 0u);
 
-  const ShardedStats st = engine.stats();
+  const RankShardedStats st = engine.stats();
   EXPECT_EQ(st.submitted, total);
   EXPECT_EQ(st.submitted, st.admitted + st.rejected);
   EXPECT_EQ(st.shed, shed);
   EXPECT_EQ(st.completed, served);
-  EXPECT_EQ(st.queue_depth, 0u);
-}
-
-/// Producers racing a blocking admission queue: with a generous deadline
-/// every request must eventually be admitted and served — blocked
-/// submitters must be woken by drainer progress, not left to time out.
-TEST(ServingStress, BlockingAdmissionUnderContentionServesEverything) {
-  const Serving s = qkmps::testing::train_small_serving(42);
-  const auto pool = request_pool();
-
-  ShardedEngineConfig scfg;
-  scfg.num_shards = 2;
-  scfg.admission_capacity = 4;
-  scfg.policy = AdmissionPolicy::kBlockWithDeadline;
-  scfg.block_deadline = std::chrono::seconds(30);
-  scfg.engine.max_batch = 4;
-  ShardedEngine engine(s.bundle, scfg);
-
-  constexpr int kProducers = 4;
-  constexpr idx kPerProducer = 25;
-  std::vector<std::vector<std::future<RoutedPrediction>>> futures(kProducers);
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kProducers; ++t) {
-    producers.emplace_back([&, t] {
-      Rng rng(static_cast<std::uint64_t>(100 + t));
-      for (idx r = 0; r < kPerProducer; ++r) {
-        const idx u = static_cast<idx>(
-            rng.uniform_int(static_cast<std::uint64_t>(pool.rows())));
-        futures[static_cast<std::size_t>(t)].push_back(
-            engine.submit(std::vector<double>(
-                pool.row(u), pool.row(u) + pool.cols())));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  for (auto& mine : futures)
-    for (auto& fut : mine)
-      EXPECT_EQ(fut.get().status, ServeStatus::kServed);
-  EXPECT_EQ(engine.stats().rejected, 0u);
+  for (const RankShardStats& shard : st.shards)
+    EXPECT_EQ(shard.queue_depth, 0u);
 }
 
 /// Shutdown races the drain, not just an idle engine: producers flood the
 /// queues, are cut off mid-stream, and the engine is destroyed while its
-/// queues are still loaded and its drainers mid-batch. Every obtained
+/// queues are still loaded and its shards mid-batch. Every obtained
 /// future must resolve — served or shed, never a broken promise, never a
 /// deadlocked join. Three rounds vary how much work is in flight.
 TEST(ServingStress, ShutdownUnderLoadNeverDeadlocksOrDropsFutures) {
@@ -172,11 +134,11 @@ TEST(ServingStress, ShutdownUnderLoadNeverDeadlocksOrDropsFutures) {
         kProducers);
     std::uint64_t resolved_served = 0, resolved_shed = 0;
     {
-      ShardedEngineConfig scfg;
-      scfg.num_shards = 2;
-      scfg.admission_capacity = 16;
-      scfg.policy = AdmissionPolicy::kShedOldest;
-      ShardedEngine engine(s.bundle, scfg);
+      RankShardedEngineConfig rcfg;
+      rcfg.num_shards = 2;
+      rcfg.admission_capacity = 16;
+      rcfg.policy = AdmissionPolicy::kShedOldest;
+      RankShardedEngine engine(s.bundle, rcfg);
 
       std::atomic<bool> cut_off{false};
       std::vector<std::thread> producers;
@@ -198,7 +160,7 @@ TEST(ServingStress, ShutdownUnderLoadNeverDeadlocksOrDropsFutures) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2 * round));
       cut_off.store(true);
       for (auto& t : producers) t.join();
-      // Engine destroyed here: queues very likely non-empty, drainers
+      // Engine destroyed here: queues very likely non-empty, shards
       // mid-batch. The destructor must finish every admitted request.
     }
     for (auto& mine : futures) {

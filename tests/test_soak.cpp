@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "serve/sharded_engine.hpp"
+#include "serve/rank_sharded_engine.hpp"
 #include "serve_test_fixture.hpp"
 #include "soak/arrival.hpp"
 #include "soak/coverage.hpp"
@@ -259,8 +259,8 @@ TEST(SoakCoverage, MutatorStepsStayInsideTheTargetSet) {
 }
 
 // ---------------------------------------------------------------------------
-// Harness x engine: exact ledger reconciliation under every admission
-// policy, zero lost futures, in-stream parity.
+// Harness x engine: exact ledger reconciliation under both admission
+// policies, zero lost futures, in-stream parity.
 
 SoakConfig small_soak(std::uint64_t seed) {
   SoakConfig cfg;
@@ -274,12 +274,16 @@ SoakConfig small_soak(std::uint64_t seed) {
 TEST(SoakHarnessEngine, ReconcilesExactlyUnderRejectNew) {
   const auto& model = shared_model();
   const auto& inputs = shared_inputs();
-  serve::ShardedEngineConfig scfg;
-  scfg.num_shards = 2;
-  scfg.engine.num_threads = 1;
-  scfg.admission_capacity = 2;  // undersized: rejections guaranteed
-  scfg.policy = serve::AdmissionPolicy::kRejectNew;
-  serve::ShardedEngine engine(model.bundle, scfg);
+  serve::RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 2;
+  rcfg.engine.num_threads = 1;
+  // Undersized: rejections guaranteed. Small batches keep each shard's
+  // in-flight window (2 x max_batch) far below the harness's, so the
+  // pending queues really fill.
+  rcfg.engine.max_batch = 2;
+  rcfg.admission_capacity = 2;
+  rcfg.policy = serve::AdmissionPolicy::kRejectNew;
+  serve::RankShardedEngine engine(model.bundle, rcfg);
 
   SoakHarness harness(inputs.pool, inputs.reference, small_soak(11));
   const SoakReport r = harness.run(engine);
@@ -295,12 +299,13 @@ TEST(SoakHarnessEngine, ReconcilesExactlyUnderRejectNew) {
 TEST(SoakHarnessEngine, ReconcilesExactlyUnderShedOldest) {
   const auto& model = shared_model();
   const auto& inputs = shared_inputs();
-  serve::ShardedEngineConfig scfg;
-  scfg.num_shards = 2;
-  scfg.engine.num_threads = 1;
-  scfg.admission_capacity = 2;
-  scfg.policy = serve::AdmissionPolicy::kShedOldest;
-  serve::ShardedEngine engine(model.bundle, scfg);
+  serve::RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 2;
+  rcfg.engine.num_threads = 1;
+  rcfg.engine.max_batch = 2;
+  rcfg.admission_capacity = 2;
+  rcfg.policy = serve::AdmissionPolicy::kShedOldest;
+  serve::RankShardedEngine engine(model.bundle, rcfg);
 
   SoakHarness harness(inputs.pool, inputs.reference, small_soak(12));
   const SoakReport r = harness.run(engine);
@@ -310,33 +315,13 @@ TEST(SoakHarnessEngine, ReconcilesExactlyUnderShedOldest) {
   EXPECT_GT(r.slo.shed, 0u);  // eviction actually fired
 }
 
-TEST(SoakHarnessEngine, ReconcilesExactlyUnderBlockWithDeadline) {
-  const auto& model = shared_model();
-  const auto& inputs = shared_inputs();
-  serve::ShardedEngineConfig scfg;
-  scfg.num_shards = 2;
-  scfg.engine.num_threads = 1;
-  scfg.admission_capacity = 2;
-  scfg.policy = serve::AdmissionPolicy::kBlockWithDeadline;
-  scfg.block_deadline = std::chrono::microseconds(200);  // tight: timeouts
-  serve::ShardedEngine engine(model.bundle, scfg);
-
-  SoakConfig cfg = small_soak(13);
-  cfg.total_requests = 300;  // blocking submits make each request pricier
-  SoakHarness harness(inputs.pool, inputs.reference, cfg);
-  const SoakReport r = harness.run(engine);
-  EXPECT_EQ(r.lost, 0u);
-  EXPECT_EQ(r.parity_violations, 0u);
-  EXPECT_TRUE(r.reconciled) << r.reconcile_detail;
-}
-
 TEST(SoakHarnessEngine, DeadlineMissesCountServedLateExactly) {
   const auto& model = shared_model();
   const auto& inputs = shared_inputs();
-  serve::ShardedEngineConfig scfg;
-  scfg.num_shards = 2;
-  scfg.engine.num_threads = 1;
-  serve::ShardedEngine engine(model.bundle, scfg);
+  serve::RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 2;
+  rcfg.engine.num_threads = 1;
+  serve::RankShardedEngine engine(model.bundle, rcfg);
 
   SoakConfig cfg = small_soak(14);
   cfg.total_requests = 200;
@@ -352,10 +337,10 @@ TEST(SoakHarnessEngine, DeadlineMissesCountServedLateExactly) {
 TEST(SoakHarnessEngine, PriorityGateShedsLowClassesFirst) {
   const auto& model = shared_model();
   const auto& inputs = shared_inputs();
-  serve::ShardedEngineConfig scfg;
-  scfg.num_shards = 2;
-  scfg.engine.num_threads = 1;
-  serve::ShardedEngine engine(model.bundle, scfg);
+  serve::RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 2;
+  rcfg.engine.num_threads = 1;
+  serve::RankShardedEngine engine(model.bundle, rcfg);
 
   SoakConfig cfg = small_soak(15);
   cfg.batch_gate_fraction = 0.25;
@@ -379,10 +364,10 @@ TEST(SoakHarnessEngine, PriorityGateShedsLowClassesFirst) {
 TEST(SoakHarnessEngine, CoverageRecordsWarmAndColdParityCells) {
   const auto& model = shared_model();
   const auto& inputs = shared_inputs();
-  serve::ShardedEngineConfig scfg;
-  scfg.num_shards = 2;
-  scfg.engine.num_threads = 1;
-  serve::ShardedEngine engine(model.bundle, scfg);
+  serve::RankShardedEngineConfig rcfg;
+  rcfg.num_shards = 2;
+  rcfg.engine.num_threads = 1;
+  serve::RankShardedEngine engine(model.bundle, rcfg);
 
   SoakConfig cfg = small_soak(16);
   cfg.num_unique = 8;  // duplicate-heavy: warm cells guaranteed
