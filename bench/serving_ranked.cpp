@@ -1,17 +1,17 @@
 /// Sharded serving benchmark: serve::RankShardedEngine — the sharded
-/// frontend whose shard boundary is a parallel::Transport (see DESIGN.md)
-/// — driven by the deterministic serve::workload scenarios the parity
+/// frontend whose shard workers sit at the far end of parallel::
+/// SocketTransport links (see DESIGN.md) — driven by the deterministic serve::workload scenarios the parity
 /// tests replay (every load shape published here is reproducible byte for
 /// byte, see the scenario digests in the artifact).
 ///
 /// Transports (--transport=inproc|socket, default inproc):
-///  - inproc: shards are parallel::RankRuntime ranks, messages over typed
-///    in-process channels.
-///  - socket: shards are serving_rankd worker processes connected over
-///    Unix-domain sockets with the QKFR frame codec — the real wire. The
-///    bench spawns the workers itself (worker binary baked in at build
-///    time, overridable with --worker=PATH); throughput/p99 against the
-///    inproc numbers shows the framing + loopback cost.
+///  - inproc: shard workers are threads of the bench process, each on
+///    one end of a socketpair.
+///  - socket: shard workers are serving_rankd processes connected over
+///    Unix-domain sockets. Both carry the same QKFR frames; the bench
+///    spawns the workers itself (worker binary baked in at build time,
+///    overridable with --worker=PATH); throughput/p99 against the inproc
+///    numbers shows the cost of process boundaries.
 ///
 /// Four sections:
 ///  1. Rank scaling (both transports): the cache-pressure uniform stream
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
                           ? "serving_ranked: rank-distributed sharded "
                             "frontend over socket workers (serving_rankd)"
                           : "serving_ranked: rank-distributed sharded "
-                            "frontend over RankRuntime");
+                            "frontend over in-process worker threads");
   const bool full = full_scale_requested();
   const idx per_class = env_int("QKMPS_RANKED_TRAIN", full ? 100 : 24);
   const idx m = env_int("QKMPS_RANKED_FEATURES", full ? 20 : 10);
@@ -393,8 +393,8 @@ int main(int argc, char** argv) {
   std::printf("\n%zu workers vs 1: %.2fx throughput (per-shard resources "
               "fixed; transport: %s)\n",
               rank_counts.back(), speedup,
-              socket_mode ? "QKFR-framed unix sockets"
-                          : "the typed Comm channel pair");
+              socket_mode ? "QKFR frames over unix sockets to processes"
+                          : "QKFR frames over socketpairs to threads");
 
   // --- Section 2: every standard scenario through tight admission. ------
   std::printf("\nstandard scenarios, 2 shards, admission capacity 32, "

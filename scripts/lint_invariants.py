@@ -13,8 +13,9 @@ express, so they are CI gates instead of review folklore:
   wall-clock        std::chrono::system_clock appears only in util/timer —
                     durations and deadlines everywhere else come from
                     steady_clock so an NTP step cannot corrupt SLO math.
-  cloexec           Raw ::socket()/::accept()/::accept4() calls live only in
-                    the cloexec_* helpers of src/parallel/socket_transport.cpp,
+  cloexec           Raw ::socket()/::socketpair()/::accept()/::accept4()
+                    calls live only in the cloexec_* helpers of
+                    src/parallel/socket_transport.cpp,
                     so every fd the serving stack creates carries FD_CLOEXEC
                     (a leaked listener fd in a spawned worker would keep the
                     address bound after the router dies).
@@ -58,7 +59,7 @@ RAW_SYNC = re.compile(
     r"shared_mutex|shared_lock|recursive_mutex|timed_mutex)\b"
 )
 WALL_CLOCK = re.compile(r"\bsystem_clock\b")
-RAW_SOCKET = re.compile(r"::\s*(socket|accept4?)\s*\(")
+RAW_SOCKET = re.compile(r"::\s*(socket|socketpair|accept4?)\s*\(")
 NAKED_NEW = re.compile(r"\bnew\b\s*(\(|[A-Za-z_:][\w:<]*)")
 SINGLE_ARG_READ_VECTOR = re.compile(r"\bread_vector\s*<[^>]*>\s*\(\s*[\w.]+\s*\)")
 TSA_ESCAPE = re.compile(r"\bQKMPS_NO_THREAD_SAFETY_ANALYSIS\b")
@@ -163,9 +164,9 @@ def lint_file(root: pathlib.Path, rel: pathlib.Path, report: Report) -> None:
             # place a raw socket syscall is allowed to appear.
             if not (rel == SOCKET_FILE and in_cloexec_helper):
                 report.add(rel, lineno, "cloexec",
-                           "raw socket/accept call — go through "
-                           "cloexec_socket()/cloexec_accept() so the fd "
-                           "carries FD_CLOEXEC", raw_lines)
+                           "raw socket/socketpair/accept call — go through "
+                           "a cloexec_* helper of socket_transport.cpp so "
+                           "the fd carries FD_CLOEXEC", raw_lines)
         if rel == SOCKET_FILE:
             if re.search(r"\bcloexec_\w+\s*\([^;]*\)\s*\{?\s*$", code) and \
                not code.lstrip().startswith("return") and "=" not in code:

@@ -63,7 +63,12 @@ FeatureScaler FeatureScaler::restore(std::vector<double> mean,
   QKMPS_CHECK(!mean.empty());
   QKMPS_CHECK(stddev.size() == mean.size() && min_z.size() == mean.size() &&
               max_z.size() == mean.size());
-  QKMPS_CHECK(hi > lo);
+  // hi - lo must be finite too: infinite bounds (or finite ones whose
+  // span overflows) make transform() emit inf/NaN angles. NaN bounds
+  // already fail hi > lo.
+  QKMPS_CHECK_MSG(hi > lo && std::isfinite(hi - lo),
+                  "scaler bounds [" << lo << ", " << hi
+                                    << "] are not a finite interval");
   for (std::size_t j = 0; j < mean.size(); ++j) {
     QKMPS_CHECK_MSG(std::isfinite(mean[j]) && std::isfinite(stddev[j]) &&
                         std::isfinite(min_z[j]) && std::isfinite(max_z[j]),

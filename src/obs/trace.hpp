@@ -26,7 +26,7 @@ namespace qkmps::obs {
 /// Which side of the wire recorded a span. Survives the wire (one byte).
 enum class SpanOrigin : std::uint8_t {
   kRouter = 0,  ///< router/frontend process (or the in-process engine)
-  kWorker = 1,  ///< shard worker (serving_rankd / rank body)
+  kWorker = 1,  ///< shard worker (serving_rankd process or worker thread)
 };
 
 const char* to_string(SpanOrigin origin);
@@ -79,37 +79,6 @@ struct TraceContext {
                    std::uint64_t duration_ns, SpanOrigin origin);
 
   TraceSummary finish(std::chrono::steady_clock::time_point end) &&;
-};
-
-/// RAII span: times construction -> destruction (or stop()) on the steady
-/// clock and appends to the context. A null context disarms it, so call
-/// sites can be unconditional while tracing stays optional.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceContext* ctx, std::string name,
-             SpanOrigin origin = SpanOrigin::kRouter)
-      : ctx_(ctx),
-        name_(std::move(name)),
-        origin_(origin),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedSpan() { stop(); }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Ends the span early (idempotent).
-  void stop() {
-    if (ctx_ == nullptr) return;
-    ctx_->add_span(std::move(name_), start_, std::chrono::steady_clock::now(),
-                   origin_);
-    ctx_ = nullptr;
-  }
-
- private:
-  TraceContext* ctx_;
-  std::string name_;
-  SpanOrigin origin_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Emits `trace` as a JSON object ({trace_id, total_seconds, spans: [...]})

@@ -34,39 +34,6 @@ std::any RankRuntime::pop(int src, int dst) {
   return payload;
 }
 
-std::optional<std::any> RankRuntime::try_pop(int src, int dst) {
-  Channel& ch = channel(src, dst);
-  util::MutexLock lock(ch.mu);
-  if (ch.queue.empty()) return std::nullopt;
-  std::any payload = std::move(ch.queue.front());
-  ch.queue.pop_front();
-  return payload;
-}
-
-std::optional<std::any> RankRuntime::pop_for(
-    int src, int dst, std::chrono::microseconds timeout) {
-  // Zero / negative timeouts degrade to try_pop semantics: an
-  // already-queued message is returned, an empty channel yields nullopt
-  // immediately. Routing this around wait_for avoids leaning on how a
-  // given libstdc++ treats non-positive waits (and a negative duration
-  // must never read as "wait forever"). The socket transport's router
-  // loop reuses this contract (parallel/socket_transport.cpp).
-  if (timeout <= std::chrono::microseconds::zero()) return try_pop(src, dst);
-  Channel& ch = channel(src, dst);
-  util::UniqueLock lock(ch.mu);
-  // Explicit deadline loop (not the predicate overload) so the guarded
-  // queue reads stay lexically inside the locked scope for the analysis.
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (ch.queue.empty()) {
-    if (ch.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-        ch.queue.empty())
-      return std::nullopt;
-  }
-  std::any payload = std::move(ch.queue.front());
-  ch.queue.pop_front();
-  return payload;
-}
-
 void RankRuntime::barrier_wait() {
   util::UniqueLock lock(barrier_mu_);
   const long long gen = barrier_generation_;

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <any>
-#include <chrono>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "util/error.hpp"
@@ -16,12 +14,10 @@ namespace qkmps::parallel {
 /// Thread-backed message-passing runtime standing in for MPI (see the
 /// substitution table in DESIGN.md). Each "rank" runs a user callback on
 /// its own thread; ranks exchange typed messages over per-pair channels
-/// with Send/Recv/Barrier semantics plus non-blocking (try_recv) and
-/// timed (recv_for) probes for event-loop-style ranks. The distributed
-/// Gram strategies of Fig. 4 are written against this interface exactly
-/// as the paper writes them against mpi4py; the rank-sharded serving
-/// frontend (serve::RankShardedEngine) uses the same interface as its
-/// shard transport.
+/// with Send/Recv/Barrier semantics. The distributed Gram strategies of
+/// Fig. 4 (kernel/distributed_gram.cpp) are written against this
+/// interface exactly as the paper writes them against mpi4py; it carries
+/// nothing else.
 class RankRuntime;
 
 /// Per-rank communicator handle passed to the rank body.
@@ -38,27 +34,6 @@ class Comm {
 
   template <typename T>
   T recv(int src);
-
-  /// Non-blocking receive: pops the head of the src->this channel if a
-  /// message is already queued, else returns nullopt without waiting —
-  /// the MPI_Iprobe+MPI_Recv idiom (see DESIGN.md). The serving router
-  /// loop uses this to multiplex over every shard's reply channel without
-  /// dedicating a thread per peer.
-  template <typename T>
-  std::optional<T> try_recv(int src);
-
-  /// Timed receive: blocks until a message arrives on src->this or
-  /// `timeout` elapses, whichever is first; nullopt on timeout. Unlike a
-  /// plain recv, a rank blocked here is always reclaimable — a peer that
-  /// died or a shutdown that races the send leaves the caller with a
-  /// nullopt after `timeout`, not a permanent hang (pinned by the
-  /// shutdown-while-blocked coverage in tests/test_rank_runtime.cpp).
-  /// A zero or negative timeout degrades to try_recv semantics: pop an
-  /// already-queued message or return nullopt without waiting — never
-  /// wait forever, never throw (also pinned there; every Transport
-  /// implementation honours the same contract, see parallel/transport.hpp).
-  template <typename T>
-  std::optional<T> recv_for(int src, std::chrono::microseconds timeout);
 
   /// Synchronizes all ranks.
   void barrier();
@@ -95,9 +70,6 @@ class RankRuntime {
 
   void push(int src, int dst, std::any payload);
   std::any pop(int src, int dst);
-  std::optional<std::any> try_pop(int src, int dst);
-  std::optional<std::any> pop_for(int src, int dst,
-                                  std::chrono::microseconds timeout);
   void barrier_wait();
 
   int num_ranks_;
@@ -121,26 +93,6 @@ T Comm::recv(int src) {
   std::any payload = rt_->pop(src, rank_);
   QKMPS_CHECK_MSG(payload.type() == typeid(T), "message type mismatch on recv");
   return std::any_cast<T>(std::move(payload));
-}
-
-template <typename T>
-std::optional<T> Comm::try_recv(int src) {
-  QKMPS_CHECK(src >= 0 && src < size() && src != rank_);
-  std::optional<std::any> payload = rt_->try_pop(src, rank_);
-  if (!payload) return std::nullopt;
-  QKMPS_CHECK_MSG(payload->type() == typeid(T),
-                  "message type mismatch on try_recv");
-  return std::any_cast<T>(std::move(*payload));
-}
-
-template <typename T>
-std::optional<T> Comm::recv_for(int src, std::chrono::microseconds timeout) {
-  QKMPS_CHECK(src >= 0 && src < size() && src != rank_);
-  std::optional<std::any> payload = rt_->pop_for(src, rank_, timeout);
-  if (!payload) return std::nullopt;
-  QKMPS_CHECK_MSG(payload->type() == typeid(T),
-                  "message type mismatch on recv_for");
-  return std::any_cast<T>(std::move(*payload));
 }
 
 }  // namespace qkmps::parallel

@@ -15,6 +15,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/binary_io.hpp"
@@ -41,7 +42,7 @@ void set_nonblocking(int fd) {
 /// detection (the sibling's dup keeps the socket open) and leaks fds per
 /// respawn generation. SOCK_CLOEXEC/accept4 set the flag atomically where
 /// available; this fcntl fallback covers the rest.
-void set_cloexec(int fd) {
+[[maybe_unused]] void set_cloexec(int fd) {
   const int flags = ::fcntl(fd, F_GETFD, 0);
   QKMPS_CHECK_MSG(flags >= 0, "fcntl(F_GETFD) failed");
   QKMPS_CHECK_MSG(::fcntl(fd, F_SETFD, flags | FD_CLOEXEC) == 0,
@@ -56,6 +57,20 @@ int cloexec_socket(int domain) {
   if (fd >= 0) set_cloexec(fd);
   return fd;
 #endif
+}
+
+/// Both ends of an in-process link (SocketTransport::pair).
+void cloexec_socketpair(int fds[2]) {
+#ifdef SOCK_CLOEXEC
+  const int rc = ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds);
+#else
+  const int rc = ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds);
+  if (rc == 0) {
+    set_cloexec(fds[0]);
+    set_cloexec(fds[1]);
+  }
+#endif
+  if (rc != 0) throw_errno("socketpair(AF_UNIX)");
 }
 
 int cloexec_accept(int listener_fd) {
@@ -359,6 +374,17 @@ std::unique_ptr<SocketTransport> SocketTransport::connect(
   throw Error("connect(" + address + ") timed out: " + last_error);
 }
 
+std::pair<std::unique_ptr<SocketTransport>, std::unique_ptr<SocketTransport>>
+SocketTransport::pair() {
+  int fds[2];
+  cloexec_socketpair(fds);
+  auto a = std::make_unique<SocketTransport>(fds[0]);
+  auto b = std::make_unique<SocketTransport>(fds[1]);
+  set_nonblocking(fds[0]);
+  set_nonblocking(fds[1]);
+  return {std::move(a), std::move(b)};
+}
+
 void SocketTransport::send_all(const std::uint8_t* data, std::size_t n) {
   std::size_t sent = 0;
   while (sent < n) {
@@ -479,8 +505,9 @@ std::optional<std::vector<std::uint8_t>> SocketTransport::try_recv() {
 
 std::optional<std::vector<std::uint8_t>> SocketTransport::recv_for(
     std::chrono::microseconds timeout) {
-  // Zero/negative degrade to try_recv semantics — the Comm::recv_for
-  // contract pinned in tests/test_rank_runtime.cpp.
+  // Zero/negative degrade to try_recv semantics (pinned in
+  // tests/test_socket_transport.cpp): a computed, possibly non-positive
+  // remainder of a deadline must never read as "wait forever".
   if (timeout <= std::chrono::microseconds::zero()) return try_recv();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {

@@ -6,18 +6,21 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "parallel/transport.hpp"
 
 namespace qkmps::parallel {
 
-/// Socket transport: the Transport interface over a connected stream
-/// socket (TCP loopback or Unix-domain), with each message carried as one
-/// length-prefixed, version-tagged, checksummed frame. This is the layer
-/// that turns serve::RankShardedEngine's shard ranks into shard processes
-/// (DESIGN.md §1, "From ranks to processes"); correctness of the framing
-/// is load-bearing, so every malformed input — truncated header,
+/// Socket transport: a duplex, message-oriented link over a connected
+/// stream socket (TCP loopback or Unix-domain, or an in-process
+/// socketpair), with each message carried as one length-prefixed,
+/// version-tagged, checksummed frame. Message boundaries are preserved:
+/// one send() arrives as exactly one recv, in FIFO order — the property
+/// the serving drain barrier relies on. This is the only carrier of
+/// serve::RankShardedEngine's shard protocol, whether a shard worker is
+/// a spawned process or a thread of the engine's own process (DESIGN.md
+/// §1, "From ranks to processes"); correctness of the framing is
+/// load-bearing, so every malformed input — truncated header,
 /// truncated payload, wrong magic, future version, oversized or hostile
 /// length, corrupted bytes — must surface as qkmps::Error, never as a
 /// crash, a hang, or a silently wrong message
@@ -124,8 +127,9 @@ class SocketListener {
 
 /// Per-link frame/byte accounting, monotonic since the link was opened.
 /// Byte totals include the 20-byte header of every frame — they measure
-/// what actually crossed the socket, not just payload. Every link also
-/// folds into the process-wide obs::Registry counters
+/// what actually crossed the socket, not just payload. Every link —
+/// in-process socketpair links included — also folds into the
+/// process-wide obs::Registry counters
 /// (parallel.socket.frames/bytes_sent/received).
 struct FrameCounters {
   std::uint64_t frames_sent = 0;
@@ -134,10 +138,21 @@ struct FrameCounters {
   std::uint64_t bytes_received = 0;
 };
 
-/// Transport over one connected stream socket. Thread safety: none —
-/// one side of a link belongs to one loop (the router thread or the
-/// worker main), matching how Comm channels are used.
-class SocketTransport final : public Transport {
+/// One end of a link over a connected stream socket. Thread safety:
+/// none — one side of a link belongs to one loop (the router thread, or
+/// the worker's main loop), while the other side may run concurrently.
+///
+/// Contracts:
+///  - send() never blocks indefinitely on a slow peer reading; it throws
+///    qkmps::Error if the link is broken (closed pipe, reset).
+///  - try_recv() pops a complete queued message or returns nullopt
+///    without waiting.
+///  - recv_for(timeout) blocks until a message or the timeout; a zero or
+///    negative timeout degrades to try_recv semantics (never "wait
+///    forever", never a throw).
+///  - A dead peer surfaces as qkmps::Error from the next call that needs
+///    it, never as a hang or silently dropped bytes.
+class SocketTransport {
  public:
   /// Connects to a SocketListener address, retrying until `timeout`
   /// (covers the race of connecting before the listener's backlog is
@@ -145,28 +160,36 @@ class SocketTransport final : public Transport {
   static std::unique_ptr<SocketTransport> connect(
       const std::string& address, std::chrono::milliseconds timeout);
 
+  /// Two connected ends of one in-process link: socketpair(AF_UNIX,
+  /// SOCK_STREAM), both fds close-on-exec. The same framing, limits and
+  /// failure model as a listener/connect link — closing one end is an EOF
+  /// the other sees as a dead peer — so a shard worker run on a thread
+  /// behaves on the wire exactly like one run in a process.
+  static std::pair<std::unique_ptr<SocketTransport>,
+                   std::unique_ptr<SocketTransport>>
+  pair();
+
   /// Adopts an already-connected fd (accept side).
   explicit SocketTransport(int fd,
                            std::uint64_t max_payload = kMaxFramePayload);
-  ~SocketTransport() override;
+  ~SocketTransport();
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
   /// Frames and writes the whole message; throws qkmps::Error if the
   /// peer is gone (EPIPE/reset) or the fd dies mid-write.
-  void send(const std::vector<std::uint8_t>& payload) override;
+  void send(const std::vector<std::uint8_t>& payload);
 
   /// Non-blocking: drains whatever bytes the kernel has, returns one
   /// complete decoded frame payload if available. Throws qkmps::Error on
   /// a malformed frame or a peer that closed (cleanly or mid-frame) —
   /// on this duplex link an EOF is always a dead peer, and the caller
   /// (router loop / worker loop) owns the failure semantics.
-  std::optional<std::vector<std::uint8_t>> try_recv() override;
+  std::optional<std::vector<std::uint8_t>> try_recv();
 
-  /// Timed receive; zero/negative timeout degrades to try_recv (the
-  /// Comm::recv_for contract).
+  /// Timed receive; zero/negative timeout degrades to try_recv.
   std::optional<std::vector<std::uint8_t>> recv_for(
-      std::chrono::microseconds timeout) override;
+      std::chrono::microseconds timeout);
 
   /// Frames/bytes this link has moved (single-threaded like the rest of
   /// the transport: read it from the loop that owns the link).

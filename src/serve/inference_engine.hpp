@@ -16,7 +16,7 @@
 #include "serve/state_cache.hpp"
 
 namespace qkmps::parallel {
-class Transport;  // the shard-worker loop's link (parallel/transport.hpp)
+class SocketTransport;  // the shard-worker loop's link
 }
 
 namespace qkmps::serve {
@@ -140,9 +140,9 @@ class InferenceEngine {
   /// shard workers (the shared serve::run_shard_worker loop behind
   /// RankShardedEngine and serving_rankd) then score through
   /// predict_batch_trusted and skip the re-validation scan on the
-  /// latency-critical drain path. Socket-mode requests were validated by
-  /// the router's submit() before they ever crossed the wire.
-  friend bool run_shard_worker(parallel::Transport& link,
+  /// latency-critical drain path: every request was validated by the
+  /// router's submit() before it crossed the wire.
+  friend bool run_shard_worker(parallel::SocketTransport& link,
                                InferenceEngine& engine,
                                const struct ShardWorkerOptions& options);
   std::vector<Prediction> predict_batch_trusted(

@@ -19,7 +19,6 @@
 #include "obs/metrics.hpp"
 #include "parallel/partition.hpp"
 #include "serve/feature_key.hpp"
-#include "serve/shard_worker.hpp"
 #include "util/error.hpp"
 
 extern char** environ;
@@ -79,6 +78,11 @@ void reap_worker(long pid, std::chrono::milliseconds grace) {
   ::kill(static_cast<pid_t>(pid), SIGKILL);
   int status = 0;
   waitpid_eintr(pid, &status, 0);
+}
+
+/// How the flight recorder names a worker: its process, or its thread.
+std::string worker_name(long pid) {
+  return pid > 0 ? "pid " + std::to_string(pid) : "thread";
 }
 
 /// Full-precision decimal so the weight a worker parses from its command
@@ -148,6 +152,11 @@ RankShardedEngine::RankShardedEngine(std::shared_ptr<const ModelBundle> bundle,
   QKMPS_CHECK_MSG(weights.size() == config_.num_shards,
                   "shard_weights has " << weights.size() << " entries for "
                                        << config_.num_shards << " shards");
+  // num_threads == 0 divides the hardware threads across the shards: the
+  // workers share this host (threads or processes alike), so handing
+  // each a full-width pool would oversubscribe it N-fold.
+  const std::vector<std::size_t> lanes =
+      shard_thread_lanes(config_.engine.num_threads, config_.num_shards);
   {
     // No other thread exists yet; the lock is for the analysis, which
     // ties these containers to topology_mu_ everywhere.
@@ -156,25 +165,99 @@ RankShardedEngine::RankShardedEngine(std::shared_ptr<const ModelBundle> bundle,
     for (std::size_t i = 0; i < config_.num_shards; ++i) {
       shard_state_.push_back(std::make_unique<ShardState>());
       shard_state_.back()->weight = weights[i];
-    }
-    if (config_.transport == TransportKind::kInProcess) {
-      const std::vector<std::size_t> lanes =
-          shard_thread_lanes(config_.engine.num_threads, config_.num_shards);
-      engines_.reserve(config_.num_shards);
-      for (std::size_t i = 0; i < config_.num_shards; ++i) {
-        EngineConfig engine_cfg = config_.engine;
-        engine_cfg.num_threads = lanes[i];
-        engines_.push_back(
-            std::make_unique<InferenceEngine>(bundle_, engine_cfg));
-      }
+      shard_state_.back()->threads = lanes[i];
     }
   }
-  start_runtime();
+
+  if (config_.transport == TransportKind::kSocket) {
+    const SocketTransportConfig& sc = config_.socket;
+    QKMPS_CHECK_MSG(!sc.worker_path.empty(),
+                    "socket transport needs socket.worker_path (the "
+                    "serving_rankd binary)");
+    QKMPS_CHECK_MSG(!sc.bundle_dir.empty(),
+                    "socket transport needs socket.bundle_dir (the bundle "
+                    "handoff directory)");
+    // Hand the model to the workers through the bundle format — the same
+    // artifact a real deployment ships. save_bundle is atomic, so workers
+    // can never observe a half-written manifest.
+    save_bundle(*bundle_, sc.bundle_dir);
+    // The listener stays open for the engine's whole life — it is what
+    // makes the fleet elastic: add_shard() and the respawn path accept
+    // fresh workers on it long after the initial fleet handshakes in.
+    listener_ = std::make_unique<parallel::SocketListener>(
+        parallel::SocketListener::listen(sc.listen_address.empty()
+                                             ? default_socket_address()
+                                             : sc.listen_address));
+  }
+
+  // Reserved so that no push_back can throw with a running worker in
+  // hand (an unjoined std::thread terminates the program).
+  workers_.reserve(config_.num_shards);
+  try {
+    for (std::size_t i = 0; i < config_.num_shards; ++i) {
+      workers_.push_back(start_worker(i, lanes[i], weights[i], 0));
+      flight_.record_event(obs::EventKind::kSpawn, static_cast<int>(i), 0,
+                           worker_name(workers_.back().pid));
+      util::MutexLock topo(topology_mu_);
+      shard_state_[i]->pid.store(workers_.back().pid,
+                                 std::memory_order_relaxed);
+    }
+    router_thread_ = std::thread([this] { run_router(); });
+  } catch (...) {
+    // Fail construction loudly but cleanly: no orphan workers, no stale
+    // socket files.
+    for (Worker& worker : workers_)
+      stop_worker(worker, std::chrono::milliseconds(500));
+    listener_.reset();
+    throw;
+  }
+}
+
+void RankShardedEngine::run_router() {
+  try {
+    router_loop();
+  } catch (...) {
+    // The loop escaped its own handling (internal invariant failure).
+    // Remember it so the next API call fails loudly instead of hanging
+    // on a dead router.
+    util::MutexLock lock(mu_);
+    runtime_error_ = std::current_exception();
+  }
+  // Fulfil any stats or resize request that raced the shutdown so no
+  // caller is left waiting on a promise nobody owns.
+  std::deque<std::promise<std::vector<EngineStats>>> stats_leftovers;
+  std::deque<TopologyCommand> topology_leftovers;
+  {
+    util::MutexLock lock(mu_);
+    stats_leftovers.swap(stats_requests_);
+    topology_leftovers.swap(topology_requests_);
+  }
+  for (auto& p : stats_leftovers)
+    p.set_value(std::vector<EngineStats>(workers_.size()));
+  for (auto& c : topology_leftovers)
+    c.done.set_exception(std::make_exception_ptr(
+        Error("engine stopped before the resize could run")));
 }
 
 RankShardedEngine::~RankShardedEngine() {
   util::MutexLock lifecycle(lifecycle_mu_);
-  stop_runtime(/*final_stop=*/true);
+  {
+    util::MutexLock lock(mu_);
+    stopped_ = true;
+  }
+  cv_router_.notify_all();
+  if (router_thread_.joinable()) router_thread_.join();
+  // The router shut every live worker down before returning; stopping
+  // them now joins or reaps them, and closes the links of any the
+  // shutdown handshake missed (they exit on the transport error).
+  for (std::size_t s = 0; s < workers_.size(); ++s) {
+    {
+      util::MutexLock topo(topology_mu_);
+      shard_state_[s]->pid.store(-1, std::memory_order_relaxed);
+    }
+    stop_worker(workers_[s], std::chrono::milliseconds(5000));
+  }
+  listener_.reset();
   if (!config_.flight_dump_path.empty()) {
     try {
       flight_.dump_to_file(config_.flight_dump_path);
@@ -183,6 +266,138 @@ RankShardedEngine::~RankShardedEngine() {
       // shutdown into a terminate (throwing destructor).
     }
   }
+}
+
+RankShardedEngine::Worker RankShardedEngine::start_worker(
+    std::size_t shard, std::size_t threads, double weight,
+    std::uint64_t generation) {
+  Worker worker;
+  if (config_.transport == TransportKind::kInProcess) {
+    // What serving_rankd runs, minus connect and handshake: the worker
+    // owns its engine (so its StateCache and memo die with it) and
+    // returns once its link closes, as a process exits.
+    auto [router_end, worker_end] = parallel::SocketTransport::pair();
+    EngineConfig engine_config = config_.engine;
+    engine_config.num_threads = threads;
+    auto engine = std::make_unique<InferenceEngine>(bundle_, engine_config);
+    ShardWorkerOptions options;
+    options.batch_limit = std::max<std::size_t>(1, drain_batch_limit());
+    worker.link = std::move(router_end);
+    worker.thread = std::thread([link = std::move(worker_end),
+                                 engine = std::move(engine), options, shard] {
+      try {
+        run_shard_worker(*link, *engine, options);
+      } catch (const std::exception& e) {
+        // The router closed the link without a shutdown (it marked this
+        // shard dead), or a bug escaped the loop. Either way the worker
+        // exits, and its closing link tells the router — exactly as a
+        // serving_rankd process's exit would, reason on stderr included.
+        std::fprintf(stderr, "shard worker thread %zu: %s\n", shard,
+                     e.what());
+      }
+    });
+    return worker;
+  }
+  worker.pid = spawn_worker_process(
+      config_.socket.worker_path,
+      worker_args(shard, threads, weight, generation));
+  try {
+    ShardAcceptPolicy policy;
+    policy.num_shards = std::max(shard + 1, num_shards());
+    policy.num_features = bundle_->num_features();
+    policy.require_shard = shard;
+    policy.require_generation = generation;
+    policy.require_weight = weight;
+    worker.link = accept_worker(policy);
+  } catch (...) {
+    stop_worker(worker, std::chrono::milliseconds(500));
+    throw;
+  }
+  return worker;
+}
+
+void RankShardedEngine::stop_worker(Worker& worker,
+                                    std::chrono::milliseconds grace) {
+  // The closed link is an EOF the worker sees as a dead router: one that
+  // missed (or never got) the shutdown handshake exits on it.
+  worker.link.reset();
+  if (worker.thread.joinable()) worker.thread.join();
+  if (worker.pid > 0) reap_worker(worker.pid, grace);
+  worker.pid = -1;
+}
+
+std::unique_ptr<parallel::SocketTransport> RankShardedEngine::accept_worker(
+    const ShardAcceptPolicy& policy) {
+  // A refused straggler (a superseded generation that connected late, a
+  // backlogged corpse) is not a failure — it is told why and dropped, and
+  // we keep waiting for the worker we spawned.
+  const auto deadline =
+      std::chrono::steady_clock::now() + config_.socket.connect_timeout;
+  for (;;) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    QKMPS_CHECK_MSG(left > std::chrono::milliseconds::zero(),
+                    "timed out waiting for the spawned worker to connect");
+    std::unique_ptr<parallel::SocketTransport> conn = listener_->accept_for(
+        std::chrono::duration_cast<std::chrono::milliseconds>(left));
+    QKMPS_CHECK_MSG(conn != nullptr,
+                    "timed out waiting for the spawned worker to connect");
+    try {
+      shard_handshake_server(
+          *conn, policy,
+          std::chrono::duration_cast<std::chrono::microseconds>(left));
+      return conn;
+    } catch (const Error& e) {
+      flight_.record_event(
+          obs::EventKind::kHandshakeRefused,
+          policy.require_shard ? static_cast<int>(*policy.require_shard) : -1,
+          policy.require_generation.value_or(0), e.what());
+      if (std::chrono::steady_clock::now() >= deadline) throw;
+    }
+  }
+}
+
+void RankShardedEngine::resize(TopologyCommand cmd) {
+  // The router thread is the topology's single writer: hand it the
+  // resize and wait. Survivors keep serving throughout.
+  std::future<void> done = cmd.done.get_future();
+  {
+    util::MutexLock lock(mu_);
+    if (runtime_error_) std::rethrow_exception(runtime_error_);
+    QKMPS_CHECK_MSG(!stopped_, "resize on a stopped RankShardedEngine");
+    topology_requests_.push_back(std::move(cmd));
+  }
+  cv_router_.notify_all();
+  done.get();  // rethrows a failed start or handoff
+  resizes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void RankShardedEngine::add_shard(double weight) {
+  QKMPS_CHECK_MSG(weight > 0.0,
+                  "shard weight must be positive, got " << weight);
+  util::MutexLock lifecycle(lifecycle_mu_);
+  TopologyCommand cmd;
+  cmd.op = TopologyCommand::Op::kAdd;
+  cmd.weight = weight;
+  resize(std::move(cmd));
+}
+
+void RankShardedEngine::remove_shard(std::size_t shard) {
+  util::MutexLock lifecycle(lifecycle_mu_);
+  {
+    util::MutexLock topo(topology_mu_);
+    QKMPS_CHECK_MSG(shard < shard_state_.size(),
+                    "remove_shard(" << shard << ") out of range");
+    QKMPS_CHECK_MSG(!shard_state_[shard]->removed.load(),
+                    "shard " << shard << " was already removed");
+    std::size_t remaining = 0;
+    for (const auto& state : shard_state_)
+      if (!state->removed.load()) ++remaining;
+    QKMPS_CHECK_MSG(remaining > 1, "cannot remove the last shard");
+  }
+  TopologyCommand cmd;
+  cmd.op = TopologyCommand::Op::kRemove;
+  cmd.shard = shard;
+  resize(std::move(cmd));
 }
 
 std::size_t RankShardedEngine::num_shards() const {
@@ -197,13 +412,13 @@ int RankShardedEngine::shard_for(const std::vector<double>& features) const {
 
 long RankShardedEngine::worker_pid(std::size_t shard) const {
   util::MutexLock topo(topology_mu_);
-  if (shard >= shard_state_.size() || shard >= worker_pids_.size()) return -1;
+  if (shard >= shard_state_.size()) return -1;
   const ShardState& state = *shard_state_[shard];
   if (state.removed.load(std::memory_order_relaxed) ||
       state.demoted.load(std::memory_order_relaxed) ||
       !state.alive.load(std::memory_order_relaxed))
     return -1;
-  return worker_pids_[shard];
+  return state.pid.load(std::memory_order_relaxed);
 }
 
 std::size_t RankShardedEngine::drain_batch_limit() const {
@@ -293,71 +508,6 @@ void RankShardedEngine::resume_draining() {
   cv_router_.notify_all();
 }
 
-void RankShardedEngine::start_runtime() {
-  if (config_.transport == TransportKind::kSocket) {
-    start_socket_runtime();
-    return;
-  }
-  std::size_t n_engines;
-  {
-    util::MutexLock topo(topology_mu_);
-    n_engines = engines_.size();
-  }
-  runtime_ = std::make_unique<parallel::RankRuntime>(
-      static_cast<int>(n_engines) + 1);
-  runtime_thread_ = std::thread([this] {
-    try {
-      runtime_->run([this](parallel::Comm& comm) {
-        if (comm.rank() == 0) {
-          std::vector<std::unique_ptr<parallel::CommTransport>> links;
-          std::vector<parallel::Transport*> ptrs;
-          for (int s = 1; s < comm.size(); ++s) {
-            links.push_back(std::make_unique<parallel::CommTransport>(comm, s));
-            ptrs.push_back(links.back().get());
-          }
-          try {
-            router_loop(ptrs);
-          } catch (...) {
-            // A dying router must not strand shards in their recv loop —
-            // run() joins every rank before rethrowing, so an unreleased
-            // shard would deadlock the destructor. CommTransport::send
-            // never blocks; a shard that already exited just leaves the
-            // extra envelope unconsumed.
-            for (parallel::Transport* link : ptrs)
-              link->send(encode_envelope(
-                  ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}}));
-            throw;
-          }
-        } else {
-          // A removed shard's slot still gets a rank (ids are never
-          // reused) but has no engine left — its loop is a no-op; the
-          // router never addresses it.
-          // Engine slots only mutate between runtimes (the resize caller
-          // holds lifecycle_mu_ with this thread joined), so the pointer
-          // grabbed here stays valid for the runtime's whole life.
-          InferenceEngine* engine = nullptr;
-          {
-            util::MutexLock topo(topology_mu_);
-            engine = engines_[static_cast<std::size_t>(comm.rank() - 1)].get();
-          }
-          if (engine != nullptr) {
-            parallel::CommTransport link(comm, 0);
-            ShardWorkerOptions options;
-            options.batch_limit = std::max<std::size_t>(1, drain_batch_limit());
-            run_shard_worker(link, *engine, options);
-          }
-        }
-      });
-    } catch (...) {
-      // A rank body escaped its own handling (internal invariant failure,
-      // e.g. a wire-codec mismatch). Remember it so the next API call
-      // fails loudly instead of hanging on a dead router.
-      util::MutexLock lock(mu_);
-      runtime_error_ = std::current_exception();
-    }
-  });
-}
-
 std::vector<std::string> RankShardedEngine::worker_args(
     std::size_t shard, std::size_t threads, double weight,
     std::uint64_t generation) const {
@@ -379,264 +529,7 @@ std::vector<std::string> RankShardedEngine::worker_args(
   return args;
 }
 
-void RankShardedEngine::start_socket_runtime() {
-  const SocketTransportConfig& sc = config_.socket;
-  QKMPS_CHECK_MSG(!sc.worker_path.empty(),
-                  "socket transport needs socket.worker_path (the "
-                  "serving_rankd binary)");
-  QKMPS_CHECK_MSG(!sc.bundle_dir.empty(),
-                  "socket transport needs socket.bundle_dir (the bundle "
-                  "handoff directory)");
-  // Hand the model to the workers through the bundle format — the same
-  // artifact a real deployment ships. save_bundle is atomic, so workers
-  // can never observe a half-written manifest.
-  save_bundle(*bundle_, sc.bundle_dir);
-
-  const std::string address =
-      sc.listen_address.empty() ? default_socket_address() : sc.listen_address;
-  // The listener stays open for the engine's whole life — it is what
-  // makes the fleet elastic: add_shard() and the respawn path accept
-  // fresh workers on it long after the initial fleet handshakes in.
-  listener_ = std::make_unique<parallel::SocketListener>(
-      parallel::SocketListener::listen(address));
-
-  // ShardState objects are stable once published (slots are never
-  // erased), so the startup below works through raw pointers grabbed in
-  // one locked sweep instead of holding topology_mu_ across spawns.
-  std::vector<ShardState*> states;
-  {
-    util::MutexLock topo(topology_mu_);
-    states.reserve(shard_state_.size());
-    for (const auto& st : shard_state_) states.push_back(st.get());
-  }
-  const std::size_t n = states.size();
-  // Same lane budgeting as the in-process constructor: num_threads == 0
-  // divides the hardware threads across the shards. The workers share
-  // this host, so handing each a full-width pool would oversubscribe it
-  // N-fold — and would make the bench's inproc-vs-socket comparison
-  // measure thread counts instead of transport cost.
-  const std::vector<std::size_t> lanes =
-      shard_thread_lanes(config_.engine.num_threads, n);
-  // Spawn and handshake into locals; links_/worker_pids_ publish in a
-  // single locked swap once the whole fleet has arrived, so concurrent
-  // worker_pid()/stats() readers never see a half-built topology.
-  std::vector<long> pids;
-  std::vector<std::unique_ptr<parallel::SocketTransport>> conns(n);
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      states[i]->threads = lanes[i];
-      pids.push_back(spawn_worker_process(
-          sc.worker_path,
-          worker_args(i, lanes[i], states[i]->weight, 0)));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      std::unique_ptr<parallel::SocketTransport> conn =
-          listener_->accept_for(sc.connect_timeout);
-      QKMPS_CHECK_MSG(conn != nullptr,
-                      "timed out waiting for shard workers to connect ("
-                          << i << " of " << n << " arrived)");
-      ShardAcceptPolicy policy;
-      policy.num_shards = n;
-      policy.num_features = bundle_->num_features();
-      const ShardHello hello = shard_handshake_server(
-          *conn, policy,
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              sc.connect_timeout));
-      QKMPS_CHECK_MSG(conns[hello.shard_index] == nullptr,
-                      "two workers claimed shard " << hello.shard_index);
-      QKMPS_CHECK_MSG(hello.weight == states[hello.shard_index]->weight,
-                      "worker for shard " << hello.shard_index
-                                          << " echoed the wrong ring weight");
-      conns[hello.shard_index] = std::move(conn);
-      flight_.record_event(
-          obs::EventKind::kSpawn, static_cast<int>(hello.shard_index), 0,
-          "pid " + std::to_string(pids[hello.shard_index]));
-    }
-  } catch (...) {
-    // Fail construction loudly but cleanly: no orphan processes, no
-    // stale socket files.
-    conns.clear();
-    listener_.reset();
-    for (long pid : pids) reap_worker(pid, std::chrono::milliseconds(500));
-    throw;
-  }
-  {
-    util::MutexLock topo(topology_mu_);
-    links_.reserve(n);
-    for (auto& conn : conns) links_.push_back(std::move(conn));
-    worker_pids_ = std::move(pids);
-  }
-
-  runtime_thread_ = std::thread([this] {
-    std::vector<parallel::Transport*> ptrs;
-    {
-      util::MutexLock topo(topology_mu_);
-      ptrs.reserve(links_.size());
-      for (const auto& link : links_) ptrs.push_back(link.get());
-    }
-    try {
-      router_loop(std::move(ptrs));
-    } catch (...) {
-      util::MutexLock lock(mu_);
-      runtime_error_ = std::current_exception();
-    }
-    // Fulfil any stats or resize request that raced the shutdown so no
-    // caller is left waiting on a promise nobody owns.
-    std::deque<std::promise<std::vector<EngineStats>>> stats_leftovers;
-    std::deque<TopologyCommand> topology_leftovers;
-    {
-      util::MutexLock lock(mu_);
-      stats_leftovers.swap(stats_requests_);
-      topology_leftovers.swap(topology_requests_);
-    }
-    std::size_t n_links;
-    {
-      util::MutexLock topo(topology_mu_);
-      n_links = links_.size();
-    }
-    for (auto& p : stats_leftovers)
-      p.set_value(std::vector<EngineStats>(n_links));
-    for (auto& c : topology_leftovers)
-      c.done.set_exception(std::make_exception_ptr(
-          Error("engine stopped before the resize could run")));
-  });
-}
-
-void RankShardedEngine::stop_runtime(bool final_stop) {
-  {
-    util::MutexLock lock(mu_);
-    draining_ = true;
-    if (final_stop) stopped_ = true;
-  }
-  cv_router_.notify_all();
-  if (runtime_thread_.joinable()) runtime_thread_.join();
-  runtime_.reset();
-  // Socket teardown: closing the links EOFs any worker the shutdown
-  // handshake missed (it exits on the transport error), then the reaper
-  // waits it out — escalating to SIGKILL so a wedged child cannot hang
-  // the destructor. The vectors mutate under topology_mu_ because
-  // worker_pid()/stats() readers may still be in flight.
-  std::vector<long> pids;
-  {
-    util::MutexLock topo(topology_mu_);
-    links_.clear();
-    listener_.reset();
-    pids.swap(worker_pids_);
-  }
-  for (long pid : pids)
-    if (pid > 0) reap_worker(pid, std::chrono::milliseconds(5000));
-  {
-    util::MutexLock lock(mu_);
-    draining_ = false;
-  }
-}
-
-void RankShardedEngine::add_shard(double weight) {
-  QKMPS_CHECK_MSG(weight > 0.0,
-                  "shard weight must be positive, got " << weight);
-  util::MutexLock lifecycle(lifecycle_mu_);
-  {
-    util::MutexLock lock(mu_);
-    QKMPS_CHECK_MSG(!stopped_, "add_shard on a stopped RankShardedEngine");
-  }
-
-  if (config_.transport == TransportKind::kSocket) {
-    // The router thread is the topology's single writer: hand it the
-    // resize and wait. Survivors keep serving throughout — their caches
-    // live in their own processes and never notice the growth.
-    TopologyCommand cmd;
-    cmd.op = TopologyCommand::Op::kAdd;
-    cmd.weight = weight;
-    std::future<void> done = cmd.done.get_future();
-    {
-      util::MutexLock lock(mu_);
-      if (runtime_error_) std::rethrow_exception(runtime_error_);
-      topology_requests_.push_back(std::move(cmd));
-    }
-    cv_router_.notify_all();
-    done.get();  // rethrows a failed spawn/handshake
-    resizes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
-  stop_runtime(/*final_stop=*/false);
-
-  // Existing engines keep their pools (and, crucially, their caches);
-  // only the new shard's lane count reflects the grown topology. With
-  // num_threads == 0 this slightly overcommits hardware threads after a
-  // resize — cache retention is worth more than perfect lane budgeting.
-  std::size_t n_engines;
-  {
-    util::MutexLock topo(topology_mu_);
-    n_engines = engines_.size();
-  }
-  EngineConfig engine_cfg = config_.engine;
-  engine_cfg.num_threads =
-      shard_thread_lanes(config_.engine.num_threads, n_engines + 1).back();
-  {
-    util::MutexLock topo(topology_mu_);
-    engines_.push_back(std::make_unique<InferenceEngine>(bundle_, engine_cfg));
-    shard_state_.push_back(std::make_unique<ShardState>());
-    shard_state_.back()->weight = weight;
-    router_->add_shard(weight);
-  }
-  resizes_.fetch_add(1, std::memory_order_relaxed);
-  flight_.record_event(obs::EventKind::kShardAdded,
-                       static_cast<int>(n_engines), 0, "in-process");
-
-  start_runtime();
-}
-
-void RankShardedEngine::remove_shard(std::size_t shard) {
-  util::MutexLock lifecycle(lifecycle_mu_);
-  {
-    util::MutexLock lock(mu_);
-    QKMPS_CHECK_MSG(!stopped_, "remove_shard on a stopped RankShardedEngine");
-  }
-  {
-    util::MutexLock topo(topology_mu_);
-    QKMPS_CHECK_MSG(shard < shard_state_.size(),
-                    "remove_shard(" << shard << ") out of range");
-    QKMPS_CHECK_MSG(!shard_state_[shard]->removed.load(),
-                    "shard " << shard << " was already removed");
-    std::size_t remaining = 0;
-    for (const auto& state : shard_state_)
-      if (!state->removed.load()) ++remaining;
-    QKMPS_CHECK_MSG(remaining > 1, "cannot remove the last shard");
-  }
-
-  if (config_.transport == TransportKind::kSocket) {
-    TopologyCommand cmd;
-    cmd.op = TopologyCommand::Op::kRemove;
-    cmd.shard = shard;
-    std::future<void> done = cmd.done.get_future();
-    {
-      util::MutexLock lock(mu_);
-      if (runtime_error_) std::rethrow_exception(runtime_error_);
-      topology_requests_.push_back(std::move(cmd));
-    }
-    cv_router_.notify_all();
-    done.get();
-    resizes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
-  // In-process: the drain inside stop_runtime serves the shard's
-  // in-flight work before its engine (and caches) are released.
-  stop_runtime(/*final_stop=*/false);
-  {
-    util::MutexLock topo(topology_mu_);
-    router_->remove_shard(static_cast<int>(shard));
-    shard_state_[shard]->removed.store(true, std::memory_order_relaxed);
-    engines_[shard].reset();
-  }
-  resizes_.fetch_add(1, std::memory_order_relaxed);
-  flight_.record_event(obs::EventKind::kShardRemoved, static_cast<int>(shard),
-                       0, "in-process");
-  start_runtime();
-}
-
-void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
+void RankShardedEngine::router_loop() {
   struct InFlight {
     std::promise<RoutedPrediction> promise;
     std::chrono::steady_clock::time_point submitted;
@@ -646,22 +539,21 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     obs::TraceContext trace;
   };
   std::unordered_map<std::uint64_t, InFlight> inflight;
-  const bool socket = config_.transport == TransportKind::kSocket;
   bool drain_marker_sent = false;
   // Sized when the drain marker goes out: the topology is frozen from
   // that point on (resize commands are refused while draining).
   std::vector<char> drain_acked;
-  // Socket mode: a connected-but-unresponsive worker (deadlocked,
-  // SIGSTOP'd) owing replies or a drain ack would otherwise stall the
-  // drain loop — and with it the destructor — forever. Any progress
-  // pushes the deadline out; total silence past it demotes the
-  // offenders, matching the shutdown handshake's escalation.
+  // A connected-but-unresponsive worker (deadlocked, SIGSTOP'd) owing
+  // replies or a drain ack would otherwise stall the drain loop — and
+  // with it the destructor — forever. Any progress pushes the deadline
+  // out; total silence past it marks the offenders dead, matching the
+  // shutdown handshake's escalation.
   constexpr std::chrono::seconds kDrainStall{30};
   std::chrono::steady_clock::time_point drain_stall_deadline{};
 
   // A shard is addressable when it is neither dead nor drained out of
   // the topology. Removed slots keep their index (ids are never reused)
-  // but own no ring points, no link, and no futures.
+  // but own no ring points, no worker, and no futures.
   const auto routable = [this](int s) {
     util::MutexLock topo(topology_mu_);
     const ShardState& state = *shard_state_[static_cast<std::size_t>(s)];
@@ -731,23 +623,40 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     state.next_respawn = std::chrono::steady_clock::now() + state.respawn_delay;
   };
 
-  // In-process transport failures are protocol bugs and escape (the
-  // rank-0 catch turns them into a loud runtime_error_); a socket link
-  // failure is an expected distributed-systems outcome and demotes the
-  // shard to dead.
+  // A link failure is an expected outcome in either transport (a killed
+  // process, or a thread worker that failed), never an engine failure:
+  // it marks the shard dead. Each returns false / nullopt once it has.
   const auto shard_send = [&](int s, const ShardEnvelope& envelope) -> bool {
     try {
-      links[static_cast<std::size_t>(s)]->send(encode_envelope(envelope));
+      workers_[static_cast<std::size_t>(s)].link->send(
+          encode_envelope(envelope));
       return true;
     } catch (const Error& e) {
-      if (!socket) throw;
       mark_dead(s, e.what());
       return false;
     }
   };
 
+  // One reply from shard s, waiting at most `timeout` (zero: only what
+  // is already queued). nullopt on timeout or once the shard is dead —
+  // callers tell the two apart with routable(s).
+  const auto shard_recv = [&](int s, std::chrono::microseconds timeout)
+      -> std::optional<ShardReply> {
+    try {
+      std::optional<std::vector<std::uint8_t>> bytes =
+          workers_[static_cast<std::size_t>(s)].link->recv_for(timeout);
+      if (!bytes) return std::nullopt;
+      return decode_reply(*bytes);
+    } catch (const Error& e) {
+      mark_dead(s, e.what());
+      return std::nullopt;
+    }
+  };
+
   const auto handle_reply = [&](int s, ShardReply reply) {
     if (reply.kind == ShardReply::Kind::kDrained) {
+      QKMPS_CHECK_MSG(static_cast<std::size_t>(s) < drain_acked.size(),
+                      "unsolicited drain ack");
       drain_acked[static_cast<std::size_t>(s)] = 1;
       return;
     }
@@ -766,8 +675,8 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     const auto now = std::chrono::steady_clock::now();
     if (reply.kind == ShardReply::Kind::kPrediction) {
       // A trace-id mismatch is a protocol violation like an unknown
-      // request id (the caller demotes the shard). An echo of 0 is legal:
-      // a v2 peer decodes our envelopes without the trace tail.
+      // request id (the caller marks the shard dead). An echo of 0 is
+      // legal: a v2 peer decodes our envelopes without the trace tail.
       QKMPS_CHECK_MSG(
           reply.trace_id == 0 || reply.trace_id == fl.trace.trace_id,
           "shard echoed trace id " << reply.trace_id << " for request "
@@ -825,95 +734,60 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     }
   };
 
-  const auto shard_try_recv = [&](int s) -> std::optional<ShardReply> {
+  // A well-framed but protocol-violating reply (duplicate/unknown id,
+  // spurious kind) gets the same treatment a dead link gets: one
+  // misbehaving worker must not take the router — and every other
+  // shard's futures — down with it.
+  const auto take_reply = [&](int s, ShardReply reply) {
     try {
-      std::optional<std::vector<std::uint8_t>> bytes =
-          links[static_cast<std::size_t>(s)]->try_recv();
-      if (!bytes) return std::nullopt;
-      return decode_reply(*bytes);
+      handle_reply(s, std::move(reply));
     } catch (const Error& e) {
-      if (!socket) throw;
       mark_dead(s, e.what());
-      return std::nullopt;
     }
+  };
+
+  // Waits for shard s's reply of kind `ack` (handling every reply queued
+  // ahead of it), at most `patience` of silence. False when the shard
+  // died or stayed silent — marked dead with `silence` as the cause.
+  const auto await_ack = [&](int s, ShardReply::Kind ack,
+                             std::chrono::microseconds patience,
+                             const char* silence) {
+    while (routable(s)) {
+      std::optional<ShardReply> reply = shard_recv(s, patience);
+      if (!reply) {
+        if (routable(s)) mark_dead(s, silence);
+        return false;
+      }
+      if (reply->kind == ack) return true;
+      take_reply(s, std::move(*reply));
+    }
+    return false;
   };
 
   // -------------------------------------------------------------------
-  // Elastic machinery (socket mode). All of it runs on this thread —
-  // the topology's single writer — so only the pointer-swap moments
-  // take topology_mu_ (for the external readers), never the spawns,
-  // accepts, or drains.
+  // Elastic machinery. All of it runs on this thread — the topology's
+  // single writer — so only the pointer-swap moments take topology_mu_
+  // (for the external readers), never the worker starts or drains.
 
-  // Accepts connections until one passes the pinned handshake or the
-  // budget runs out. A refused straggler (a superseded generation that
-  // connected late, a backlogged corpse) is not a failure — it is told
-  // why and dropped, and we keep waiting for the worker we spawned.
-  const auto accept_expected =
-      [&](const ShardAcceptPolicy& policy, std::chrono::milliseconds budget)
-      -> std::unique_ptr<parallel::SocketTransport> {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    for (;;) {
-      const auto left = deadline - std::chrono::steady_clock::now();
-      QKMPS_CHECK_MSG(left > std::chrono::milliseconds::zero(),
-                      "timed out waiting for the spawned worker to connect");
-      std::unique_ptr<parallel::SocketTransport> conn = listener_->accept_for(
-          std::chrono::duration_cast<std::chrono::milliseconds>(left));
-      QKMPS_CHECK_MSG(conn != nullptr,
-                      "timed out waiting for the spawned worker to connect");
-      try {
-        shard_handshake_server(
-            *conn, policy,
-            std::chrono::duration_cast<std::chrono::microseconds>(left));
-        return conn;
-      } catch (const Error& e) {
-        flight_.record_event(
-            obs::EventKind::kHandshakeRefused,
-            policy.require_shard ? static_cast<int>(*policy.require_shard)
-                                 : -1,
-            policy.require_generation.value_or(0), e.what());
-        if (std::chrono::steady_clock::now() >= deadline) throw;
-      }
-    }
-  };
-
-  // One respawn attempt for a dead (not removed, not demoted) slot:
-  // reap the corpse, spawn the next generation with the slot's weight,
-  // handshake it in pinned to (slot, generation, weight). Ring points
-  // are a pure function of (shard, weight), so the replacement inherits
-  // exactly the keyspace its predecessor owned — nothing else moves.
+  // One respawn attempt for a dead (not removed, not demoted) slot: stop
+  // the corpse, start the next generation with the slot's weight. Ring
+  // points are a pure function of (shard, weight), so the replacement
+  // inherits exactly the keyspace its predecessor owned — nothing else
+  // moves.
   const auto try_respawn = [&](std::size_t s) {
     ShardState* state_ptr;
-    std::size_t fleet_size;
     {
       util::MutexLock topo(topology_mu_);
       state_ptr = shard_state_[s].get();
-      fleet_size = shard_state_.size();
-      const long corpse = worker_pids_[s];
-      worker_pids_[s] = -1;
-      if (corpse > 0) reap_worker(corpse, std::chrono::milliseconds(0));
     }
     ShardState& state = *state_ptr;
+    state.pid.store(-1, std::memory_order_relaxed);
+    stop_worker(workers_[s], std::chrono::milliseconds(0));
     const std::uint64_t generation =
         state.generation.load(std::memory_order_relaxed) + 1;
-    long pid = -1;
     try {
-      pid = spawn_worker_process(
-          config_.socket.worker_path,
-          worker_args(s, state.threads, state.weight, generation));
-      ShardAcceptPolicy policy;
-      policy.num_shards = fleet_size;
-      policy.num_features = bundle_->num_features();
-      policy.require_shard = s;
-      policy.require_generation = generation;
-      policy.require_weight = state.weight;
-      std::unique_ptr<parallel::SocketTransport> conn =
-          accept_expected(policy, config_.socket.connect_timeout);
-      {
-        util::MutexLock topo(topology_mu_);
-        links_[s] = std::move(conn);
-        worker_pids_[s] = pid;
-        links[s] = links_[s].get();
-      }
+      workers_[s] = start_worker(s, state.threads, state.weight, generation);
+      state.pid.store(workers_[s].pid, std::memory_order_relaxed);
       state.generation.store(generation, std::memory_order_relaxed);
       state.respawns.fetch_add(1, std::memory_order_relaxed);
       state.respawn_attempts = 0;
@@ -921,9 +795,8 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       // Back in rotation: requests hashing to this slot serve again.
       state.alive.store(true, std::memory_order_relaxed);
       flight_.record_event(obs::EventKind::kRespawn, static_cast<int>(s),
-                           generation, "pid " + std::to_string(pid));
+                           generation, worker_name(workers_[s].pid));
     } catch (const std::exception& e) {
-      if (pid > 0) reap_worker(pid, std::chrono::milliseconds(500));
       ++state.respawn_attempts;
       flight_.record_event(
           obs::EventKind::kRespawnFailed, static_cast<int>(s), generation,
@@ -954,52 +827,37 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
     }
   };
 
-  // add_shard over live workers: spawn + handshake generation 0 of a
-  // brand-new slot, then splice it into the topology in one locked
-  // pointer swap. Survivors never stop serving; consistent hashing
-  // moves only ~1/(N+1) of the keyspace onto the newcomer.
+  // add_shard: start generation 0 of a brand-new slot, then splice it
+  // into the topology in one locked pointer swap. Survivors never stop
+  // serving; consistent hashing moves only ~1/(N+1) of the keyspace onto
+  // the newcomer.
   const auto execute_add = [&](double weight) {
-    std::size_t s;
-    {
-      util::MutexLock topo(topology_mu_);
-      s = shard_state_.size();
-    }
+    const std::size_t s = workers_.size();
     const std::size_t threads =
         shard_thread_lanes(config_.engine.num_threads, s + 1).back();
-    const long pid = spawn_worker_process(
-        config_.socket.worker_path, worker_args(s, threads, weight, 0));
-    std::unique_ptr<parallel::SocketTransport> conn;
-    try {
-      ShardAcceptPolicy policy;
-      policy.num_shards = s + 1;
-      policy.num_features = bundle_->num_features();
-      policy.require_shard = s;
-      policy.require_generation = 0;
-      policy.require_weight = weight;
-      conn = accept_expected(policy, config_.socket.connect_timeout);
-    } catch (...) {
-      reap_worker(pid, std::chrono::milliseconds(500));
-      throw;
-    }
     auto state = std::make_unique<ShardState>();
     state->weight = weight;
     state->threads = threads;
-    {
+    workers_.reserve(s + 1);  // push_back must not throw (see the ctor)
+    workers_.push_back(start_worker(s, threads, weight, 0));
+    state->pid.store(workers_.back().pid, std::memory_order_relaxed);
+    try {
       util::MutexLock topo(topology_mu_);
+      router_->add_shard(weight);  // throws on a weight it cannot honour
       shard_state_.push_back(std::move(state));
-      links_.push_back(std::move(conn));
-      worker_pids_.push_back(pid);
-      router_->add_shard(weight);
-      links.push_back(links_.back().get());
+    } catch (...) {
+      stop_worker(workers_.back(), std::chrono::milliseconds(500));
+      workers_.pop_back();
+      throw;
     }
     flight_.record_event(obs::EventKind::kShardAdded, static_cast<int>(s), 0,
-                         "pid " + std::to_string(pid) + ", weight " +
+                         worker_name(workers_.back().pid) + ", weight " +
                              format_weight(weight));
   };
 
   // remove_shard: ring handoff first (new routes skip the leaver
   // immediately), then drain what it still owes, then the shutdown
-  // handshake and the reap. The slot stays, marked removed.
+  // handshake and the stop. The slot stays, marked removed.
   const auto execute_remove = [&](std::size_t s) {
     ShardState* state_ptr;
     {
@@ -1010,74 +868,34 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       state_ptr = shard_state_[s].get();
     }
     ShardState& state = *state_ptr;
-    if (routable(static_cast<int>(s))) {
-      if (shard_send(static_cast<int>(s),
-                     ShardEnvelope{ShardEnvelope::Kind::kDrain, 0, {}})) {
-        auto stall = std::chrono::steady_clock::now() + kDrainStall;
-        while (routable(static_cast<int>(s))) {
-          try {
-            std::optional<std::vector<std::uint8_t>> bytes =
-                links[s]->recv_for(std::chrono::microseconds(10'000));
-            if (!bytes) {
-              if (std::chrono::steady_clock::now() > stall)
-                mark_dead(static_cast<int>(s),
-                          "no progress during removal drain");
-              continue;
-            }
-            ShardReply reply = decode_reply(*bytes);
-            if (reply.kind == ShardReply::Kind::kDrained) break;
-            handle_reply(static_cast<int>(s), std::move(reply));
-            stall = std::chrono::steady_clock::now() + kDrainStall;
-          } catch (const Error& e) {
-            mark_dead(static_cast<int>(s), e.what());
-          }
-        }
-      }
-      // Post-ack the leaver owes nothing (FIFO: its kDrained follows
-      // every reply to pre-handoff envelopes), so the shutdown
-      // handshake is immediate.
-      if (routable(static_cast<int>(s)) &&
-          shard_send(static_cast<int>(s),
-                     ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}})) {
-        while (routable(static_cast<int>(s))) {
-          try {
-            std::optional<std::vector<std::uint8_t>> bytes =
-                links[s]->recv_for(std::chrono::microseconds(5'000'000));
-            if (!bytes) {
-              mark_dead(static_cast<int>(s), "no shutdown ack while leaving");
-              break;
-            }
-            ShardReply reply = decode_reply(*bytes);
-            if (reply.kind == ShardReply::Kind::kStopped) break;
-            handle_reply(static_cast<int>(s), std::move(reply));
-          } catch (const Error& e) {
-            mark_dead(static_cast<int>(s), e.what());
-          }
-        }
-      }
-    }
+    const int leaver = static_cast<int>(s);
+    // Post-ack the leaver owes nothing (FIFO: its kDrained follows every
+    // reply to pre-handoff envelopes), so the shutdown handshake is
+    // immediate. Each wait is bounded: a leaver that goes silent is
+    // marked dead, which sheds what it owed.
+    if (routable(leaver) &&
+        shard_send(leaver, ShardEnvelope{ShardEnvelope::Kind::kDrain, 0, {}}) &&
+        await_ack(leaver, ShardReply::Kind::kDrained, kDrainStall,
+                  "no progress during removal drain") &&
+        shard_send(leaver,
+                   ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}}))
+      await_ack(leaver, ShardReply::Kind::kStopped,
+                std::chrono::seconds(5), "no shutdown ack while leaving");
     // Whether it left cleanly or died on the way out, its futures are
     // all resolved (served above, or shed by mark_dead). Defensive:
     // shed any stragglers so removal can never leak a promise.
     for (auto it = inflight.begin(); it != inflight.end();) {
-      if (it->second.shard == static_cast<int>(s)) {
+      if (it->second.shard == leaver) {
         shed(std::move(it->second), "shard removed");
         it = inflight.erase(it);
       } else {
         ++it;
       }
     }
-    long pid;
-    {
-      util::MutexLock topo(topology_mu_);
-      links_[s].reset();
-      pid = worker_pids_[s];
-      worker_pids_[s] = -1;
-    }
-    links[s] = nullptr;
-    if (pid > 0) reap_worker(pid, std::chrono::milliseconds(5000));
+    state.pid.store(-1, std::memory_order_relaxed);
+    stop_worker(workers_[s], std::chrono::milliseconds(5000));
     state.removed.store(true, std::memory_order_relaxed);
-    flight_.record_event(obs::EventKind::kShardRemoved, static_cast<int>(s),
+    flight_.record_event(obs::EventKind::kShardRemoved, leaver,
                          state.generation.load(std::memory_order_relaxed),
                          "");
   };
@@ -1096,7 +914,7 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
 
     // What each shard may still take. A removed or dead shard's queue
     // empties without limit: its requests re-route or shed below.
-    room.assign(links.size(), window);
+    room.assign(workers_.size(), window);
     for (const auto& [id, fl] : inflight) {
       std::size_t& left = room[static_cast<std::size_t>(fl.shard)];
       left -= std::min<std::size_t>(left, 1);
@@ -1110,18 +928,18 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       // Idle with nothing in flight: sleep on the router cv (bounded by
       // router_poll so a drain request can't be missed). With work in
       // flight, fall through and poll the reply links instead.
-      if (inflight.empty() && !draining_ && (paused_ || queues_empty()) &&
+      if (inflight.empty() && !stopped_ && (paused_ || queues_empty()) &&
           stats_requests_.empty() && topology_requests_.empty()) {
         const auto idle_deadline =
             std::chrono::steady_clock::now() + config_.router_poll;
-        while (!draining_ && (paused_ || queues_empty()) &&
+        while (!stopped_ && (paused_ || queues_empty()) &&
                stats_requests_.empty() && topology_requests_.empty()) {
           if (cv_router_.wait_until(lock, idle_deadline) ==
               std::cv_status::timeout)
             break;
         }
       }
-      drain = draining_;
+      drain = stopped_;
       if (!paused_ || drain) {
         for (std::size_t s = 0; s < queues_.size(); ++s) {
           std::deque<Pending>& queue = queues_[s].requests;
@@ -1174,22 +992,14 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       // On failure mark_dead already shed this request out of inflight.
     }
 
-    int n = static_cast<int>(links.size());
+    int n = static_cast<int>(workers_.size());
     for (int s = 0; s < n; ++s) {
-      if (!routable(s)) continue;
-      while (std::optional<ShardReply> reply = shard_try_recv(s)) {
+      while (routable(s)) {
+        std::optional<ShardReply> reply =
+            shard_recv(s, std::chrono::microseconds::zero());
+        if (!reply) break;
         progress = true;
-        // A well-framed but protocol-violating reply (duplicate/unknown
-        // id, spurious kind) gets the same demotion a dead link gets:
-        // one misbehaving worker must not take the router — and every
-        // other shard's futures — down with it.
-        try {
-          handle_reply(s, std::move(*reply));
-        } catch (const Error& e) {
-          if (!socket) throw;
-          mark_dead(s, e.what());
-          break;
-        }
+        take_reply(s, std::move(*reply));
       }
     }
 
@@ -1210,14 +1020,14 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       } catch (...) {
         topology_command->done.set_exception(std::current_exception());
       }
-      n = static_cast<int>(links.size());
+      n = static_cast<int>(workers_.size());
     }
 
     // Self-heal monitor: any slot that died (and was neither removed
     // nor demoted) gets respawned once its backoff expires. Runs after
     // routing so a death observed this iteration sheds first — owed
     // futures never ride the respawn.
-    if (socket && !drain && config_.socket.respawn) {
+    if (!drain && config_.socket.respawn) {
       const auto now = std::chrono::steady_clock::now();
       std::vector<ShardState*> states;
       {
@@ -1244,27 +1054,20 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       // Non-kStats replies arriving meanwhile are processed normally.
       std::vector<EngineStats> snapshot(static_cast<std::size_t>(n));
       for (int s = 0; s < n; ++s) {
-        if (!routable(s)) continue;
-        if (!shard_send(s, ShardEnvelope{ShardEnvelope::Kind::kStats, 0, {}}))
+        if (!routable(s) ||
+            !shard_send(s, ShardEnvelope{ShardEnvelope::Kind::kStats, 0, {}}))
           continue;
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(5);
         while (routable(s) && std::chrono::steady_clock::now() < deadline) {
-          try {
-            std::optional<std::vector<std::uint8_t>> bytes =
-                links[static_cast<std::size_t>(s)]->recv_for(
-                    std::chrono::microseconds(10'000));
-            if (!bytes) continue;
-            ShardReply reply = decode_reply(*bytes);
-            if (reply.kind == ShardReply::Kind::kStats) {
-              snapshot[static_cast<std::size_t>(s)] = reply.stats;
-              break;
-            }
-            handle_reply(s, std::move(reply));
-          } catch (const Error& e) {
-            if (!socket) throw;
-            mark_dead(s, e.what());
+          std::optional<ShardReply> reply =
+              shard_recv(s, std::chrono::microseconds(10'000));
+          if (!reply) continue;
+          if (reply->kind == ShardReply::Kind::kStats) {
+            snapshot[static_cast<std::size_t>(s)] = reply->stats;
+            break;
           }
+          take_reply(s, std::move(*reply));
         }
       }
       stats_request->set_value(std::move(snapshot));
@@ -1294,7 +1097,7 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
         if (routable(s) && !drain_acked[static_cast<std::size_t>(s)])
           acked = false;
       if (!queued && inflight.empty() && acked) break;
-      if (socket && std::chrono::steady_clock::now() > drain_stall_deadline) {
+      if (std::chrono::steady_clock::now() > drain_stall_deadline) {
         std::vector<char> owes(static_cast<std::size_t>(n), 0);
         for (const auto& [id, fl] : inflight)
           owes[static_cast<std::size_t>(fl.shard)] = 1;
@@ -1309,46 +1112,17 @@ void RankShardedEngine::router_loop(std::vector<parallel::Transport*> links) {
       std::this_thread::sleep_for(config_.router_poll);
   }
 
-  // Shutdown handshake: every live shard acks kStopped after finishing
-  // its in-hand batch, so joining the runtime cannot strand work. The
-  // timed recv turns a protocol bug into a loud error instead of a
-  // destructor that never returns; a socket worker that will not ack is
-  // demoted to dead (the reaper escalates to SIGKILL).
-  const int n = static_cast<int>(links.size());
+  // Shutdown handshake: every live worker acks kStopped after finishing
+  // its in-hand batch, so stopping the workers cannot strand work. A
+  // worker that will not ack in time is marked dead (stop_worker then
+  // closes its link and, for a process, escalates to SIGKILL).
+  const int n = static_cast<int>(workers_.size());
   for (int s = 0; s < n; ++s)
     if (routable(s))
       shard_send(s, ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}});
-  for (int s = 0; s < n; ++s) {
-    while (routable(s)) {
-      std::optional<ShardReply> ack;
-      try {
-        std::optional<std::vector<std::uint8_t>> bytes =
-            links[static_cast<std::size_t>(s)]->recv_for(
-                std::chrono::microseconds(30'000'000));
-        if (bytes) ack = decode_reply(*bytes);
-      } catch (const Error& e) {
-        if (!socket) throw;
-        mark_dead(s, e.what());
-        break;
-      }
-      if (socket && !ack.has_value()) {
-        mark_dead(s, "no shutdown ack within the deadline");
-        break;
-      }
-      QKMPS_CHECK_MSG(ack.has_value(), "shard never acked shutdown");
-      if (ack->kind == ShardReply::Kind::kStopped) break;
-      // Late replies queued before the shutdown envelope: handle them so
-      // their futures resolve, then keep waiting for the ack. A
-      // protocol-violating late reply demotes the shard like a dead link.
-      try {
-        handle_reply(s, std::move(*ack));
-      } catch (const Error& e) {
-        if (!socket) throw;
-        mark_dead(s, e.what());
-        break;
-      }
-    }
-  }
+  for (int s = 0; s < n; ++s)
+    await_ack(s, ShardReply::Kind::kStopped, std::chrono::seconds(30),
+              "no shutdown ack within the deadline");
 }
 
 bool RankShardedEngine::queues_empty() const {
@@ -1358,17 +1132,12 @@ bool RankShardedEngine::queues_empty() const {
 }
 
 std::vector<EngineStats> RankShardedEngine::fetch_remote_stats() const {
-  std::size_t n;
-  {
-    util::MutexLock topo(topology_mu_);
-    n = shard_state_.size();
-  }
+  const std::size_t n = num_shards();
   std::promise<std::vector<EngineStats>> promise;
   std::future<std::vector<EngineStats>> fut = promise.get_future();
   {
     util::MutexLock lock(mu_);
-    if (stopped_ || draining_ || runtime_error_)
-      return std::vector<EngineStats>(n);
+    if (stopped_ || runtime_error_) return std::vector<EngineStats>(n);
     stats_requests_.push_back(std::move(promise));
   }
   cv_router_.notify_all();
@@ -1389,12 +1158,10 @@ RankShardedStats RankShardedEngine::stats() const {
   agg.completed = completed_.load(std::memory_order_relaxed);
   agg.shed = shed_.load(std::memory_order_relaxed);
   agg.resizes = resizes_.load(std::memory_order_relaxed);
-  std::vector<EngineStats> engine_stats;
-  // The remote sweep happens before topology_mu_ is taken: the router
-  // answers it, and the router may itself be inside a resize holding
+  // The sweep happens before topology_mu_ is taken: the router answers
+  // it, and the router may itself be inside a resize holding
   // topology_mu_ — waiting on it while it waited on us would deadlock.
-  if (config_.transport == TransportKind::kSocket)
-    engine_stats = fetch_remote_stats();
+  const std::vector<EngineStats> engine_stats = fetch_remote_stats();
   std::vector<std::pair<std::size_t, std::size_t>> depths;  // now, high water
   {
     util::MutexLock lock(mu_);
@@ -1402,11 +1169,6 @@ RankShardedStats RankShardedEngine::stats() const {
       depths.emplace_back(queue.requests.size(), queue.high_water);
   }
   util::MutexLock topo(topology_mu_);
-  if (config_.transport != TransportKind::kSocket) {
-    engine_stats.reserve(engines_.size());
-    for (const auto& engine : engines_)
-      engine_stats.push_back(engine ? engine->stats() : EngineStats{});
-  }
   agg.shards.reserve(shard_state_.size());
   for (std::size_t i = 0; i < shard_state_.size(); ++i) {
     RankShardStats s;

@@ -14,13 +14,12 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
-#include "parallel/rank_runtime.hpp"
 #include "parallel/socket_transport.hpp"
-#include "parallel/transport.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/model_bundle.hpp"
 #include "serve/router.hpp"
 #include "serve/shard_wire.hpp"
+#include "serve/shard_worker.hpp"
 
 namespace qkmps::serve {
 
@@ -72,34 +71,36 @@ struct RoutedPrediction {
   double queue_seconds = 0.0;  ///< admission -> forward (0 if rejected)
   double total_seconds = 0.0;  ///< admission -> future fulfilment
   /// Why a request was shed without being scored when a shard worker
-  /// died (socket transport); empty for load-shedding and every other
-  /// status.
+  /// died; empty for load-shedding and every other status.
   std::string error;
   /// The request's stitched trace (obs/trace.hpp): router-side spans
-  /// plus — over the socket transport — the worker-side spans shipped
-  /// back in the reply, re-based onto the router timeline.
+  /// plus the worker-side spans shipped back in the reply, re-based onto
+  /// the router timeline.
   /// trace.trace_id == 0 for rejected requests (never admitted).
   obs::TraceSummary trace;
 };
 
-/// Which transport carries the ShardEnvelope/ShardReply protocol between
-/// the router and its shards (see shard_wire.hpp for the messages and
-/// DESIGN.md §1 for the substitution story).
+/// Where a shard worker runs. Either way it runs serve::run_shard_worker
+/// over a parallel::SocketTransport link carrying the ShardEnvelope/
+/// ShardReply protocol (see shard_wire.hpp for the messages and DESIGN.md
+/// §1 for the substitution story), and the router drives both kinds
+/// through one lifecycle.
 enum class TransportKind : std::uint8_t {
-  /// Shard ranks on parallel::RankRuntime threads, messages over
-  /// CommTransport — everything in-process. Supports add_shard().
+  /// A thread this process starts, owning its InferenceEngine, on one
+  /// end of a SocketTransport::pair (an AF_UNIX socketpair). No spawn,
+  /// no handshake. It can only die through a bug.
   kInProcess,
-  /// Shard worker processes (the serving_rankd binary in tools/),
-  /// spawned by the engine and connected over SocketTransport. The
-  /// protocol bytes are identical to kInProcess; only the carrier and
-  /// the failure model change (a worker can die — see the shed-on-death
-  /// semantics below).
+  /// A spawned serving_rankd process (tools/), which loads the bundle
+  /// from disk, connects back to the engine's listener over TCP or a
+  /// Unix-domain socket, and handshakes in. It can die (crash, kill):
+  /// see the shed-on-death semantics below.
   kSocket,
 };
 
 const char* to_string(TransportKind kind);
 
-/// Socket-mode deployment knobs.
+/// Socket-mode deployment knobs; the self-healing ones (respawn ...
+/// respawn_backoff_max) govern in-process workers too.
 struct SocketTransportConfig {
   /// The shard worker executable (tools/serving_rankd.cpp). Required.
   std::string worker_path;
@@ -117,7 +118,7 @@ struct SocketTransportConfig {
   /// that lets the suites simulate crashing workers (--die-after=N).
   std::vector<std::string> worker_extra_args;
   /// Self-healing: when a worker's link dies mid-serve, the router
-  /// respawns a replacement (next generation of the same shard slot,
+  /// starts a replacement (next generation of the same shard slot,
   /// same ring weight, so routing is undisturbed and the handshake can
   /// refuse stragglers from the dead generation). In-flight and
   /// interim requests still shed — the respawn restores capacity, it
@@ -133,9 +134,9 @@ struct SocketTransportConfig {
 };
 
 struct RankShardedEngineConfig {
-  /// Worker shards. In-process: ranks 1..num_shards with rank 0 the
-  /// router, so the underlying RankRuntime runs num_shards + 1 ranks.
-  /// Socket: num_shards spawned worker processes.
+  /// Shard workers started at construction: num_shards threads
+  /// (in-process) or spawned worker processes (socket), plus the
+  /// engine's one router thread either way.
   std::size_t num_shards = 2;
   /// Per-shard engine knobs; num_threads == 0 divides hardware threads
   /// across the shards (shard_thread_lanes) — including socket workers,
@@ -159,7 +160,7 @@ struct RankShardedEngineConfig {
   /// How long the idle router sleeps between queue/reply polls. Lower =
   /// less added latency, more wakeups; the default adds at most ~0.1 ms.
   std::chrono::microseconds router_poll{100};
-  /// Transport selection + socket-mode knobs.
+  /// Where the shard workers run, plus socket-mode and self-heal knobs.
   TransportKind transport = TransportKind::kInProcess;
   SocketTransportConfig socket;
   /// Ring weights of the initial fleet (heterogeneous shards: a worker
@@ -179,9 +180,9 @@ struct RankShardedEngineConfig {
 };
 
 /// Per-shard snapshot: router-side routing counters plus the shard
-/// engine's own counters (cache, memo, circuits). In socket mode the
-/// engine counters are fetched over the wire (kStats flow) and are zeros
-/// for a dead worker.
+/// engine's own counters (cache, memo, circuits). The engine counters
+/// are fetched over the worker's link (kStats flow) in both transports
+/// and are zeros for a dead or removed worker.
 struct RankShardStats {
   std::uint64_t routed = 0;  ///< envelopes the router sent this shard
   std::uint64_t served = 0;  ///< predictions this shard replied
@@ -198,8 +199,8 @@ struct RankShardStats {
 
 /// Aggregate snapshot. Invariant (once traffic settles): submitted ==
 /// admitted + rejected and admitted == completed + shed — shed counts
-/// kShedOldest evictions plus requests lost to a dead worker (socket
-/// mode only; the in-process transport cannot lose a shard). stats()
+/// kShedOldest evictions plus requests lost to a dead worker (a killed
+/// process, or a thread worker that failed through a bug). stats()
 /// loads `admitted` before `completed` and `shed`, so admitted -
 /// completed - shed never overstates the requests still unresolved.
 struct RankShardedStats {
@@ -212,16 +213,17 @@ struct RankShardedStats {
   std::vector<RankShardStats> shards;
 };
 
-/// Sharded serving frontend: N InferenceEngine shards behind per-shard
-/// bounded admission queues, with the shard boundary on a
-/// parallel::Transport.
+/// Sharded serving frontend: N InferenceEngine shard workers behind
+/// per-shard bounded admission queues, each worker at the far end of a
+/// parallel::SocketTransport link.
 ///
 ///   submit(x) ─ Router(feature_hash(x)) ─► [pending queue s] ─ full? policy
 ///                                                  │ router: re-route, forward
 ///                                                  ▼ while s owes < 2 batches
-///      shard 0 ◄── ShardEnvelope ── Transport ── ShardEnvelope ──► shard N-1
-///   InferenceEngine                    ▲                  InferenceEngine
-///      └────────── ShardReply ─────────┴───── ShardReply ──────────┘
+///    worker 0 ◄─ ShardEnvelope ─ SocketTransport ─ ShardEnvelope ─► worker N-1
+///   InferenceEngine                   ▲                    InferenceEngine
+///      └────────── ShardReply ────────┴──────── ShardReply ─────────┘
+///   (thread over a socketpair, or serving_rankd over TCP/Unix socket)
 ///
 /// Admission happens in submit(): the request is routed by feature-bit
 /// hash through the configured Router and admitted into that shard's
@@ -234,61 +236,64 @@ struct RankShardedStats {
 /// stay below num_shards x (admission_capacity + 2 x batch bound). It
 /// assigns ids, routes each request again from its stored hash by the
 /// topology in force when it is forwarded (a request admitted during a
-/// resize never reaches a removed shard), and multiplexes the shards'
-/// reply links with try_recv. Each shard owns an InferenceEngine (with
-/// its StateCache and memo) and runs the shared gather->predict->reply loop
-/// (serve::run_shard_worker): block on the first envelope,
+/// resize never reaches a removed shard), and multiplexes the workers'
+/// reply links with try_recv. Each worker owns an InferenceEngine (with
+/// its StateCache and memo) and runs the shared gather->predict->reply
+/// loop (serve::run_shard_worker): block on the first envelope,
 /// opportunistically try_recv more up to the drain batch bound, score
 /// through the engine, reply per request. The only state crossing the
-/// shard boundary is protocol bytes — which is what lets the transport
-/// be swapped:
+/// link is protocol bytes in the same frames, so TransportKind decides
+/// only where a worker runs:
 ///
-///  - kInProcess: shards are RankRuntime ranks, links are CommTransport
-///    over typed channels. Behaviourally identical to the pre-transport
-///    engine, bit-for-bit on every served prediction.
-///  - kSocket: shards are serving_rankd processes the engine spawns;
-///    links are SocketTransport framed over TCP or Unix-domain sockets.
-///    Construction is listen -> spawn N workers -> accept N connections
-///    -> handshake each (wire-version + shard-index + model-shape
-///    check, see shard_wire.hpp).
+///  - kInProcess: a thread of this process on one end of a
+///    SocketTransport::pair.
+///  - kSocket: a serving_rankd process the engine spawns; construction
+///    is listen -> spawn N workers -> accept + handshake each (wire
+///    version + shard index + generation + ring weight + model shape,
+///    see shard_wire.hpp).
 ///
-/// Worker-death semantics (socket mode): a dead link — worker crash,
-/// kill, handshake loss mid-run — marks that shard dead and sheds with
+/// Worker lifecycle — one for both transports, run by the router thread
+/// (the constructor and destructor bracket it): one function starts a
+/// worker (thread: socketpair, engine, thread; process: spawn, pinned
+/// accept, handshake) and one stops it (close its link, then join the
+/// thread — it exits on the transport error, as a process does — or reap
+/// the process, escalating to SIGKILL).
+///
+/// Worker-death semantics: a dead link, a protocol-violating reply, or a
+/// worker that stalls a drain marks that shard dead and sheds with
 /// status instead of hanging or poisoning the engine: every in-flight
 /// request on that shard, and every later request routed to it while it
 /// is down, resolves ServeStatus::kShed with RoutedPrediction::error
 /// naming the cause. Other shards keep serving. Requests are
 /// deliberately not re-routed away from a dead shard: the assignment
 /// must stay a pure function of (hash, topology) so client-side routing
-/// stays possible.
+/// stays possible. A process can be killed; a thread worker dies only
+/// through a bug, and takes the same path.
 ///
-/// Self-healing (socket mode, socket.respawn): after shedding, the
-/// router respawns the dead slot — reap the corpse, bump the slot's
-/// generation, spawn a fresh serving_rankd with the same shard index /
-/// ring weight, and handshake it in (the pinned generation refuses any
-/// straggler from the dead spawn). Ring points never move, so the
-/// respawned worker inherits exactly the keyspace its predecessor owned.
-/// Failed attempts back off exponentially (socket.respawn_backoff,
-/// doubling to respawn_backoff_max); socket.max_respawn_attempts
-/// consecutive failures demote the slot permanently — it sheds forever
-/// and stats() reports it `demoted`. Every future owed at any point in
-/// this state machine resolves; none ride the respawn.
+/// Self-healing (socket.respawn, both transports): after shedding, the
+/// router restarts the dead slot — stop the corpse, bump the slot's
+/// generation, start a fresh worker with the same shard index / ring
+/// weight (a spawned one is handshaken in pinned to the new generation,
+/// which refuses any straggler from the dead spawn). Ring points never
+/// move, so the replacement inherits exactly the keyspace its
+/// predecessor owned. Failed attempts back off exponentially
+/// (socket.respawn_backoff, doubling to respawn_backoff_max);
+/// socket.max_respawn_attempts consecutive failures demote the slot
+/// permanently — it sheds forever and stats() reports it `demoted`.
+/// Every future owed at any point in this state machine resolves; none
+/// ride the respawn.
 ///
-/// Elasticity — both transports:
-///  - add_shard(weight): in-process, drains in-flight work, stops the
-///    rank loops, adds one InferenceEngine and one router ring point
-///    set, and restarts with one more rank. Over socket, no restart at
-///    all: the router spawns + handshakes one more serving_rankd and
-///    extends the ring while the survivors keep serving — their caches
-///    live in their own processes and are never touched.
+/// Elasticity — live in both transports; resizes run on the router
+/// thread between routing iterations while the survivors keep serving:
+///  - add_shard(weight): starts one more worker and extends the ring.
 ///  - remove_shard(i): hands i's ring keys to the clockwise survivors
 ///    (no survivor key moves), drains i's in-flight envelopes, then
-///    shutdown-handshakes and (socket) reaps it. Shard ids are never
+///    shutdown-handshakes and stops its worker. Shard ids are never
 ///    reused: the slot stays, marked `removed`, so assignments remain a
 ///    pure function of (hash, topology-history).
-/// The existing shard engines — and their StateCaches/memos — survive
-/// every resize; with the consistent-hash router growth remigrates only
-/// ~1/(N+1) of keys, so hot caches stay hot
+/// The surviving workers — and their StateCaches/memos — are never
+/// touched by a resize; with the consistent-hash router growth
+/// remigrates only ~1/(N+1) of keys, so hot caches stay hot
 /// (tests/test_rank_sharded_engine.cpp pins the retention). Requests
 /// submitted during a resize simply wait in their pending queues for the
 /// new topology.
@@ -303,17 +308,17 @@ struct RankShardedStats {
 /// stats(), pause_draining(), and resume_draining() are safe from any
 /// number of threads. add_shard() and remove_shard() serialize against
 /// each other and the destructor (lifecycle_mu_), and may run
-/// concurrently with submitters. In socket mode the router thread is the
-/// single writer of the live topology (links, ring, shard slots);
-/// external readers synchronize through topology_mu_, never through the
-/// router — so a resize can make progress while stats()/shard_for()
-/// callers come and go.
+/// concurrently with submitters. The router thread is the single writer
+/// of the live topology (workers, ring, shard slots); external readers
+/// synchronize through topology_mu_, never through the router — so a
+/// resize can make progress while stats()/shard_for() callers come and
+/// go.
 ///
 /// Shutdown contract: the destructor stops admission (later submits
 /// throw), serves every request already admitted to a pending queue or
 /// in flight (shedding those owed to dead workers) even while draining
-/// is paused, shuts the shards down with control envelopes, joins the
-/// router, and reaps worker processes — no future is ever dropped.
+/// is paused, shuts the workers down with control envelopes, joins the
+/// router, and stops every worker — no future is ever dropped.
 class RankShardedEngine {
  public:
   explicit RankShardedEngine(ModelBundle bundle,
@@ -327,19 +332,16 @@ class RankShardedEngine {
 
   /// Validates, routes, applies the admission policy, and returns a
   /// future that always resolves: kServed, kRejected, or kShed (evicted
-  /// by kShedOldest, or owed to a dead worker in socket mode). Throws
-  /// immediately on a malformed feature vector — admission statuses are
-  /// for load, not for bad input — or on submit after the destructor
-  /// began.
+  /// by kShedOldest, or owed to a dead worker). Throws immediately on a
+  /// malformed feature vector — admission statuses are for load, not for
+  /// bad input — or on submit after the destructor began.
   std::future<RoutedPrediction> submit(std::vector<double> features);
 
   /// The shard `features` routes to under the current topology (pure
   /// function of the feature bits and the shard count).
   int shard_for(const std::vector<double>& features) const;
 
-  /// Grows the shard set by one shard of ring weight `weight`.
-  /// In-process: drains, extends engines + router, restarts the ranks.
-  /// Socket: spawns + handshakes one more serving_rankd while the
+  /// Grows the shard set by one worker of ring weight `weight` while the
   /// surviving workers keep serving — no restart, no cache disturbance.
   /// Blocks until the new topology is serving. Non-1.0 weights require
   /// the consistent-hash router.
@@ -347,11 +349,10 @@ class RankShardedEngine {
 
   /// Shrinks the fleet: hands shard `shard`'s ring keys to the
   /// clockwise survivors, drains its in-flight envelopes, shutdown-
-  /// handshakes it, and (socket) reaps the worker process. The id is
-  /// never reused — the slot stays, reported `removed` by stats(), and
-  /// num_shards() keeps counting it. Throws when `shard` is out of
-  /// range, already removed, or the last shard standing. Blocks until
-  /// the handoff is complete.
+  /// handshakes it, and stops its worker. The id is never reused — the
+  /// slot stays, reported `removed` by stats(), and num_shards() keeps
+  /// counting it. Throws when `shard` is out of range, already removed,
+  /// or the last shard standing. Blocks until the handoff is complete.
   void remove_shard(std::size_t shard);
 
   /// Socket mode: the pid of the worker currently serving shard
@@ -363,7 +364,9 @@ class RankShardedEngine {
   /// Operational drain control: while paused, requests are admitted (and
   /// the policy enforced) but the router forwards nothing new, so queues
   /// fill deterministically — used by maintenance windows and by the
-  /// admission tests. Resizes and destruction drain regardless of pause.
+  /// admission tests. Resizes leave paused queues alone (requests queued
+  /// for a removed shard are re-routed once draining resumes); only
+  /// destruction drains regardless of pause.
   void pause_draining();
   void resume_draining();
 
@@ -399,10 +402,8 @@ class RankShardedEngine {
 
   /// Router-side per-shard slot: routing counters, liveness, and the
   /// respawn state machine. Atomics are the cross-thread surface
-  /// (stats() snapshots them); the trailing plain fields belong to
-  /// whoever is allowed to mutate topology at that moment (the router
-  /// thread in socket mode, the resize caller between runtimes
-  /// otherwise).
+  /// (stats() and worker_pid() snapshot them); the trailing plain fields
+  /// belong to the router thread.
   struct ShardState {
     std::atomic<std::uint64_t> routed{0};
     std::atomic<std::uint64_t> served{0};
@@ -411,20 +412,29 @@ class RankShardedEngine {
     std::atomic<bool> demoted{false};
     std::atomic<std::uint64_t> respawns{0};
     std::atomic<std::uint64_t> generation{0};
+    std::atomic<long> pid{-1};  ///< the serving worker process, if any
     /// weight and threads are immutable after the slot is published into
     /// shard_state_ (set before the locked push_back), so readers need no
     /// lock beyond the one that found the slot.
     double weight = 1.0;
-    std::size_t threads = 0;  ///< lane budget handed to socket workers
-    /// Respawn bookkeeping (router-thread-only, socket mode).
+    std::size_t threads = 0;  ///< the worker engine's lane budget
+    /// Respawn bookkeeping (router-thread-only).
     std::size_t respawn_attempts = 0;
     std::chrono::milliseconds respawn_delay{0};
     std::chrono::steady_clock::time_point next_respawn{};
   };
 
-  /// add_shard()/remove_shard() -> router handoff (socket mode): the
-  /// router is the single topology writer, so resizes execute on its
-  /// thread between routing iterations.
+  /// One shard worker, whichever transport runs it: the router's end of
+  /// its link plus what must be stopped with it.
+  struct Worker {
+    std::unique_ptr<parallel::SocketTransport> link;
+    long pid = -1;       ///< kSocket: the spawned serving_rankd
+    std::thread thread;  ///< kInProcess: runs run_shard_worker
+  };
+
+  /// add_shard()/remove_shard() -> router handoff: the router is the
+  /// single topology writer, so resizes execute on its thread between
+  /// routing iterations.
   struct TopologyCommand {
     enum class Op : std::uint8_t { kAdd, kRemove };
     Op op = Op::kAdd;
@@ -433,23 +443,34 @@ class RankShardedEngine {
     std::promise<void> done;
   };
 
-  void start_runtime();
-  void start_socket_runtime();
-  /// Sets drain mode (and optionally the terminal stop flag), wakes the
-  /// router, joins the runtime thread, and (socket mode) closes links
-  /// and reaps workers. After return no shard loop is running.
-  void stop_runtime(bool final_stop);
-  /// The transport-generic router loop: one Transport per shard, taken
-  /// by value because socket-mode resizes grow it in place. Runs on
-  /// rank 0 (in-process) or the engine's router thread (socket).
-  void router_loop(std::vector<parallel::Transport*> links);
+  /// Starts the worker for slot `shard` and returns it serving: a thread
+  /// over a fresh socketpair, or a spawned serving_rankd accepted and
+  /// handshaken pinned to (shard, generation, weight). Throws — with
+  /// nothing left running — when the worker cannot be started.
+  Worker start_worker(std::size_t shard, std::size_t threads, double weight,
+                      std::uint64_t generation);
+  /// Closes the worker's link, then joins its thread or reaps its
+  /// process (SIGKILL after `grace`). Idempotent.
+  void stop_worker(Worker& worker, std::chrono::milliseconds grace);
+  /// Accepts connections until one passes the handshake `policy` pins,
+  /// within socket.connect_timeout (socket mode).
+  std::unique_ptr<parallel::SocketTransport> accept_worker(
+      const ShardAcceptPolicy& policy);
+  /// add_shard()/remove_shard(): hands `cmd` to the router and waits.
+  void resize(TopologyCommand cmd);
+  /// The router thread's body: router_loop(), then fail whatever stats
+  /// or resize request is still waiting on it.
+  void run_router();
+  /// The router thread's loop: admission queues -> workers -> futures,
+  /// plus resizes, the self-heal monitor, and the final drain.
+  void router_loop();
   /// Command line for one serving_rankd spawn (socket mode).
   std::vector<std::string> worker_args(std::size_t shard, std::size_t threads,
                                        double weight,
                                        std::uint64_t generation) const;
-  /// Socket mode: snapshot every live worker's EngineStats over the
-  /// kStats flow. Called by stats() via the stats_requests_ queue the
-  /// router services between iterations.
+  /// Snapshot every live worker's EngineStats over the kStats flow.
+  /// Called by stats() via the stats_requests_ queue the router services
+  /// between iterations.
   std::vector<EngineStats> fetch_remote_stats() const;
   std::size_t drain_batch_limit() const;
   bool queues_empty() const QKMPS_REQUIRES(mu_);
@@ -465,22 +486,16 @@ class RankShardedEngine {
   /// caller holds it while *waiting on* the router, so the router
   /// taking it would deadlock.
   mutable util::Mutex lifecycle_mu_;
-  /// Guards the topology containers (router_, engines_, the
-  /// shard_state_/links_/worker_pids_ vectors). The router thread is
-  /// still the only *writer* in socket mode (the resize caller between
-  /// runtimes otherwise), but every access — including the router's own
-  /// pointer-grab reads — now takes the lock, so the discipline is
-  /// machine-checked instead of commented. Held for pointer-swap
-  /// moments only, never across a drain or a spawn; ShardState objects
-  /// themselves are stable once published (unique_ptr slots are never
-  /// erased), so holders of a ShardState* drop the lock before touching
-  /// its atomics.
+  /// Guards the topology containers (router_, shard_state_). The router
+  /// thread is the only *writer*, but every access — including the
+  /// router's own pointer-grab reads — takes the lock, so the discipline
+  /// is machine-checked instead of commented. Held for pointer-swap
+  /// moments only, never across a drain or a worker start; ShardState
+  /// objects themselves are stable once published (unique_ptr slots are
+  /// never erased), so holders of a ShardState* drop the lock before
+  /// touching its atomics.
   mutable util::Mutex topology_mu_;
   std::unique_ptr<Router> router_ QKMPS_GUARDED_BY(topology_mu_);
-  /// In-process transport only; socket-mode engines live in the worker
-  /// processes. A removed in-process shard's slot holds nullptr.
-  std::vector<std::unique_ptr<InferenceEngine>> engines_
-      QKMPS_GUARDED_BY(topology_mu_);
   std::vector<std::unique_ptr<ShardState>> shard_state_
       QKMPS_GUARDED_BY(topology_mu_);
 
@@ -490,30 +505,27 @@ class RankShardedEngine {
   /// a shard, so there may be fewer than shards. A deque: growing it
   /// never moves a queue (a deque of promises cannot be copied).
   std::deque<ShardQueue> queues_ QKMPS_GUARDED_BY(mu_);
-  /// stats() -> router handoff (socket mode): the router answers each
-  /// with a kStats sweep of the live workers.
+  /// stats() -> router handoff: the router answers each with a kStats
+  /// sweep of the live workers.
   mutable std::deque<std::promise<std::vector<EngineStats>>> stats_requests_
       QKMPS_GUARDED_BY(mu_);
-  /// add/remove_shard -> router handoff (socket mode).
+  /// add/remove_shard -> router handoff.
   std::deque<TopologyCommand> topology_requests_ QKMPS_GUARDED_BY(mu_);
-  /// Router: finish outstanding work and return.
-  bool draining_ QKMPS_GUARDED_BY(mu_) = false;
-  /// pause_draining(): the router forwards nothing unless draining_.
+  /// pause_draining(): the router forwards nothing unless stopped_.
   bool paused_ QKMPS_GUARDED_BY(mu_) = false;
-  /// Terminal: submit() throws from now on.
+  /// Terminal: submit() throws from now on, and the router drains what
+  /// was admitted, shuts the workers down, and returns.
   bool stopped_ QKMPS_GUARDED_BY(mu_) = false;
 
-  std::unique_ptr<parallel::RankRuntime> runtime_;  ///< in-process mode
-  /// Socket mode: the listener stays open for the engine's life and is
-  /// touched only by the router thread (accepts) and by stop_runtime
-  /// after that thread is joined — single-owner by construction.
+  /// Socket mode: the listener stays open for the engine's life.
+  /// listener_ and workers_ (one per shard slot; a removed slot's is
+  /// empty) are touched by the constructor, then only by the router
+  /// thread, then by the destructor after that thread is joined —
+  /// single-owner by construction.
   std::unique_ptr<parallel::SocketListener> listener_;
-  /// One link and one spawned pid per shard slot (socket mode).
-  std::vector<std::unique_ptr<parallel::SocketTransport>> links_
-      QKMPS_GUARDED_BY(topology_mu_);
-  std::vector<long> worker_pids_ QKMPS_GUARDED_BY(topology_mu_);
-  std::thread runtime_thread_;
-  /// First rank-body escapee, if any.
+  std::vector<Worker> workers_;
+  std::thread router_thread_;
+  /// The router loop's escapee, if any.
   std::exception_ptr runtime_error_ QKMPS_GUARDED_BY(mu_);
 
   std::atomic<std::uint64_t> submitted_{0};

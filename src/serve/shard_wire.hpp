@@ -12,12 +12,11 @@ namespace qkmps::serve {
 /// Wire protocol of the rank-distributed serving frontend. Everything the
 /// router and the shard workers exchange travels as one of these two
 /// message structs, and each struct has exactly one byte serialization
-/// (encode/decode below) — the payload a parallel::Transport carries.
-/// Over the in-process CommTransport the bytes ride a typed channel; over
-/// SocketTransport the same bytes get a frame header on the wire
-/// (parallel/socket_transport.hpp). Either way the router logic, the
-/// worker loop, and the batching are identical — the transport
-/// substitution DESIGN.md §1 promises.
+/// (encode/decode below) — the payload a parallel::SocketTransport frame
+/// carries (parallel/socket_transport.hpp), whether the shard worker is a
+/// thread on a socketpair or a spawned process on a TCP/Unix socket.
+/// Either way the bytes, the router logic, the worker loop, and the
+/// batching are identical — the transport substitution of DESIGN.md §1.
 ///
 /// Numbers are written with the util/binary_io.hpp primitives, so the
 /// wire inherits its endianness caveat: native little-endian, not

@@ -48,7 +48,8 @@ std::vector<obs::Span> batch_spans(double gather_seconds,
 
 }  // namespace
 
-bool run_shard_worker(parallel::Transport& link, InferenceEngine& engine,
+bool run_shard_worker(parallel::SocketTransport& link,
+                      InferenceEngine& engine,
                       const ShardWorkerOptions& options) {
   const std::size_t limit = std::max<std::size_t>(1, options.batch_limit);
   std::size_t scored_total = 0;
@@ -156,7 +157,7 @@ bool run_shard_worker(parallel::Transport& link, InferenceEngine& engine,
   }
 }
 
-void shard_handshake_client(parallel::Transport& link,
+void shard_handshake_client(parallel::SocketTransport& link,
                             const ShardHello& hello,
                             std::chrono::microseconds timeout) {
   link.send(encode_hello(hello));
@@ -173,7 +174,7 @@ void shard_handshake_client(parallel::Transport& link,
                       << kShardWireVersion);
 }
 
-ShardHello shard_handshake_server(parallel::Transport& link,
+ShardHello shard_handshake_server(parallel::SocketTransport& link,
                                   const ShardAcceptPolicy& policy,
                                   std::chrono::microseconds timeout) {
   const std::optional<std::vector<std::uint8_t>> bytes =
@@ -210,16 +211,6 @@ ShardHello shard_handshake_server(parallel::Transport& link,
   link.send(encode_welcome(welcome));
   QKMPS_CHECK_MSG(welcome.accepted, "refused worker: " << welcome.error);
   return hello;
-}
-
-ShardHello shard_handshake_server(parallel::Transport& link,
-                                  std::size_t num_shards,
-                                  std::int64_t num_features,
-                                  std::chrono::microseconds timeout) {
-  ShardAcceptPolicy policy;
-  policy.num_shards = num_shards;
-  policy.num_features = num_features;
-  return shard_handshake_server(link, policy, timeout);
 }
 
 }  // namespace qkmps::serve

@@ -5,18 +5,20 @@
 #include <cstdint>
 #include <optional>
 
-#include "parallel/transport.hpp"
+#include "parallel/socket_transport.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/shard_wire.hpp"
 
 namespace qkmps::serve {
 
 /// The shard side of the rank-sharded serving protocol, factored out of
-/// the engine so the exact same loop serves both deployments: an
-/// in-process rank of serve::RankShardedEngine (over CommTransport) and
-/// the serving_rankd worker process (over SocketTransport). One loop
-/// body means the socket mode cannot drift behaviourally from the
-/// in-process mode the parity suites pin.
+/// the engine so the exact same loop serves both kinds of shard worker:
+/// a thread serve::RankShardedEngine starts in its own process (over one
+/// end of a SocketTransport::pair) and the serving_rankd worker process
+/// (over a connected SocketTransport, after the handshake below). Same
+/// loop, same frame codec, same link class — the transports differ only
+/// in where the worker runs, so neither can drift behaviourally from the
+/// other.
 
 struct ShardWorkerOptions {
   /// Gather bound per batch (the engine's drain_max_batch resolution).
@@ -34,30 +36,32 @@ struct ShardWorkerOptions {
 
 /// Runs the gather->predict->reply loop until a kShutdown envelope
 /// arrives (acked with kStopped) or `die_after_requests` trips. Batching
-/// is opportunistic exactly as in the rank body it replaces: block for
-/// the first envelope, try_recv whatever is already queued up to
-/// batch_limit, score once through the engine, reply per request. kDrain
+/// is opportunistic: block for the first envelope, try_recv whatever is
+/// already queued up to batch_limit, score once through the engine,
+/// reply per request. kDrain
 /// and kStats are honoured after the in-hand batch (FIFO: their acks must
 /// follow the batch's replies). Throws qkmps::Error if the link dies —
-/// the caller owns what a dead router means (a worker process exits).
-/// Returns true on a clean, kStopped-acked shutdown; false when the
-/// die_after_requests hook ended the loop instead (so serving_rankd can
-/// report which exit it took).
-bool run_shard_worker(parallel::Transport& link, InferenceEngine& engine,
+/// the caller owns what a dead router means (a worker process exits, a
+/// worker thread returns). Returns true on a clean, kStopped-acked
+/// shutdown; false when the die_after_requests hook ended the loop
+/// instead (so serving_rankd can report which exit it took).
+bool run_shard_worker(parallel::SocketTransport& link,
+                      InferenceEngine& engine,
                       const ShardWorkerOptions& options = {});
 
 /// Worker-side handshake: sends `hello`, waits for the router's verdict.
 /// Throws qkmps::Error on timeout, version skew, or refusal (carrying the
 /// router's reason).
-void shard_handshake_client(parallel::Transport& link,
+void shard_handshake_client(parallel::SocketTransport& link,
                             const ShardHello& hello,
                             std::chrono::microseconds timeout);
 
 /// What the router requires of a connecting worker's hello. The optional
-/// fields pin a *specific* expected worker — the elastic paths (respawn,
-/// add_shard) spawn exactly one process and must refuse any other
-/// straggler (a late connection from a superseded generation, a worker
-/// claiming the wrong slot, or one spawned with a stale weight).
+/// fields pin a *specific* expected worker — the engine spawns one
+/// process at a time (at construction, add_shard and respawn) and must
+/// refuse any other straggler (a late connection from a superseded
+/// generation, a worker claiming the wrong slot, or one spawned with a
+/// stale weight).
 struct ShardAcceptPolicy {
   std::size_t num_shards = 0;
   std::int64_t num_features = 0;
@@ -77,14 +81,8 @@ struct ShardAcceptPolicy {
 /// and replies with the verdict. Returns the validated hello; throws
 /// qkmps::Error — after sending the refusal so the worker can die loudly
 /// too — when validation fails or the hello never comes.
-ShardHello shard_handshake_server(parallel::Transport& link,
+ShardHello shard_handshake_server(parallel::SocketTransport& link,
                                   const ShardAcceptPolicy& policy,
-                                  std::chrono::microseconds timeout);
-
-/// Convenience overload: range/shape checks only (the fixed-fleet path).
-ShardHello shard_handshake_server(parallel::Transport& link,
-                                  std::size_t num_shards,
-                                  std::int64_t num_features,
                                   std::chrono::microseconds timeout);
 
 }  // namespace qkmps::serve

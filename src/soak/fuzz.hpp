@@ -21,8 +21,8 @@ struct FuzzLabConfig {
   /// Ring points per shard for the lab engines' consistent-hash routers.
   std::size_t virtual_nodes = 64;
   /// Socket-mode knobs; leaving worker_path empty keeps the lab
-  /// in-process, which makes every post-death cell unreachable (the
-  /// in-process transport cannot lose a worker) — build the coverage map
+  /// in-process, which makes every post-death cell unreachable (an
+  /// in-process worker thread cannot be killed) — build the coverage map
   /// with with_worker_death = supports_worker_death().
   std::string worker_path;
   std::string bundle_dir;

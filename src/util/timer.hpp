@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 
 namespace qkmps {
 
@@ -41,30 +40,6 @@ class ThreadCpuTimer {
   double start_ = 0.0;
 };
 
-/// RAII scope timer on the steady clock: hands the elapsed seconds to a
-/// callback at scope exit. The building block under obs::ScopedSpan and
-/// the bench harness's per-section timing — steady_clock, so a measured
-/// interval can never go backwards under an NTP adjustment the way a
-/// system_clock difference can.
-template <typename Sink>
-class ScopeTimer {
- public:
-  explicit ScopeTimer(Sink sink) : sink_(std::move(sink)) {}
-  ~ScopeTimer() { sink_(timer_.seconds()); }
-
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-
- private:
-  Sink sink_;
-  Timer timer_;
-};
-
-template <typename Sink>
-ScopeTimer<Sink> make_scope_timer(Sink sink) {
-  return ScopeTimer<Sink>(std::move(sink));
-}
-
 /// Accumulates named wall-clock phases; used by the bench harness to report
 /// the simulation / inner-product / communication breakdown of Fig. 8.
 class PhaseTimer {
@@ -86,22 +61,6 @@ class PhaseTimer {
 
  private:
   std::map<std::string, double> phases_;
-};
-
-/// RAII helper: times a scope and adds it to a PhaseTimer on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer& sink, std::string phase)
-      : sink_(sink), phase_(std::move(phase)) {}
-  ~ScopedPhase() { sink_.add(phase_, timer_.seconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer& sink_;
-  std::string phase_;
-  Timer timer_;
 };
 
 }  // namespace qkmps

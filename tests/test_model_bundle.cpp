@@ -164,6 +164,22 @@ TEST_F(ModelBundleTest, RejectsCorruptVectorLength) {
   EXPECT_THROW(load_bundle(dir_), Error);
 }
 
+TEST_F(ModelBundleTest, RejectsNonFiniteScalerBounds) {
+  const TrainedServing t = train_small_serving(9);
+  save_bundle(t.bundle, dir_);
+  // The scaler's lo bound (f64) sits right after the 60-byte fixed
+  // header (see RejectsCorruptVectorLength). lo = -inf would make every
+  // transformed feature inf or NaN, and every decision value NaN.
+  const auto path = dir_ + "/bundle.qkb";
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  const std::streamoff lo_offset = 4 + 4 + 3 * 8 + 8 + 4 + 8 + 8;
+  f.seekp(lo_offset);
+  const double lo = -std::numeric_limits<double>::infinity();
+  f.write(reinterpret_cast<const char*>(&lo), sizeof(lo));
+  f.close();
+  EXPECT_THROW(load_bundle(dir_), Error);
+}
+
 TEST_F(ModelBundleTest, RejectsMissingStateFile) {
   const TrainedServing t = train_small_serving(5);
   const ModelBundle& bundle = t.bundle;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "data/preprocess.hpp"
 #include "test_helpers.hpp"
 
@@ -94,6 +97,20 @@ TEST(FeatureScaler, RejectsFeatureCountMismatch) {
 
 TEST(FeatureScaler, RejectsTinyTrainSet) {
   EXPECT_THROW(FeatureScaler::fit(random_data(1, 2, 8)), Error);
+}
+
+/// restore() is the bundle loader's entry: bounds whose span is not a
+/// finite number would turn every transformed feature into inf or NaN.
+TEST(FeatureScaler, RestoreRejectsNonFiniteBounds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto restore = [](double lo, double hi) {
+    return FeatureScaler::restore({0.0}, {1.0}, {-1.0}, {1.0}, lo, hi);
+  };
+  EXPECT_NO_THROW(restore(0.0, 2.0));
+  EXPECT_THROW(restore(-inf, 2.0), Error);
+  EXPECT_THROW(restore(0.0, inf), Error);
+  EXPECT_THROW(restore(-1e308, 1e308), Error);  // span overflows to inf
+  EXPECT_THROW(restore(std::nan(""), 2.0), Error);
 }
 
 }  // namespace

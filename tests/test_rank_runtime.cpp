@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "parallel/rank_runtime.hpp"
@@ -148,152 +145,6 @@ TEST(RankRuntime, SingleRankRunsWithoutDeadlock) {
     ++hits;
   });
   EXPECT_EQ(hits, 1);
-}
-
-TEST(RankRuntime, TryRecvReturnsEmptyWithoutBlocking) {
-  RankRuntime rt(2);
-  rt.run([&](Comm& c) {
-    if (c.rank() == 1) {
-      // Nothing was ever sent: must return immediately with nullopt, any
-      // number of times.
-      EXPECT_FALSE(c.try_recv<int>(0).has_value());
-      EXPECT_FALSE(c.try_recv<int>(0).has_value());
-    }
-  });
-}
-
-TEST(RankRuntime, TryRecvDrainsQueuedMessagesInSendOrder) {
-  RankRuntime rt(2);
-  rt.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 20; ++i) c.send(1, i);
-      c.barrier();
-    } else {
-      c.barrier();  // all 20 sends happened-before this point
-      for (int i = 0; i < 20; ++i) {
-        const std::optional<int> got = c.try_recv<int>(0);
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(*got, i);
-      }
-      EXPECT_FALSE(c.try_recv<int>(0).has_value());  // drained
-    }
-  });
-}
-
-TEST(RankRuntime, TryRecvTypeMismatchThrows) {
-  RankRuntime rt(2);
-  EXPECT_THROW(rt.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      c.send(1, 42);
-      c.barrier();
-    } else {
-      c.barrier();
-      c.try_recv<std::string>(0);
-    }
-  }),
-               Error);
-}
-
-TEST(RankRuntime, RecvForTimesOutWhenNoSenderExists) {
-  RankRuntime rt(2);
-  rt.run([&](Comm& c) {
-    if (c.rank() == 1) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const std::optional<int> got =
-          c.recv_for<int>(0, std::chrono::microseconds(20'000));
-      const double waited = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-      EXPECT_FALSE(got.has_value());
-      EXPECT_GE(waited, 0.015);  // actually waited out the timeout
-    }
-  });
-}
-
-/// Zero and negative timeouts are a documented degenerate case, not an
-/// accident of wait_for: they must behave exactly like try_recv —
-/// deliver an already-queued message, return nullopt immediately on an
-/// empty channel, and never block or throw. The socket transport's
-/// router loop passes computed (possibly non-positive) remainders of a
-/// deadline straight through, so this contract is load-bearing.
-TEST(RankRuntime, RecvForZeroAndNegativeTimeoutsAreTryRecv) {
-  RankRuntime rt(2);
-  rt.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      c.send(1, 11);
-      c.send(1, 22);
-    } else {
-      c.barrier();  // both messages are queued before we probe
-      const std::optional<int> zero =
-          c.recv_for<int>(0, std::chrono::microseconds(0));
-      ASSERT_TRUE(zero.has_value());
-      EXPECT_EQ(*zero, 11);
-      const std::optional<int> negative =
-          c.recv_for<int>(0, std::chrono::microseconds(-5'000'000));
-      ASSERT_TRUE(negative.has_value());
-      EXPECT_EQ(*negative, 22);
-
-      // Empty channel: both degenerate timeouts return immediately. The
-      // negative case especially must not read as "wait forever".
-      const auto t0 = std::chrono::steady_clock::now();
-      EXPECT_FALSE(c.recv_for<int>(0, std::chrono::microseconds(0)));
-      EXPECT_FALSE(c.recv_for<int>(0, std::chrono::microseconds(-1)));
-      const double waited = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-      EXPECT_LT(waited, 0.5);
-    }
-    if (c.rank() == 0) c.barrier();
-  });
-}
-
-TEST(RankRuntime, RecvForWakesPromptlyOnArrival) {
-  RankRuntime rt(2);
-  rt.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      c.send(1, 7);
-    } else {
-      // Far-future deadline: arrival, not timeout, must end the wait.
-      const std::optional<int> got =
-          c.recv_for<int>(0, std::chrono::microseconds(5'000'000));
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(*got, 7);
-    }
-  });
-}
-
-/// The router-loop pattern the serving frontend relies on: a rank blocked
-/// in timed recv is shut down by a control message, never by runtime
-/// teardown racing a blocked thread. The receiver polls with a short
-/// timeout and exits the loop only when the shutdown sentinel arrives —
-/// so shutdown-while-blocked resolves as "wake, observe, exit" instead of
-/// a deadlock or a dropped message.
-TEST(RankRuntime, ShutdownSentinelUnblocksTimedRecvLoop) {
-  RankRuntime rt(2);
-  int payloads = 0;
-  bool clean_exit = false;
-  rt.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      c.send(1, 1);
-      c.send(1, 2);
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      c.send(1, -1);  // shutdown sentinel, sent while rank 1 is blocked
-    } else {
-      for (;;) {
-        const std::optional<int> got =
-            c.recv_for<int>(0, std::chrono::microseconds(500));
-        if (!got) continue;  // timeout tick: re-check, stay reclaimable
-        if (*got < 0) {
-          clean_exit = true;
-          break;
-        }
-        ++payloads;
-      }
-    }
-  });
-  EXPECT_EQ(payloads, 2);
-  EXPECT_TRUE(clean_exit);
 }
 
 }  // namespace

@@ -374,10 +374,16 @@ TEST(RankShardedEngine, PerShardStatsExposeEngineAndQueueCounters) {
 /// cache or memo) never has more than num_shards x (admission_capacity +
 /// 2 x max_batch) = 24 requests admitted but unresolved. The router sends
 /// a shard at most two batches, so the excess is refused at submit rather
-/// than piling up in the transport. Sampled after every submit. The flood
-/// sleeps until every fifth submit is due and sends five at once: a
-/// submitter spinning between submits would starve the router of CPU on
-/// a small host, and a starved router hides an unbounded transport.
+/// than piling up in the transport. Sampled after every submit by
+/// counting the futures not yet ready (a rejected future resolves before
+/// submit() returns, so that count is exactly admitted-but-unresolved),
+/// and every 50th submit through stats() as well. stats() is a kStats
+/// round trip to every worker, so calling it at every submit would pace
+/// the flood below what the fixture can serve; the flood must overload
+/// it (rejected > 0) or the bound is never tested. The flood sleeps until
+/// every fifth submit is due and sends five at once: a submitter spinning
+/// between submits would starve the router of CPU on a small host, and a
+/// starved router hides an unbounded transport.
 void flood_holds_admission_bound(const Serving& s,
                                  RankShardedEngineConfig rcfg) {
   const auto pool = request_pool();
@@ -394,6 +400,7 @@ void flood_holds_admission_bound(const Serving& s,
   std::vector<std::future<RoutedPrediction>> futures;
   futures.reserve(static_cast<std::size_t>(kRequests));
   std::int64_t worst = 0;
+  std::vector<std::size_t> unresolved;  // indices of futures not yet ready
   const auto start = std::chrono::steady_clock::now();
   for (idx r = 0; r < kRequests; ++r) {
     if (r % 5 == 0)
@@ -401,12 +408,20 @@ void flood_holds_admission_bound(const Serving& s,
     const idx row = r % pool.rows();
     futures.push_back(engine.submit(
         std::vector<double>(pool.row(row), pool.row(row) + pool.cols())));
-    const RankShardedStats st = engine.stats();
-    // Signed: completions landing between the loads can exceed the
-    // admitted count read first.
-    worst = std::max(worst, static_cast<std::int64_t>(st.admitted) -
-                                static_cast<std::int64_t>(st.completed) -
-                                static_cast<std::int64_t>(st.shed));
+    unresolved.push_back(futures.size() - 1);
+    std::erase_if(unresolved, [&](std::size_t i) {
+      return futures[i].wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready;
+    });
+    worst = std::max(worst, static_cast<std::int64_t>(unresolved.size()));
+    if (r % 50 == 0) {
+      const RankShardedStats st = engine.stats();
+      // Signed: completions landing between the loads can exceed the
+      // admitted count read first.
+      worst = std::max(worst, static_cast<std::int64_t>(st.admitted) -
+                                  static_cast<std::int64_t>(st.completed) -
+                                  static_cast<std::int64_t>(st.shed));
+    }
   }
   EXPECT_LE(worst, kBound);
 
@@ -420,6 +435,9 @@ void flood_holds_admission_bound(const Serving& s,
       ++rejected;
     }
   }
+  // The flood really overloaded the fixture: otherwise the bound above
+  // held trivially.
+  EXPECT_GT(rejected, 0u);
   const RankShardedStats st = engine.stats();
   EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(st.rejected, rejected);

@@ -1,5 +1,5 @@
 // parallel/socket_transport.hpp: the frame codec and the socket-backed
-// Transport. The codec carries every byte of the rank-sharded serving
+// link. The codec carries every byte of the rank-sharded serving
 // protocol across process boundaries, so the contract under torture is
 // absolute: every malformed frame — truncated header, truncated payload,
 // wrong magic, future version, oversized or hostile length, flipped
@@ -10,6 +10,7 @@
 
 #include "parallel/socket_transport.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -18,7 +19,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <future>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -282,6 +285,52 @@ TEST(SocketTransport, PeerCloseSurfacesAsErrorAfterBufferedFrames) {
   EXPECT_EQ(*b, bytes_of({2}));
   // ...then the dead peer surfaces as a loud error, not a hang/nullopt.
   EXPECT_THROW(server->recv_for(std::chrono::microseconds(1'000'000)), Error);
+}
+
+/// SocketTransport::pair is the in-process worker's link: the same
+/// framed duplex contract as a listener/connect link, with both fds
+/// close-on-exec (a worker process spawned later must not inherit them,
+/// or a closed end would never read as EOF).
+TEST(SocketTransport, PairIsAFramedDuplexLinkWithCloexecFds) {
+  // The fds open now; the listing's own directory fd is closed by the
+  // time fcntl probes it, so it drops out.
+  const auto open_fds = [] {
+    std::vector<int> listed;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+      listed.push_back(std::stoi(entry.path().filename().string()));
+    std::set<int> open;
+    for (int fd : listed)
+      if (::fcntl(fd, F_GETFD) >= 0) open.insert(fd);
+    return open;
+  };
+  const std::set<int> before = open_fds();
+  auto [a, b] = SocketTransport::pair();
+  std::size_t fresh = 0;
+  for (int fd : open_fds()) {
+    if (before.count(fd)) continue;
+    ++fresh;
+    EXPECT_TRUE(::fcntl(fd, F_GETFD) & FD_CLOEXEC)
+        << "fd " << fd << " is inheritable";
+  }
+  EXPECT_EQ(fresh, 2u);
+
+  for (int i = 0; i < 20; ++i) a->send(bytes_of({i, i + 1}));
+  for (int i = 0; i < 20; ++i) {
+    const auto got = b->recv_for(std::chrono::microseconds(2'000'000));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, bytes_of({i, i + 1})) << "message " << i;
+  }
+  b->send(bytes_of({7}));
+  const auto back = a->recv_for(std::chrono::microseconds(2'000'000));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, bytes_of({7}));
+  EXPECT_FALSE(a->try_recv().has_value());
+
+  // Closing one end is a dead peer at the other, never a hang.
+  a.reset();
+  EXPECT_THROW(b->recv_for(std::chrono::microseconds(1'000'000)), Error);
+  EXPECT_THROW(b->send(bytes_of({1})), Error);
 }
 
 TEST(SocketTransport, ConnectTimesOutAgainstNobody) {

@@ -112,15 +112,6 @@ TEST(PhaseTimer, MergeSums) {
   EXPECT_DOUBLE_EQ(a.total("comm"), 3.0);
 }
 
-TEST(ScopedPhase, RecordsOnDestruction) {
-  PhaseTimer pt;
-  {
-    ScopedPhase sp(pt, "scope");
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GT(pt.total("scope"), 0.005);
-}
-
 TEST(Error, ChecksThrowWithContext) {
   try {
     QKMPS_CHECK_MSG(1 == 2, "custom detail " << 42);

@@ -4,9 +4,10 @@
 /// the model bundle from disk, connects back to the router's listener,
 /// handshakes (wire version + shard index + model shape, see
 /// src/serve/shard_wire.hpp), and then runs the exact same
-/// gather->predict->reply loop the in-process ranks run
-/// (serve::run_shard_worker) — the transport substitution DESIGN.md §1
-/// promises, with zero drift between the two deployments.
+/// gather->predict->reply loop an in-process worker thread runs
+/// (serve::run_shard_worker) over the same frames — the transport
+/// substitution of DESIGN.md §1, with zero drift between the two
+/// deployments.
 ///
 /// Usage:
 ///   serving_rankd --connect=ADDR --shard=I --bundle=DIR
