@@ -47,9 +47,9 @@ int main() {
     (void)kernel::distributed_gram_matrix(
         cfg, x, ranks, kernel::DistributionStrategy::RoundRobin, &stats);
 
-    const double sim = stats.phases.total("simulation") / ranks;
-    const double ip = stats.phases.total("inner_product") / ranks;
-    const double comm = stats.phases.total("communication") / ranks;
+    const double sim = stats.simulation_seconds / ranks;
+    const double ip = stats.inner_product_seconds / ranks;
+    const double comm = stats.communication_seconds / ranks;
     sim_per_proc.push_back(sim);
     ip_per_proc.push_back(ip);
     std::printf("%8lld %7d %16.3f %16.3f %16.4f %12lld\n",

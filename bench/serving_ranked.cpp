@@ -30,8 +30,13 @@
 ///     and once under feature-hash modulo. The table reports how many
 ///     keys remigrated and how many circuits the replay had to
 ///     re-simulate: the ring keeps ~(1 - 1/(N+1)) of the StateCaches
-///     warm, modulo cold-starts nearly everything. Gate: the ring
-///     replay's cache hit-rate must beat modulo's.
+///     warm, modulo cold-starts nearly everything. Gate, per router: the
+///     cold run simulates each distinct requested key once, and the
+///     replay re-simulates exactly the requested keys whose shard
+///     changed (counted on the routers themselves); and the ring's
+///     replay re-simulates fewer circuits than modulo's. These counts
+///     are fixed by the scenario, unlike cache hit-rates, which count
+///     in-batch duplicate misses and so move with batch sizes.
 ///  4. Self-heal (socket only): a worker is SIGKILL'd mid-stream. Every
 ///     in-flight future must still resolve (served or shed — zero lost),
 ///     the monitor must respawn the worker, and the respawned process
@@ -52,6 +57,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -248,22 +254,24 @@ std::string hex_digest(std::uint64_t digest) {
   return buf;
 }
 
-/// Fraction of the scenario's unique keys that change shard when the given
-/// router grows by one — measured on the actual routers, not estimated.
-double remap_fraction(const serve::RouterConfig& cfg, std::size_t shards,
-                      const workload::Scenario& scenario) {
+/// Which of the scenario's unique keys change shard when the given router
+/// grows by one — measured on the actual routers, not estimated.
+std::vector<bool> moved_keys(const serve::RouterConfig& cfg,
+                             std::size_t shards,
+                             const workload::Scenario& scenario) {
   const auto before = serve::make_router(cfg, shards);
   const auto after = serve::make_router(cfg, shards);
   after->add_shard();
-  std::size_t moved = 0;
   const idx n = scenario.unique_points.rows();
+  std::vector<bool> moved(static_cast<std::size_t>(n));
   for (idx i = 0; i < n; ++i) {
     const std::vector<double> key(
         scenario.unique_points.row(i),
         scenario.unique_points.row(i) + scenario.unique_points.cols());
-    if (before->shard_for(key) != after->shard_for(key)) ++moved;
+    moved[static_cast<std::size_t>(i)] =
+        before->shard_for(key) != after->shard_for(key);
   }
-  return n == 0 ? 0.0 : static_cast<double>(moved) / static_cast<double>(n);
+  return moved;
 }
 
 }  // namespace
@@ -444,10 +452,15 @@ int main(int argc, char** argv) {
   zipf.keys = workload::KeyPattern::kZipf;
   const workload::Scenario zipf_stream =
       workload::make_scenario(zipf, setup.pool);
+  std::vector<bool> requested(static_cast<std::size_t>(n_unique), false);
+  for (idx u : zipf_stream.order) requested[static_cast<std::size_t>(u)] = true;
+  const auto distinct_keys = static_cast<std::uint64_t>(
+      std::count(requested.begin(), requested.end(), true));
 
   struct ResizeOutcome {
     const char* router = "";
     double remap = 0.0;
+    std::uint64_t expected_replay_circuits = 0;  ///< requested keys moved
     RunResult before, after;
   };
   std::vector<ResizeOutcome> outcomes;
@@ -468,7 +481,13 @@ int main(int argc, char** argv) {
       ResizeOutcome oc;
       oc.router = serve::to_string(kind);
       const serve::RouterConfig router_cfg{kind, 128};
-      oc.remap = remap_fraction(router_cfg, resize_from, zipf_stream);
+      const std::vector<bool> moved =
+          moved_keys(router_cfg, resize_from, zipf_stream);
+      oc.remap = static_cast<double>(
+                     std::count(moved.begin(), moved.end(), true)) /
+                 static_cast<double>(moved.size());
+      for (std::size_t u = 0; u < moved.size(); ++u)
+        if (moved[u] && requested[u]) ++oc.expected_replay_circuits;
 
       serve::RankShardedEngineConfig rcfg;
       rcfg.num_shards = resize_from;
@@ -498,24 +517,41 @@ int main(int argc, char** argv) {
       std::snprintf(label, sizeof label, "%s replay", oc.router);
       print_row(label, oc.after);
       std::printf("%-26s remapped %.0f%% of unique keys; replay re-simulated "
-                  "%llu circuits\n",
+                  "%llu circuits (%llu requested keys moved)\n",
                   "", 100.0 * oc.remap,
-                  static_cast<unsigned long long>(oc.after.circuits));
+                  static_cast<unsigned long long>(oc.after.circuits),
+                  static_cast<unsigned long long>(
+                      oc.expected_replay_circuits));
       outcomes.push_back(oc);
     }
   }
   // Gate: the whole point of the ring is that a resize keeps the
-  // survivors' StateCaches warm — its replay hit-rate must beat modulo's.
-  const bool resize_gate_ok =
-      outcomes.size() == 2 &&
-      outcomes[0].after.cache_hit_rate > outcomes[1].after.cache_hit_rate;
-  if (!resize_gate_ok)
-    std::printf("\nRESIZE GATE FAILURE: consistent-hash replay hit-rate "
-                "(%.0f%%) did not beat modulo (%.0f%%)\n",
-                outcomes.size() == 2 ? 100.0 * outcomes[0].after.cache_hit_rate
-                                     : 0.0,
-                outcomes.size() == 2 ? 100.0 * outcomes[1].after.cache_hit_rate
-                                     : 0.0);
+  // survivors' StateCaches warm. With the caches holding the whole working
+  // set and the memo off, a cold run simulates each distinct key once and
+  // a replay re-simulates exactly the keys that moved, whatever the batch
+  // sizes were; the ring must move fewer of them than modulo.
+  bool resize_gate_ok = outcomes.size() == 2;
+  for (const ResizeOutcome& oc : outcomes) {
+    if (oc.before.circuits == distinct_keys &&
+        oc.after.circuits == oc.expected_replay_circuits)
+      continue;
+    resize_gate_ok = false;
+    std::printf("\nRESIZE GATE FAILURE: %s simulated %llu circuits cold "
+                "(expected %llu distinct keys) and %llu on replay (expected "
+                "%llu moved keys)\n",
+                oc.router, static_cast<unsigned long long>(oc.before.circuits),
+                static_cast<unsigned long long>(distinct_keys),
+                static_cast<unsigned long long>(oc.after.circuits),
+                static_cast<unsigned long long>(oc.expected_replay_circuits));
+  }
+  if (resize_gate_ok &&
+      outcomes[0].after.circuits >= outcomes[1].after.circuits) {
+    resize_gate_ok = false;
+    std::printf("\nRESIZE GATE FAILURE: consistent-hash replay re-simulated "
+                "%llu circuits, not fewer than modulo's %llu\n",
+                static_cast<unsigned long long>(outcomes[0].after.circuits),
+                static_cast<unsigned long long>(outcomes[1].after.circuits));
+  }
 
   // Observability gate 1: every served request must come back traced, and
   // over sockets the worker-side spans must have survived the wire.
@@ -763,6 +799,8 @@ int main(int argc, char** argv) {
       jw.field("cold_circuits", static_cast<long long>(oc.before.circuits));
       jw.field("cold_cache_hit_rate", oc.before.cache_hit_rate);
       jw.field("replay_circuits", static_cast<long long>(oc.after.circuits));
+      jw.field("expected_replay_circuits",
+               static_cast<long long>(oc.expected_replay_circuits));
       jw.field("replay_cache_hit_rate", oc.after.cache_hit_rate);
       jw.field("replay_throughput_rps", oc.after.throughput);
       jw.end_object();

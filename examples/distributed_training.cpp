@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     std::printf("%14s %10.3f %12lld %12lld %12.4f %12.2e\n", o.name, o.wall,
                 static_cast<long long>(o.stats.circuits_simulated),
                 static_cast<long long>(o.stats.inner_products),
-                o.stats.phases.total("communication"),
+                o.stats.communication_seconds,
                 kernel::max_abs_diff(o.k, k_seq));
   }
 

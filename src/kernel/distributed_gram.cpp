@@ -8,6 +8,7 @@
 #include "parallel/rank_runtime.hpp"
 #include "util/error.hpp"
 #include "util/sync.hpp"
+#include "util/timer.hpp"
 
 namespace qkmps::kernel {
 
@@ -37,6 +38,16 @@ std::vector<mps::Mps> simulate_block(const QuantumKernelConfig& config,
   return simulate_states(config, block, &stats);
 }
 
+/// Sums one rank's phase times and counts into `into` (a rank's stats
+/// into the merged record, and that into the caller's).
+void accumulate(GramStats& into, const GramStats& from) {
+  into.simulation_seconds += from.simulation_seconds;
+  into.inner_product_seconds += from.inner_product_seconds;
+  into.communication_seconds += from.communication_seconds;
+  into.circuits_simulated += from.circuits_simulated;
+  into.inner_products += from.inner_products;
+}
+
 TileResult compute_tile(const std::vector<mps::Mps>& rows, Range rr,
                         const std::vector<mps::Mps>& cols, Range cr,
                         bool diagonal, linalg::ExecPolicy policy,
@@ -64,7 +75,7 @@ TileResult compute_tile(const std::vector<mps::Mps>& rows, Range rr,
       t.values[static_cast<std::size_t>(i * cr.size() + j)] = v;
     }
   }
-  stats.phases.add("inner_product", timer.seconds());
+  stats.inner_product_seconds += timer.seconds();
   stats.inner_products += count;
   return t;
 }
@@ -131,17 +142,11 @@ RealMatrix no_messaging_gram(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(k, t, /*mirror=*/true);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
+      accumulate(merged, local);
     }
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  if (stats != nullptr) accumulate(*stats, merged);
   return k;
 }
 
@@ -185,7 +190,7 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
                          {trav_range.begin, trav_range.end}, std::move(travelling)));
       auto msg =
           comm.recv<std::pair<std::pair<idx, idx>, std::vector<mps::Mps>>>(src);
-      local.phases.add("communication", comm_timer.seconds());
+      local.communication_seconds += comm_timer.seconds();
       trav_range = Range{msg.first.first, msg.first.second};
       travelling = std::move(msg.second);
 
@@ -202,17 +207,11 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(km, t, /*mirror=*/true);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
+      accumulate(merged, local);
     }
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  if (stats != nullptr) accumulate(*stats, merged);
   return km;
 }
 
@@ -271,7 +270,7 @@ RealMatrix distributed_cross_kernel(const QuantumKernelConfig& config,
                          {trav_range.begin, trav_range.end}, std::move(travelling)));
       auto msg =
           comm.recv<std::pair<std::pair<idx, idx>, std::vector<mps::Mps>>>(src);
-      local.phases.add("communication", comm_timer.seconds());
+      local.communication_seconds += comm_timer.seconds();
       trav_range = Range{msg.first.first, msg.first.second};
       travelling = std::move(msg.second);
     }
@@ -279,17 +278,11 @@ RealMatrix distributed_cross_kernel(const QuantumKernelConfig& config,
     {
       util::MutexLock lock(merge_mu);
       for (const auto& t : results) assemble(km, t, /*mirror=*/false);
-      merged.phases.merge(local.phases);
-      merged.circuits_simulated += local.circuits_simulated;
-      merged.inner_products += local.inner_products;
+      accumulate(merged, local);
     }
   });
 
-  if (stats != nullptr) {
-    stats->phases.merge(merged.phases);
-    stats->circuits_simulated += merged.circuits_simulated;
-    stats->inner_products += merged.inner_products;
-  }
+  if (stats != nullptr) accumulate(*stats, merged);
   return km;
 }
 

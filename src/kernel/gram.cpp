@@ -5,6 +5,7 @@
 
 #include "mps/inner_product.hpp"
 #include "util/error.hpp"
+#include "util/timer.hpp"
 
 namespace qkmps::kernel {
 
@@ -63,7 +64,7 @@ std::vector<mps::Mps> simulate_states(const QuantumKernelConfig& config,
     states.push_back(std::move(r.state));
   }
   if (stats != nullptr) {
-    stats->phases.add("simulation", timer.seconds());
+    stats->simulation_seconds += timer.seconds();
     stats->circuits_simulated += x.rows();
     stats->avg_max_bond = bond_sum / static_cast<double>(std::max<idx>(x.rows(), 1));
     stats->avg_mps_bytes = bytes_sum / static_cast<std::size_t>(std::max<idx>(x.rows(), 1));
@@ -90,7 +91,7 @@ RealMatrix gram_from_states(const std::vector<mps::Mps>& states,
     }
   }
   if (stats != nullptr) {
-    stats->phases.add("inner_product", timer.seconds());
+    stats->inner_product_seconds += timer.seconds();
     stats->inner_products += count;
   }
   return k;
@@ -109,7 +110,7 @@ RealMatrix cross_from_states(const std::vector<mps::Mps>& test_states,
                                      train_states[static_cast<std::size_t>(j)],
                                      policy);
   if (stats != nullptr) {
-    stats->phases.add("inner_product", timer.seconds());
+    stats->inner_product_seconds += timer.seconds();
     stats->inner_products += nt * nr;
   }
   return k;

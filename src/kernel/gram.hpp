@@ -5,7 +5,6 @@
 #include "circuit/ansatz.hpp"
 #include "kernel/kernel_matrix.hpp"
 #include "mps/simulator.hpp"
-#include "util/timer.hpp"
 
 namespace qkmps::kernel {
 
@@ -16,11 +15,12 @@ struct QuantumKernelConfig {
   mps::SimulatorConfig sim;
 };
 
-/// Resource/accounting record for one Gram-matrix computation; the phase
-/// totals ("simulation", "inner_product", "communication") are the Fig. 8
-/// runtime breakdown.
+/// Resource/accounting record for one Gram-matrix computation; the three
+/// *_seconds totals are the Fig. 8 runtime breakdown.
 struct GramStats {
-  PhaseTimer phases;
+  double simulation_seconds = 0.0;     ///< feature-map circuit simulation
+  double inner_product_seconds = 0.0;  ///< overlaps into kernel entries
+  double communication_seconds = 0.0;  ///< state exchange between ranks
   idx circuits_simulated = 0;
   idx inner_products = 0;
   double avg_max_bond = 0.0;          ///< Table I column

@@ -26,7 +26,7 @@ RealMatrix projected_features(const ProjectedKernelConfig& config,
       f(i, j) = paulis[static_cast<std::size_t>(j)];
   }
   if (stats != nullptr) {
-    stats->phases.add("simulation", timer.seconds());
+    stats->simulation_seconds += timer.seconds();
     stats->circuits_simulated += x.rows();
   }
   return f;
@@ -57,7 +57,7 @@ RealMatrix projected_gram(const ProjectedKernelConfig& config,
   Timer timer;
   RealMatrix k = projected_kernel_from_features(f, f, config.gamma_p);
   if (stats != nullptr) {
-    stats->phases.add("inner_product", timer.seconds());
+    stats->inner_product_seconds += timer.seconds();
     stats->inner_products += x.rows() * x.rows();
   }
   return k;
@@ -71,7 +71,7 @@ RealMatrix projected_cross(const ProjectedKernelConfig& config,
   Timer timer;
   RealMatrix k = projected_kernel_from_features(ft, fr, config.gamma_p);
   if (stats != nullptr) {
-    stats->phases.add("inner_product", timer.seconds());
+    stats->inner_product_seconds += timer.seconds();
     stats->inner_products += x_test.rows() * x_train.rows();
   }
   return k;

@@ -157,9 +157,6 @@ struct RankShardedEngineConfig {
   /// at most two such batches in flight per shard (one scoring, one
   /// gathered behind it); the rest wait in the pending queue.
   std::size_t drain_max_batch = 0;
-  /// How long the idle router sleeps between queue/reply polls. Lower =
-  /// less added latency, more wakeups; the default adds at most ~0.1 ms.
-  std::chrono::microseconds router_poll{100};
   /// Where the shard workers run, plus socket-mode and self-heal knobs.
   TransportKind transport = TransportKind::kInProcess;
   SocketTransportConfig socket;
@@ -168,10 +165,6 @@ struct RankShardedEngineConfig {
   /// Empty = uniform 1.0. Otherwise must have num_shards entries, all
   /// positive; non-uniform weights require the consistent-hash router.
   std::vector<double> shard_weights;
-  /// Flight-recorder ring sizes (obs/flight_recorder.hpp): recent trace
-  /// summaries and fleet lifecycle events kept for postmortems.
-  std::size_t flight_trace_capacity = 256;
-  std::size_t flight_event_capacity = 512;
   /// When non-empty, the recorder dumps its JSON here on every worker
   /// demotion and again at destruction (the rings are cumulative, so the
   /// later dump supersedes the earlier one — but the demotion-time dump

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "serve/feature_key.hpp"
 #include "util/error.hpp"
@@ -56,9 +55,7 @@ std::vector<double> zipf_cdf(idx n, double s) {
   return cdf;
 }
 
-/// FNV-1a byte fold shared by the eager digest and the streaming one —
-/// both must walk the same byte sequence or the bitwise-preservation
-/// contract breaks.
+/// FNV-1a byte fold.
 void fnv_mix(std::uint64_t& h, const void* bytes, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(bytes);
   for (std::size_t i = 0; i < n; ++i) {
@@ -68,10 +65,10 @@ void fnv_mix(std::uint64_t& h, const void* bytes, std::size_t n) {
 }
 
 /// The arrival offset of request r, advanced one request at a time.
-/// Arrivals are a pure function of the config (no randomness), which is
-/// what lets Stream::digest() re-fold them in O(1) memory after the
-/// order bytes. The per-pattern arithmetic must stay expression-for-
-/// expression identical to what make_arrivals() historically computed.
+/// Arrivals are a pure function of the config (no randomness). The
+/// per-pattern arithmetic is what the scenario digests pinned in
+/// tests/test_workload.cpp and bench/baselines/ were recorded with:
+/// change an expression and every digest moves.
 double arrival_at(const ScenarioConfig& cfg, idx r, double& ramp_t) {
   switch (cfg.arrival) {
     case ArrivalPattern::kSteady:
@@ -96,8 +93,8 @@ double arrival_at(const ScenarioConfig& cfg, idx r, double& ramp_t) {
 
 }  // namespace
 
-Stream::Stream(const ScenarioConfig& cfg, const kernel::RealMatrix& pool)
-    : config_(cfg), rng_(cfg.seed) {
+Scenario make_scenario(const ScenarioConfig& cfg,
+                       const kernel::RealMatrix& pool) {
   QKMPS_CHECK(cfg.num_requests >= 1);
   QKMPS_CHECK(cfg.num_unique >= 1);
   QKMPS_CHECK_MSG(pool.rows() >= cfg.num_unique,
@@ -105,102 +102,58 @@ Stream::Stream(const ScenarioConfig& cfg, const kernel::RealMatrix& pool)
                               << cfg.num_unique << " unique points");
   QKMPS_CHECK(cfg.burst_size >= 1);
   QKMPS_CHECK(cfg.ramp_factor >= 1.0);
+  Rng rng(cfg.seed);
 
   // Unique points: a deterministic sample of distinct pool rows
-  // (partial Fisher-Yates over the row indices).
+  // (partial Fisher-Yates over the row indices). These are the first Rng
+  // draws; the key draws below follow them.
   std::vector<idx> rows(static_cast<std::size_t>(pool.rows()));
   for (idx i = 0; i < pool.rows(); ++i) rows[static_cast<std::size_t>(i)] = i;
   for (idx i = 0; i < cfg.num_unique; ++i) {
-    const idx j = i + static_cast<idx>(rng_.uniform_int(
+    const idx j = i + static_cast<idx>(rng.uniform_int(
                           static_cast<std::uint64_t>(pool.rows() - i)));
     std::swap(rows[static_cast<std::size_t>(i)],
               rows[static_cast<std::size_t>(j)]);
   }
-  unique_points_ = kernel::RealMatrix(cfg.num_unique, pool.cols());
+  Scenario s;
+  s.config = cfg;
+  s.unique_points = kernel::RealMatrix(cfg.num_unique, pool.cols());
   for (idx i = 0; i < cfg.num_unique; ++i)
     std::copy(pool.row(rows[static_cast<std::size_t>(i)]),
               pool.row(rows[static_cast<std::size_t>(i)]) + pool.cols(),
-              unique_points_.row(i));
+              s.unique_points.row(i));
 
-  if (cfg.keys == KeyPattern::kZipf)
-    zipf_cdf_ = zipf_cdf(cfg.num_unique, cfg.zipf_exponent);
-
-  order_hash_ = feature_hash(
-      unique_points_.data(),
-      static_cast<std::size_t>(unique_points_.rows() * unique_points_.cols()));
-}
-
-idx Stream::next_unique() {
-  switch (config_.keys) {
-    case KeyPattern::kUniform:
-      return static_cast<idx>(
-          rng_.uniform_int(static_cast<std::uint64_t>(config_.num_unique)));
-    case KeyPattern::kZipf: {
-      const double u = rng_.uniform();
-      const auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-      return static_cast<idx>(std::min<std::ptrdiff_t>(
-          it - zipf_cdf_.begin(), config_.num_unique - 1));
-    }
-    case KeyPattern::kDuplicateHeavy:
-      if (emitted_ > 0 && rng_.uniform() < config_.repeat_fraction)
-        return prev_unique_;
-      return static_cast<idx>(
-          rng_.uniform_int(static_cast<std::uint64_t>(config_.num_unique)));
-  }
-  return 0;
-}
-
-bool Stream::next(Item& out) {
-  if (exhausted()) return false;
-  out.request = emitted_;
-  out.unique = next_unique();
-  out.arrival_us = arrival_at(config_, emitted_, ramp_t_);
-  prev_unique_ = out.unique;
-  const std::uint64_t v = static_cast<std::uint64_t>(out.unique);
-  fnv_mix(order_hash_, &v, sizeof v);
-  ++emitted_;
-  return true;
-}
-
-std::vector<double> Stream::request(idx unique) const {
-  QKMPS_CHECK(unique >= 0 && unique < unique_points_.rows());
-  return std::vector<double>(
-      unique_points_.row(unique),
-      unique_points_.row(unique) + unique_points_.cols());
-}
-
-std::uint64_t Stream::digest() const {
-  QKMPS_CHECK_MSG(exhausted(),
-                  "stream digest is only defined once every request has been "
-                  "emitted ("
-                      << emitted_ << " of " << config_.num_requests << ")");
-  if (digest_cached_) return digest_;
-  // The eager digest folds all order bytes, then all arrival bytes.
-  // Orders folded incrementally in next(); arrivals are deterministic, so
-  // re-derive them here without ever holding the schedule.
-  std::uint64_t h = order_hash_;
-  double ramp_t = 0.0;
-  for (idx r = 0; r < config_.num_requests; ++r) {
-    const double t = arrival_at(config_, r, ramp_t);
-    fnv_mix(h, &t, sizeof t);
-  }
-  digest_ = h;
-  digest_cached_ = true;
-  return digest_;
-}
-
-Scenario make_scenario(const ScenarioConfig& cfg,
-                       const kernel::RealMatrix& pool) {
-  Stream stream(cfg, pool);
-  Scenario s;
-  s.config = cfg;
-  s.unique_points = stream.unique_points();
+  const std::vector<double> cdf = cfg.keys == KeyPattern::kZipf
+                                      ? zipf_cdf(cfg.num_unique,
+                                                 cfg.zipf_exponent)
+                                      : std::vector<double>{};
+  const auto uniform_key = [&] {
+    return static_cast<idx>(
+        rng.uniform_int(static_cast<std::uint64_t>(cfg.num_unique)));
+  };
   s.order.reserve(static_cast<std::size_t>(cfg.num_requests));
   s.arrival_us.reserve(static_cast<std::size_t>(cfg.num_requests));
-  Stream::Item item;
-  while (stream.next(item)) {
-    s.order.push_back(item.unique);
-    s.arrival_us.push_back(item.arrival_us);
+  double ramp_t = 0.0;
+  for (idx r = 0; r < cfg.num_requests; ++r) {
+    idx key = 0;
+    switch (cfg.keys) {
+      case KeyPattern::kUniform:
+        key = uniform_key();
+        break;
+      case KeyPattern::kZipf: {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), rng.uniform());
+        key = static_cast<idx>(std::min<std::ptrdiff_t>(
+            it - cdf.begin(), cfg.num_unique - 1));
+        break;
+      }
+      case KeyPattern::kDuplicateHeavy:
+        // Request 0 has no previous key, so it draws no repeat uniform.
+        key = r > 0 && rng.uniform() < cfg.repeat_fraction ? s.order.back()
+                                                           : uniform_key();
+        break;
+    }
+    s.order.push_back(key);
+    s.arrival_us.push_back(arrival_at(cfg, r, ramp_t));
   }
   return s;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "kernel/kernel_matrix.hpp"
-#include "util/rng.hpp"
 #include "util/types.hpp"
 
 /// Deterministic workload generation for the serving layer.
@@ -68,71 +67,8 @@ struct Scenario {
   std::vector<double> request(idx r) const;
 };
 
-/// Pull-based request generator: the streaming form of a Scenario. Same
-/// config + same pool => the byte-identical request sequence the eager
-/// make_scenario materializes (order, arrival offsets, unique points, and
-/// digest — pinned by tests/test_workload.cpp), but resident memory is
-/// O(num_unique), independent of num_requests, so the soak harness can
-/// drive millions of requests through an engine without an O(N) order or
-/// arrival vector ever existing.
-///
-/// Thread safety: a Stream is single-consumer mutable state (next()
-/// advances the generator); unique_points() is immutable after
-/// construction and may be read concurrently with next().
-class Stream {
- public:
-  /// One generated request: `unique` indexes unique_points(), and
-  /// `arrival_us` is the nondecreasing arrival offset of request
-  /// `request` (the 0-based position in the stream).
-  struct Item {
-    idx request = 0;
-    idx unique = 0;
-    double arrival_us = 0.0;
-  };
-
-  /// Draws cfg.num_unique rows from `pool` exactly as make_scenario does
-  /// (same Rng consumption, so the rest of the stream replays the eager
-  /// generator bit for bit). Requires pool.rows() >= cfg.num_unique.
-  Stream(const ScenarioConfig& cfg, const kernel::RealMatrix& pool);
-
-  /// Emits the next request; false once num_requests have been emitted.
-  bool next(Item& out);
-
-  idx emitted() const { return emitted_; }
-  idx size() const { return config_.num_requests; }
-  bool exhausted() const { return emitted_ == config_.num_requests; }
-
-  const ScenarioConfig& config() const { return config_; }
-  const kernel::RealMatrix& unique_points() const { return unique_points_; }
-  /// Feature vector of unique point `unique` (a copy of its row).
-  std::vector<double> request(idx unique) const;
-
-  /// The stream's fingerprint — bitwise-equal to scenario_digest() of the
-  /// equivalent eager Scenario. Only defined once the stream is
-  /// exhausted (throws before that): order bytes fold incrementally as
-  /// requests are emitted, and the arrival bytes (a pure function of the
-  /// config, no randomness) are folded on demand in O(1) memory.
-  std::uint64_t digest() const;
-
- private:
-  idx next_unique();
-
-  ScenarioConfig config_;
-  kernel::RealMatrix unique_points_;
-  Rng rng_;
-  std::vector<double> zipf_cdf_;  ///< kZipf only
-  idx emitted_ = 0;
-  idx prev_unique_ = 0;     ///< kDuplicateHeavy run state
-  double ramp_t_ = 0.0;     ///< kRamp running arrival offset
-  std::uint64_t order_hash_ = 0;  ///< unique-point hash folded with order
-  mutable std::uint64_t digest_ = 0;
-  mutable bool digest_cached_ = false;
-};
-
 /// Draws cfg.num_unique rows from `pool` (deterministically per seed) and
-/// materializes the request order and arrival schedule. A thin wrapper
-/// that drains a workload::Stream — kept for the CI-scale tests and
-/// benches where random access into the order is convenient. Requires
+/// materializes the request order and arrival schedule. Requires
 /// pool.rows() >= cfg.num_unique.
 Scenario make_scenario(const ScenarioConfig& cfg,
                        const kernel::RealMatrix& pool);

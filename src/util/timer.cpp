@@ -18,17 +18,4 @@ double ThreadCpuTimer::seconds() const {
   return thread_cpu_seconds_now() - start_;
 }
 
-void PhaseTimer::add(const std::string& phase, double seconds) {
-  phases_[phase] += seconds;
-}
-
-double PhaseTimer::total(const std::string& phase) const {
-  const auto it = phases_.find(phase);
-  return it == phases_.end() ? 0.0 : it->second;
-}
-
-void PhaseTimer::merge(const PhaseTimer& other) {
-  for (const auto& [name, secs] : other.phases_) phases_[name] += secs;
-}
-
 }  // namespace qkmps

@@ -1,9 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <map>
-#include <string>
 
 namespace qkmps {
 
@@ -38,29 +35,6 @@ class ThreadCpuTimer {
 
  private:
   double start_ = 0.0;
-};
-
-/// Accumulates named wall-clock phases; used by the bench harness to report
-/// the simulation / inner-product / communication breakdown of Fig. 8.
-class PhaseTimer {
- public:
-  /// Adds `seconds` to the named phase.
-  void add(const std::string& phase, double seconds);
-
-  /// Total accumulated seconds for a phase (0 if never recorded).
-  double total(const std::string& phase) const;
-
-  /// All phases with their accumulated totals.
-  const std::map<std::string, double>& phases() const { return phases_; }
-
-  void clear() { phases_.clear(); }
-
-  /// Merge another timer's totals into this one (e.g. per-rank timers into
-  /// a global breakdown).
-  void merge(const PhaseTimer& other);
-
- private:
-  std::map<std::string, double> phases_;
 };
 
 }  // namespace qkmps

@@ -92,26 +92,6 @@ TEST(ThreadCpuTimer, AdvancesUnderCompute) {
   EXPECT_GT(t.seconds(), 0.001);
 }
 
-TEST(PhaseTimer, AccumulatesNamedPhases) {
-  PhaseTimer pt;
-  pt.add("sim", 1.0);
-  pt.add("sim", 0.5);
-  pt.add("ip", 2.0);
-  EXPECT_DOUBLE_EQ(pt.total("sim"), 1.5);
-  EXPECT_DOUBLE_EQ(pt.total("ip"), 2.0);
-  EXPECT_DOUBLE_EQ(pt.total("missing"), 0.0);
-}
-
-TEST(PhaseTimer, MergeSums) {
-  PhaseTimer a, b;
-  a.add("sim", 1.0);
-  b.add("sim", 2.0);
-  b.add("comm", 3.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.total("sim"), 3.0);
-  EXPECT_DOUBLE_EQ(a.total("comm"), 3.0);
-}
-
 TEST(Error, ChecksThrowWithContext) {
   try {
     QKMPS_CHECK_MSG(1 == 2, "custom detail " << 42);

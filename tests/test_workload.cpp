@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "data/elliptic_synthetic.hpp"
@@ -167,76 +169,25 @@ TEST(Workload, StandardScenariosAreDistinct) {
   EXPECT_EQ(digests.size(), suite.size());
 }
 
-TEST(WorkloadStream, ReplaysEveryStandardScenarioByteForByte) {
-  // The pull-based Stream must be indistinguishable from the eager
-  // generator: same order, same arrival offsets, same unique points,
-  // same digest — for every standard scenario shape.
+TEST(Workload, StandardScenarioDigestsArePinned) {
+  // Any change to the Rng draw order, a key rule or an arrival expression
+  // moves these, and would otherwise surface only when a bench artifact's
+  // scenario digests are compared against bench/baselines/.
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"uniform-steady", 0x10480e33b7b331c9ull},
+      {"zipf-hotkey", 0x6f1357e4d0cbf0c9ull},
+      {"duplicate-heavy", 0x42bfa14f6817a749ull},
+      {"uniform-burst", 0xdc3d2edbd960ed21ull},
+      {"zipf-ramp", 0x0acaafa50c9ecc4bull},
+  };
   const auto pool = small_pool();
-  for (const ScenarioConfig& cfg : standard_scenarios(200, 24, 11)) {
-    const Scenario eager = make_scenario(cfg, pool);
-    Stream stream(cfg, pool);
-    ASSERT_EQ(stream.size(), eager.size()) << cfg.name;
-    for (idx i = 0; i < eager.unique_points.rows(); ++i)
-      for (idx j = 0; j < eager.unique_points.cols(); ++j)
-        ASSERT_EQ(stream.unique_points()(i, j), eager.unique_points(i, j))
-            << cfg.name;
-    Stream::Item item;
-    for (idx r = 0; r < eager.size(); ++r) {
-      ASSERT_TRUE(stream.next(item)) << cfg.name << " ended early at " << r;
-      ASSERT_EQ(item.request, r) << cfg.name;
-      ASSERT_EQ(item.unique, eager.order[static_cast<std::size_t>(r)])
-          << cfg.name << " order diverged at request " << r;
-      ASSERT_EQ(item.arrival_us,
-                eager.arrival_us[static_cast<std::size_t>(r)])
-          << cfg.name << " arrival diverged at request " << r;
-    }
-    EXPECT_FALSE(stream.next(item)) << cfg.name;
-    EXPECT_TRUE(stream.exhausted()) << cfg.name;
-    EXPECT_EQ(stream.digest(), scenario_digest(eager)) << cfg.name;
+  const auto suite = standard_scenarios(200, 24, 11);
+  ASSERT_EQ(suite.size(), pinned.size());
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    EXPECT_EQ(suite[i].name, pinned[i].first);
+    EXPECT_EQ(scenario_digest(make_scenario(suite[i], pool)), pinned[i].second)
+        << suite[i].name;
   }
-}
-
-TEST(WorkloadStream, DigestRequiresExhaustion) {
-  const auto pool = small_pool();
-  ScenarioConfig cfg;
-  cfg.num_requests = 32;
-  cfg.num_unique = 8;
-  Stream stream(cfg, pool);
-  EXPECT_THROW(stream.digest(), Error);  // nothing consumed yet
-  Stream::Item item;
-  while (stream.next(item)) {
-  }
-  EXPECT_NO_THROW(stream.digest());
-}
-
-TEST(WorkloadStream, RequestRowsMatchEagerScenario) {
-  const auto pool = small_pool(32, 4);
-  ScenarioConfig cfg;
-  cfg.num_requests = 48;
-  cfg.num_unique = 12;
-  cfg.keys = KeyPattern::kZipf;
-  const Scenario eager = make_scenario(cfg, pool);
-  Stream stream(cfg, pool);
-  Stream::Item item;
-  while (stream.next(item))
-    EXPECT_EQ(stream.request(item.unique), eager.request(item.request));
-}
-
-TEST(WorkloadStream, EagerGeneratorIsAThinWrapper) {
-  // make_scenario now drains a Stream; a fresh Stream and a fresh eager
-  // scenario must stay interchangeable run to run (the digest pins it).
-  const auto pool = small_pool();
-  ScenarioConfig cfg;
-  cfg.num_requests = 500;
-  cfg.num_unique = 16;
-  cfg.keys = KeyPattern::kDuplicateHeavy;
-  cfg.arrival = ArrivalPattern::kRamp;
-  const std::uint64_t eager_digest = scenario_digest(make_scenario(cfg, pool));
-  Stream stream(cfg, pool);
-  Stream::Item item;
-  while (stream.next(item)) {
-  }
-  EXPECT_EQ(stream.digest(), eager_digest);
 }
 
 TEST(Workload, RejectsImpossibleConfigs) {

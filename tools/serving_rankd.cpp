@@ -11,9 +11,9 @@
 ///
 /// Usage:
 ///   serving_rankd --connect=ADDR --shard=I --bundle=DIR
-///                 [--max-batch=N] [--gather=N] [--batch-deadline-us=N]
-///                 [--threads=N] [--cache=N] [--memo=N] [--die-after=N]
-///                 [--weight=W] [--generation=G] [--metrics-out=PATH]
+///                 [--gather=N] [--threads=N] [--cache=N] [--memo=N]
+///                 [--die-after=N] [--weight=W] [--generation=G]
+///                 [--metrics-out=PATH]
 ///
 /// --metrics-out=PATH writes this worker's obs::Registry snapshot (JSON:
 /// counters, gauges, latency histograms — see src/obs/metrics.hpp) to
@@ -26,9 +26,9 @@
 /// respawned worker carries the slot's bumped generation; a straggler
 /// from a superseded spawn is refused at the handshake).
 ///
-/// --max-batch configures the engine (mirroring the in-process shards'
-/// EngineConfig); --gather bounds the worker loop's opportunistic batch
-/// (the router's drain_max_batch resolution) and defaults to --max-batch.
+/// --gather bounds the worker loop's opportunistic batch (the router's
+/// drain_max_batch resolution; default 32). --threads, --cache and
+/// --memo size the worker's engine.
 ///
 /// ADDR is a parallel::SocketListener address ("unix:<path>" or
 /// "tcp:<ip>:<port>"). --die-after=N is a test hook: exit abruptly (no
@@ -62,8 +62,7 @@ struct Args {
   std::size_t shard = 0;
   bool shard_set = false;
   qkmps::serve::EngineConfig engine;
-  std::size_t gather = 0;  ///< 0 = engine.max_batch
-  std::size_t die_after = 0;
+  qkmps::serve::ShardWorkerOptions worker;
   double weight = 1.0;
   std::uint64_t generation = 0;
   std::string metrics_out;
@@ -87,12 +86,8 @@ Args parse_args(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--shard", value)) {
       args.shard = static_cast<std::size_t>(std::stoull(value));
       args.shard_set = true;
-    } else if (parse_flag(argv[i], "--max-batch", value)) {
-      args.engine.max_batch = static_cast<std::size_t>(std::stoull(value));
     } else if (parse_flag(argv[i], "--gather", value)) {
-      args.gather = static_cast<std::size_t>(std::stoull(value));
-    } else if (parse_flag(argv[i], "--batch-deadline-us", value)) {
-      args.engine.batch_deadline = std::chrono::microseconds(std::stoll(value));
+      args.worker.batch_limit = static_cast<std::size_t>(std::stoull(value));
     } else if (parse_flag(argv[i], "--threads", value)) {
       args.engine.num_threads = static_cast<std::size_t>(std::stoull(value));
     } else if (parse_flag(argv[i], "--cache", value)) {
@@ -100,7 +95,8 @@ Args parse_args(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--memo", value)) {
       args.engine.memo_capacity = static_cast<std::size_t>(std::stoull(value));
     } else if (parse_flag(argv[i], "--die-after", value)) {
-      args.die_after = static_cast<std::size_t>(std::stoull(value));
+      args.worker.die_after_requests =
+          static_cast<std::size_t>(std::stoull(value));
     } else if (parse_flag(argv[i], "--weight", value)) {
       args.weight = std::stod(value);
     } else if (parse_flag(argv[i], "--generation", value)) {
@@ -114,9 +110,8 @@ Args parse_args(int argc, char** argv) {
   if (args.connect.empty() || args.bundle_dir.empty() || !args.shard_set)
     throw qkmps::Error(
         "usage: serving_rankd --connect=ADDR --shard=I --bundle=DIR "
-        "[--max-batch=N] [--batch-deadline-us=N] [--threads=N] [--cache=N] "
-        "[--memo=N] [--die-after=N] [--weight=W] [--generation=G] "
-        "[--metrics-out=PATH]");
+        "[--gather=N] [--threads=N] [--cache=N] [--memo=N] [--die-after=N] "
+        "[--weight=W] [--generation=G] [--metrics-out=PATH]");
   return args;
 }
 
@@ -142,11 +137,7 @@ int main(int argc, char** argv) {
     serve::shard_handshake_client(*link, hello,
                                   std::chrono::microseconds(10'000'000));
 
-    serve::ShardWorkerOptions options;
-    options.batch_limit =
-        args.gather > 0 ? args.gather : args.engine.max_batch;
-    options.die_after_requests = args.die_after;
-    const bool clean = run_shard_worker(*link, engine, options);
+    const bool clean = run_shard_worker(*link, engine, args.worker);
 
     // Worker-side registry snapshot for postmortems — written on the
     // --die-after path too (that "crash" is abrupt only on the socket).
