@@ -198,9 +198,15 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
       // the lower-index rank of each pair computes it.
       const bool duplicate_final = (k % 2 == 0) && (s == steps) && (p >= k / 2);
       if (!duplicate_final && trav_range.size() > 0 && my_range.size() > 0) {
-        results.push_back(compute_tile(resident, my_range, travelling,
-                                       trav_range, false, config.sim.policy,
-                                       local));
+        // The lower-index block is the tile's rows, so every pair is
+        // evaluated as overlap_squared(lower, higher), the order
+        // gram_matrix uses: the overlap is not bitwise symmetric.
+        results.push_back(
+            trav_range.begin < my_range.begin
+                ? compute_tile(travelling, trav_range, resident, my_range,
+                               false, config.sim.policy, local)
+                : compute_tile(resident, my_range, travelling, trav_range,
+                               false, config.sim.policy, local));
       }
     }
 

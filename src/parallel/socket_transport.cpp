@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -85,6 +86,44 @@ int cloexec_accept(int listener_fd) {
 
 constexpr const char* kUnixPrefix = "unix:";
 constexpr const char* kTcpPrefix = "tcp:";
+
+/// Writes every byte of `iov[0..count)` to `fd` with sendmsg, advancing
+/// the vectors past each partial write.
+void send_all(int fd, iovec* iov, std::size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (rc > 0) {
+      auto left = static_cast<std::size_t>(rc);
+      while (msg.msg_iovlen > 0 && left >= msg.msg_iov->iov_len) {
+        left -= msg.msg_iov->iov_len;
+        ++msg.msg_iov;
+        --msg.msg_iovlen;
+      }
+      if (left > 0) {
+        auto* base = static_cast<std::uint8_t*>(msg.msg_iov->iov_base);
+        msg.msg_iov->iov_base = base + left;
+        msg.msg_iov->iov_len -= left;
+      }
+      continue;
+    }
+    if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Kernel buffer full: wait for drain, bounded so a wedged peer
+      // surfaces as an error instead of a frozen router loop. An
+      // interrupted poll is retried — a stray signal must not demote a
+      // healthy peer to dead.
+      pollfd pfd{fd, POLLOUT, 0};
+      const int ready = ::poll(&pfd, 1, 30'000);
+      if (ready < 0 && errno == EINTR) continue;
+      QKMPS_CHECK_MSG(ready > 0, "send stalled: peer not draining");
+      continue;
+    }
+    if (rc < 0 && errno == EINTR) continue;
+    throw_errno("send: peer gone");
+  }
+}
 
 bool has_prefix(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -385,41 +424,20 @@ SocketTransport::pair() {
   return {std::move(a), std::move(b)};
 }
 
-void SocketTransport::send_all(const std::uint8_t* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t rc = ::send(fd_, data + sent, n - sent, MSG_NOSIGNAL);
-    if (rc > 0) {
-      sent += static_cast<std::size_t>(rc);
-      continue;
-    }
-    if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Kernel buffer full: wait for drain, bounded so a wedged peer
-      // surfaces as an error instead of a frozen router loop. An
-      // interrupted poll is retried — a stray signal must not demote a
-      // healthy peer to dead.
-      pollfd pfd{fd_, POLLOUT, 0};
-      const int ready = ::poll(&pfd, 1, 30'000);
-      if (ready < 0 && errno == EINTR) continue;
-      QKMPS_CHECK_MSG(ready > 0, "send stalled: peer not draining");
-      continue;
-    }
-    if (rc < 0 && errno == EINTR) continue;
-    throw_errno("send: peer gone");
-  }
-}
-
 void SocketTransport::send(const std::vector<std::uint8_t>& payload) {
   QKMPS_CHECK_MSG(fd_ >= 0, "send on a closed transport");
   // Header on the stack, payload straight from the caller's buffer — the
-  // per-message hot path makes no intermediate copies of either.
+  // per-message hot path makes no intermediate copies of either, and a
+  // frame the kernel takes whole costs one syscall.
   FrameHeader header;
   header.length = payload.size();
   header.checksum = frame_checksum(payload.data(), payload.size());
   std::uint8_t raw[kFrameHeaderBytes];
   encode_frame_header(header, raw);
-  send_all(raw, kFrameHeaderBytes);
-  if (!payload.empty()) send_all(payload.data(), payload.size());
+  // sendmsg only reads the payload; iovec just has no const member.
+  iovec iov[2] = {{raw, kFrameHeaderBytes},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  send_all(fd_, iov, payload.empty() ? 1 : 2);
   counters_.frames_sent += 1;
   counters_.bytes_sent += kFrameHeaderBytes + payload.size();
   static obs::Counter& frames =

@@ -196,7 +196,6 @@ class SocketTransport {
   const FrameCounters& counters() const { return counters_; }
 
  private:
-  void send_all(const std::uint8_t* data, std::size_t n);
   void fill_from_socket(bool wait, std::chrono::microseconds timeout);
   std::optional<std::vector<std::uint8_t>> pop_frame();
 

@@ -38,7 +38,6 @@ void observe_stage_timings(const StageTimings& t) {
   static obs::Histogram& kernel = reg.histogram("serve.stage.kernel_seconds");
   static obs::Histogram& score = reg.histogram("serve.stage.score_seconds");
   static obs::Counter& batches = reg.counter("serve.engine.batches");
-  static obs::Counter& requests = reg.counter("serve.engine.requests");
   static obs::Counter& simulated = reg.counter("serve.engine.simulated");
   scale.observe(t.scale_seconds);
   memo.observe(t.memo_seconds);
@@ -47,8 +46,15 @@ void observe_stage_timings(const StageTimings& t) {
   kernel.observe(t.kernel_seconds);
   score.observe(t.score_seconds);
   batches.add();
-  requests.add(t.batch_size);
   simulated.add(t.simulated);
+}
+
+Prediction replay(const MemoizedPrediction& m) {
+  Prediction p;
+  p.label = m.label;
+  p.decision_value = m.decision_value;
+  p.memo_hit = true;
+  return p;
 }
 
 }  // namespace
@@ -96,11 +102,27 @@ InferenceEngine::~InferenceEngine() {
 std::future<Prediction> InferenceEngine::submit(std::vector<double> features) {
   check_request_features(features, bundle_->num_features());
   Request r;
-  r.features = std::move(features);
   r.submitted = std::chrono::steady_clock::now();
-  std::future<Prediction> fut = r.promise.get_future();
   {
     util::MutexLock lock(mu_);
+    QKMPS_CHECK_MSG(!stop_, "submit on a stopped engine");
+  }
+  r.admission = admit(std::move(features));
+  std::future<Prediction> fut = r.promise.get_future();
+  if (r.admission.memoized) {
+    // Answered here: a hit never queues, never wakes the batcher and never
+    // waits out the batch window.
+    Prediction p = replay(*r.admission.memoized);
+    count_requests(1);
+    p.latency_seconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - r.submitted).count();
+    r.promise.set_value(p);
+    return fut;
+  }
+  {
+    util::MutexLock lock(mu_);
+    // Checked again: the batcher exits once stop_ is set and the queue is
+    // empty, so a request queued after that would never resolve.
     QKMPS_CHECK_MSG(!stop_, "submit on a stopped engine");
     if (!batcher_.joinable())
       batcher_ = std::thread([this] { batcher_loop(); });
@@ -142,14 +164,14 @@ void InferenceEngine::batcher_loop() {
 
 void InferenceEngine::execute(std::vector<Request>& batch) {
   try {
-    // Features are moved out (Request only needs promise/submitted from
+    // Admissions are moved out (Request only needs promise/submitted from
     // here on); anything that throws — including this loop under memory
     // pressure — must land in the catch so the batch fails its futures
     // instead of escaping the batcher thread.
-    std::vector<std::vector<double>> features;
-    features.reserve(batch.size());
-    for (Request& r : batch) features.push_back(std::move(r.features));
-    std::vector<Prediction> out = run_batch(features);
+    std::vector<Admission> rows;
+    rows.reserve(batch.size());
+    for (Request& r : batch) rows.push_back(std::move(r.admission));
+    std::vector<Prediction> out = score(rows);
     // Counters are bumped before the promises resolve so a caller that
     // has joined on its futures always observes them accounted for.
     record_batch(batch.size());
@@ -166,16 +188,53 @@ void InferenceEngine::execute(std::vector<Request>& batch) {
   }
 }
 
-void InferenceEngine::record_batch(std::size_t n_requests) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  requests_.fetch_add(n_requests, std::memory_order_relaxed);
-  fetch_max(max_batch_seen_, static_cast<std::uint64_t>(n_requests));
+void InferenceEngine::count_requests(std::size_t n) {
+  static obs::Counter& requests =
+      obs::Registry::global().counter("serve.engine.requests");
+  requests_.fetch_add(n, std::memory_order_relaxed);
+  requests.add(n);
 }
 
-std::vector<Prediction> InferenceEngine::run_batch(
-    const std::vector<std::vector<double>>& features, StageTimings* timings) {
+void InferenceEngine::record_batch(std::size_t n_requests) {
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  fetch_max(max_batch_seen_, static_cast<std::uint64_t>(n_requests));
+  count_requests(n_requests);
+}
+
+InferenceEngine::Admission InferenceEngine::admit(
+    std::vector<double> features) {
   const idx m = bundle_->num_features();
-  const idx b = static_cast<idx>(features.size());
+  QKMPS_CHECK(static_cast<idx>(features.size()) == m);
+  Admission a;
+  Timer stage;
+
+  // Scale through the bundle's fitted scaler; transform is
+  // row-independent, so a one-row transform matches the sequential
+  // whole-matrix transform bit for bit.
+  kernel::RealMatrix raw(1, m);
+  std::copy(features.begin(), features.end(), raw.row(0));
+  const kernel::RealMatrix scaled = bundle_->scaler.transform(raw);
+  a.key = std::move(features);
+  std::copy(scaled.row(0), scaled.row(0) + m, a.key.begin());
+  a.scale_seconds = stage.seconds();
+  stage.reset();
+
+  // An exact repeat of a previously scored request replays its decision
+  // value without touching the StateCache or the pool.
+  static obs::Counter& memo_hits =
+      obs::Registry::global().counter("serve.memo.hits");
+  static obs::Counter& memo_misses =
+      obs::Registry::global().counter("serve.memo.misses");
+  a.hash = feature_hash(a.key);  // hashed once, reused throughout
+  a.memoized = memo_.find(a.key, a.hash);
+  (a.memoized ? memo_hits : memo_misses).add();
+  a.memo_seconds = stage.seconds();
+  return a;
+}
+
+std::vector<Prediction> InferenceEngine::score(
+    const std::vector<Admission>& rows, StageTimings* timings) {
+  const idx b = static_cast<idx>(rows.size());
   const idx n_sv = bundle_->num_support_vectors();
 
   StageTimings local;
@@ -184,49 +243,19 @@ std::vector<Prediction> InferenceEngine::run_batch(
   t.batch_size = static_cast<std::size_t>(b);
   Timer stage;
 
-  // Scale the whole batch through the bundle's fitted scaler; transform is
-  // row-independent, so values match a sequential per-request transform.
-  kernel::RealMatrix raw(b, m);
-  for (idx i = 0; i < b; ++i) {
-    const auto& f = features[static_cast<std::size_t>(i)];
-    QKMPS_CHECK(static_cast<idx>(f.size()) == m);
-    std::copy(f.begin(), f.end(), raw.row(i));
-  }
-  const kernel::RealMatrix scaled = bundle_->scaler.transform(raw);
-  t.scale_seconds = stage.seconds();
-  stage.reset();
-
+  // Hits replay their memoized bits; misses stay "active" through the
+  // rest of the pipeline.
   std::vector<Prediction> out(static_cast<std::size_t>(b));
-
-  // Memo pass: an exact repeat of a previously scored request replays its
-  // decision value without touching the StateCache or the pool. Rows that
-  // miss stay "active" through the rest of the pipeline.
-  std::vector<std::vector<double>> keys(static_cast<std::size_t>(b));
-  std::vector<std::uint64_t> hashes(static_cast<std::size_t>(b), 0);
   std::vector<std::size_t> active;
   active.reserve(static_cast<std::size_t>(b));
-  for (std::size_t i = 0; i < static_cast<std::size_t>(b); ++i) {
-    keys[i].assign(scaled.row(static_cast<idx>(i)),
-                   scaled.row(static_cast<idx>(i)) + m);
-    hashes[i] = feature_hash(keys[i]);  // hashed once, reused throughout
-    if (const auto memoized = memo_.find(keys[i], hashes[i])) {
-      out[i].label = memoized->label;
-      out[i].decision_value = memoized->decision_value;
-      out[i].memo_hit = true;
-      continue;
-    }
-    active.push_back(i);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    t.scale_seconds += rows[i].scale_seconds;
+    t.memo_seconds += rows[i].memo_seconds;
+    if (rows[i].memoized)
+      out[i] = replay(*rows[i].memoized);
+    else
+      active.push_back(i);
   }
-  {
-    static obs::Counter& memo_hits =
-        obs::Registry::global().counter("serve.memo.hits");
-    static obs::Counter& memo_misses =
-        obs::Registry::global().counter("serve.memo.misses");
-    memo_hits.add(static_cast<std::uint64_t>(b) - active.size());
-    memo_misses.add(active.size());
-  }
-  t.memo_seconds = stage.seconds();
-  stage.reset();
 
   // Cache pass over the active rows: resident states are reused, misses
   // are deduplicated within the batch (two identical uncached requests
@@ -237,15 +266,15 @@ std::vector<Prediction> InferenceEngine::run_batch(
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> miss_by_hash;
   std::vector<std::size_t> alias_of(static_cast<std::size_t>(b), 0);
   for (std::size_t i : active) {
-    states[i] = cache_.find(keys[i], hashes[i]);
+    states[i] = cache_.find(rows[i].key, rows[i].hash);
     if (states[i] != nullptr) {
       out[i].cache_hit = true;
       continue;
     }
-    auto& bucket = miss_by_hash[hashes[i]];
+    auto& bucket = miss_by_hash[rows[i].hash];
     std::size_t rep = i;
     for (std::size_t earlier : bucket) {
-      if (feature_bits_equal(keys[earlier], keys[i])) {
+      if (feature_bits_equal(rows[earlier].key, rows[i].key)) {
         rep = earlier;
         break;
       }
@@ -270,12 +299,12 @@ std::vector<Prediction> InferenceEngine::run_batch(
     linalg::KernelThreadScope kernel_scope(1);
     const std::size_t i = unique_miss[u];
     const circuit::Circuit c =
-        circuit::feature_map_circuit(bundle_->config.ansatz, keys[i]);
+        circuit::feature_map_circuit(bundle_->config.ansatz, rows[i].key);
     fresh[u] = std::make_shared<const mps::Mps>(sim.simulate(c).state);
   });
   for (std::size_t u = 0; u < unique_miss.size(); ++u) {
     const std::size_t i = unique_miss[u];
-    states[i] = cache_.insert(keys[i], hashes[i], fresh[u]);
+    states[i] = cache_.insert(rows[i].key, rows[i].hash, fresh[u]);
   }
   for (std::size_t i : active)
     if (states[i] == nullptr) states[i] = states[alias_of[i]];
@@ -309,7 +338,7 @@ std::vector<Prediction> InferenceEngine::run_batch(
     const std::size_t i = active[static_cast<std::size_t>(a)];
     out[i].decision_value = f[static_cast<std::size_t>(a)];
     out[i].label = f[static_cast<std::size_t>(a)] >= 0.0 ? 1 : -1;
-    memo_.insert(keys[i], hashes[i],
+    memo_.insert(rows[i].key, rows[i].hash,
                  {out[i].label, out[i].decision_value});
   }
   circuits_simulated_.fetch_add(unique_miss.size(),
@@ -339,7 +368,10 @@ std::vector<Prediction> InferenceEngine::predict_batch(
 std::vector<Prediction> InferenceEngine::predict_batch_trusted(
     std::vector<std::vector<double>> features, StageTimings* timings) {
   Timer timer;
-  std::vector<Prediction> out = run_batch(features, timings);
+  std::vector<Admission> rows;
+  rows.reserve(features.size());
+  for (std::vector<double>& f : features) rows.push_back(admit(std::move(f)));
+  std::vector<Prediction> out = score(rows, timings);
   const double seconds = timer.seconds();
   for (Prediction& p : out) p.latency_seconds = seconds;
   record_batch(out.size());

@@ -5,6 +5,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -31,10 +32,11 @@ struct EngineConfig {
   /// each lane's kernels on one thread; kernel rows spread over the lanes.
   std::size_t num_threads = 0;
   std::size_t cache_capacity = 4096;  ///< StateCache entries; 0 disables
-  /// Decision-value memo entries; 0 disables. An exact-repeat request
-  /// (identical scaled feature bits) short-circuits before the StateCache:
-  /// no simulation, no kernel row, no SVC pass — it replays the identical
-  /// prediction bits. ROADMAP's decision-value memoization.
+  /// Decision-value memo entries; 0 disables. The memo is asked at
+  /// admission: an exact-repeat request (identical scaled feature bits)
+  /// replays the identical prediction bits with no simulation, no kernel
+  /// row and no SVC pass, and a submit() hit resolves before submit()
+  /// returns, without waiting out batch_deadline.
   std::size_t memo_capacity = 1024;
 };
 
@@ -50,21 +52,26 @@ struct Prediction {
   /// skipped simulation, the StateCache, and the kernel entirely (so
   /// cache_hit is false for a memo hit — the StateCache was never asked).
   bool memo_hit = false;
-  /// submit() -> promise fulfilment for async requests; the batch's wall
-  /// time for every row of a synchronous predict_batch() call.
+  /// submit() -> promise fulfilment for async requests (for a memo hit,
+  /// the time spent inside submit()); the batch's wall time for every row
+  /// of a synchronous predict_batch() call.
   double latency_seconds = 0.0;
 };
 
-/// Per-batch wall-clock breakdown of the engine's scoring stages, filled
-/// by predict_batch_trusted for callers that pass a sink (the shard
-/// worker turns it into worker-side trace spans; see obs/trace.hpp). The
+/// Per-batch wall-clock breakdown of the engine's stages, filled by
+/// predict_batch_trusted for callers that pass a sink (the shard worker
+/// turns it into worker-side trace spans; see obs/trace.hpp). There the
 /// stages partition the batch's compute wall time in order: any
 /// queue/gather wait happened before the engine saw the batch. Every
 /// batch also feeds the process-wide obs::Registry histograms
-/// (serve.stage.*_seconds) whether or not a sink was passed.
+/// (serve.stage.*_seconds) whether or not a sink was passed; a memo hit
+/// answered inside submit() belongs to no batch and feeds none.
 struct StageTimings {
-  double scale_seconds = 0.0;     ///< scaler transform of the whole batch
-  double memo_seconds = 0.0;      ///< decision-value memo pass
+  /// Admission of the batch's rows: scaler transform, then key hashing
+  /// and the memo lookup. An async batch's requests were admitted inside
+  /// submit(), so for it these are the sums of their admission times.
+  double scale_seconds = 0.0;
+  double memo_seconds = 0.0;
   double cache_seconds = 0.0;     ///< StateCache pass + in-batch dedup
   double simulate_seconds = 0.0;  ///< parallel MPS simulation of misses
   double kernel_seconds = 0.0;    ///< SV kernel rows + decision values
@@ -77,21 +84,30 @@ struct StageTimings {
 /// the engine keeps every counter atomic, so stats() never touches the
 /// request-queue lock and can be polled from any thread during traffic.
 struct EngineStats {
-  std::uint64_t requests = 0;
+  std::uint64_t requests = 0;  ///< every answered request, hit or scored
+  /// Batches run: async batches of queued memo misses and predict_batch
+  /// calls. A memo hit answered inside submit() belongs to no batch.
   std::uint64_t batches = 0;
-  std::uint64_t circuits_simulated = 0;
-  std::uint64_t max_batch_seen = 0;
-  CacheStats cache;
-  MemoStats memo;
+  std::uint64_t circuits_simulated = 0;  ///< after cache and in-batch dedup
+  std::uint64_t max_batch_seen = 0;      ///< largest batch run
+  CacheStats cache;  ///< asked only by memo misses
+  MemoStats memo;    ///< one lookup per request, at admission
 };
 
-/// Asynchronous micro-batched inference over a ModelBundle. Callers
-/// submit() feature vectors and receive futures; a dedicated batcher
-/// thread drains up to max_batch requests (or whatever arrived within
-/// batch_deadline of the first), simulates uncached feature-map circuits
-/// in parallel on a parallel::ThreadPool, computes the rectangular kernel
-/// against the bundle's support-vector states only, and scores with the
-/// compacted SVC.
+/// Asynchronous micro-batched inference over a ModelBundle. Every request
+/// goes through two steps:
+///  - admission: scale through the bundle scaler, key the scaled bits,
+///    hash the key and ask the PredictionMemo;
+///  - scoring (memo misses only): StateCache and in-batch dedup, parallel
+///    simulation of uncached feature-map circuits on a
+///    parallel::ThreadPool, the rectangular kernel against the bundle's
+///    support-vector states only, the compacted SVC, the memo insert.
+/// submit() admits on the caller's thread. A memo hit resolves its future
+/// before submit() returns and never reaches the queue, the batcher or
+/// the pool; a miss is queued with its key, and a dedicated batcher
+/// thread drains up to max_batch of them (or whatever arrived within
+/// batch_deadline of the first) and scores them. predict_batch admits
+/// its whole batch, then scores it.
 ///
 /// Determinism contract: batching is a scheduling choice, not a numeric
 /// one. Every stage (scaling, circuit simulation, zipper inner products,
@@ -100,7 +116,9 @@ struct EngineStats {
 /// SvcModel::decision_values) runs, on the same per-request inputs, so
 /// predictions are bitwise-identical regardless of batch composition,
 /// arrival order, cache hits, or memo hits — the metamorphic relation
-/// tests/test_inference_engine.cpp pins down.
+/// tests/test_inference_engine.cpp pins down. Completion order is not
+/// submission order: a memo hit resolves ahead of misses queued before
+/// it.
 ///
 /// The bundle is held through shared_ptr<const ModelBundle>, so N engines
 /// (e.g. the in-process shards of a RankShardedEngine) keep one copy of
@@ -116,13 +134,15 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  /// Enqueues one request. Throws immediately on a feature-count mismatch;
-  /// otherwise the future carries the prediction (or the error that killed
-  /// its batch).
+  /// Admits one request. Throws immediately on a feature-count mismatch or
+  /// a non-finite feature. A memo hit returns a ready future; a miss is
+  /// queued for the batcher, and its future carries the prediction (or
+  /// the error that killed its batch).
   std::future<Prediction> submit(std::vector<double> features);
 
-  /// Synchronous convenience: scores every row of `x` through the same
-  /// compute path as the async batches (bypassing the queue and deadline).
+  /// Synchronous convenience: admits and scores every row of `x` through
+  /// the same two steps as the async path (bypassing the queue and
+  /// deadline), as one batch.
   std::vector<Prediction> predict_batch(const kernel::RealMatrix& x);
 
   /// Same, taking the rows directly, with no intermediate matrix
@@ -149,21 +169,40 @@ class InferenceEngine {
       std::vector<std::vector<double>> features,
       StageTimings* timings = nullptr);
 
+  /// A request past admission. `key` is its scaled features, the bit
+  /// pattern the memo and the StateCache are keyed by; `hash` is
+  /// feature_hash(key); `memoized` is the memo's answer on a hit.
+  struct Admission {
+    std::vector<double> key;
+    std::uint64_t hash = 0;
+    std::optional<MemoizedPrediction> memoized;
+    double scale_seconds = 0.0;  ///< admission's stage times
+    double memo_seconds = 0.0;
+  };
+
+  /// A submitted request; only memo misses reach the queue.
   struct Request {
-    std::vector<double> features;
+    Admission admission;
     std::promise<Prediction> promise;
     std::chrono::steady_clock::time_point submitted;
   };
 
+  /// Admission: scales one request (its buffer becomes the key), hashes
+  /// the key and asks the memo. The only memo lookup a request gets, so
+  /// it is also where serve.memo.hits/misses are counted.
+  Admission admit(std::vector<double> features);
+  /// Scoring: one Prediction per admitted row, in order. Hits replay
+  /// their memoized bits; misses go through the StateCache (with in-batch
+  /// dedup), simulation, SV kernels and the SVC, and are memoized. Stage
+  /// wall times land in `timings` when non-null and in the global
+  /// registry histograms always.
+  std::vector<Prediction> score(const std::vector<Admission>& rows,
+                                StageTimings* timings = nullptr);
+
   void batcher_loop();
   void execute(std::vector<Request>& batch);
+  void count_requests(std::size_t n);
   void record_batch(std::size_t n_requests);
-  /// Scales, memo-checks, simulates (cache-aware), computes SV kernels,
-  /// scores, memoizes. Stage wall times land in `timings` when non-null
-  /// and in the global registry histograms always.
-  std::vector<Prediction> run_batch(
-      const std::vector<std::vector<double>>& features,
-      StageTimings* timings = nullptr);
 
   const std::shared_ptr<const ModelBundle> bundle_;
   const EngineConfig config_;

@@ -19,12 +19,14 @@ struct MemoizedPrediction {
 /// Tiny thread-safe LRU of *final* decision values, keyed by the bit
 /// pattern of the scaled feature vector — the ROADMAP's decision-value
 /// memoization, an LruMap instance (see lru_map.hpp). Sits in front of
-/// the whole simulation path: an exact repeat of a previously scored
-/// request skips scaling-downstream work entirely (no circuit
-/// simulation, no StateCache traffic, no SV kernel row, no SVC
-/// accumulation), returning the identical bits it returned the first
-/// time. Where the StateCache amortizes the simulation of a repeated
-/// *point*, the memo amortizes the entire request.
+/// the whole simulation path and is asked once per request, at
+/// admission (InferenceEngine::submit, or predict_batch): an exact repeat
+/// of a previously scored request skips scaling-downstream work entirely
+/// (no batch window, no circuit simulation, no StateCache traffic, no SV
+/// kernel row, no SVC accumulation), returning the identical bits it
+/// returned the first time. Where the StateCache amortizes the
+/// simulation of a repeated *point*, the memo amortizes the entire
+/// request.
 ///
 /// capacity == 0 disables memoization: find() always misses and insert()
 /// stores nothing.

@@ -28,7 +28,7 @@ TEST_P(RankCount, RoundRobinMatchesSequential) {
   const RealMatrix expect = gram_matrix(cfg4(), x);
   const RealMatrix got = distributed_gram_matrix(
       cfg4(), x, ranks, DistributionStrategy::RoundRobin);
-  EXPECT_LT(max_abs_diff(got, expect), 1e-12) << "ranks=" << ranks;
+  EXPECT_EQ(max_abs_diff(got, expect), 0.0) << "ranks=" << ranks;
 }
 
 TEST_P(RankCount, NoMessagingMatchesSequential) {
@@ -37,7 +37,7 @@ TEST_P(RankCount, NoMessagingMatchesSequential) {
   const RealMatrix expect = gram_matrix(cfg4(), x);
   const RealMatrix got = distributed_gram_matrix(
       cfg4(), x, ranks, DistributionStrategy::NoMessaging);
-  EXPECT_LT(max_abs_diff(got, expect), 1e-12) << "ranks=" << ranks;
+  EXPECT_EQ(max_abs_diff(got, expect), 0.0) << "ranks=" << ranks;
 }
 
 TEST_P(RankCount, CrossKernelMatchesSequential) {
@@ -46,7 +46,7 @@ TEST_P(RankCount, CrossKernelMatchesSequential) {
   const RealMatrix xtrain = random_scaled_data(9, 4, 400 + static_cast<std::uint64_t>(ranks));
   const RealMatrix expect = cross_kernel(cfg4(), xtest, xtrain);
   const RealMatrix got = distributed_cross_kernel(cfg4(), xtest, xtrain, ranks);
-  EXPECT_LT(max_abs_diff(got, expect), 1e-12) << "ranks=" << ranks;
+  EXPECT_EQ(max_abs_diff(got, expect), 0.0) << "ranks=" << ranks;
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, RankCount, ::testing::Values(1, 2, 3, 4, 5, 6));
@@ -84,7 +84,7 @@ TEST(DistributedGram, MoreRanksThanPoints) {
   const RealMatrix expect = gram_matrix(cfg4(), x);
   const RealMatrix got =
       distributed_gram_matrix(cfg4(), x, 6, DistributionStrategy::RoundRobin);
-  EXPECT_LT(max_abs_diff(got, expect), 1e-12);
+  EXPECT_EQ(max_abs_diff(got, expect), 0.0);
 }
 
 TEST(DistributedGram, ResultIsSymmetric) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <limits>
 #include <vector>
 
 #include "kernel/gram.hpp"
 #include "linalg/policy.hpp"
+#include "obs/metrics.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve_test_fixture.hpp"
 #include "svm/svm.hpp"
@@ -172,6 +174,93 @@ TEST(InferenceEngine, MemoizedRepeatSkipsSimulationAndStateCache) {
   EXPECT_EQ(after2.cache.misses, after1.cache.misses);
   EXPECT_GE(after2.memo.hits, static_cast<std::uint64_t>(n));
   EXPECT_EQ(after2.memo.insertions, after1.memo.insertions);
+}
+
+TEST(InferenceEngine, MemoHitResolvesInsideSubmit) {
+  // A memo hit is answered at admission. With a batch window far longer
+  // than the test, every repeat must already be resolved when submit()
+  // returns, and no batch may run for it.
+  const Serving s = make_serving(13);
+  EngineConfig cfg;
+  cfg.num_threads = 2;
+  cfg.batch_deadline = std::chrono::seconds(60);
+  InferenceEngine engine(s.bundle, cfg);
+
+  const auto batch = engine.predict_batch(s.x_test_raw);
+  const EngineStats before = engine.stats();
+  const idx n = s.x_test_raw.rows();
+  for (idx i = 0; i < n; ++i) {
+    std::future<Prediction> fut = engine.submit(raw_row(s.x_test_raw, i));
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i;
+    const Prediction p = fut.get();
+    const Prediction& first = batch[static_cast<std::size_t>(i)];
+    EXPECT_TRUE(p.memo_hit) << "request " << i;
+    EXPECT_FALSE(p.cache_hit) << "request " << i;
+    EXPECT_EQ(p.decision_value, first.decision_value) << "request " << i;
+    EXPECT_EQ(p.label, first.label) << "request " << i;
+    EXPECT_GE(p.latency_seconds, 0.0);
+  }
+
+  const EngineStats after = engine.stats();
+  EXPECT_EQ(after.batches, before.batches);
+  EXPECT_EQ(after.max_batch_seen, before.max_batch_seen);
+  EXPECT_EQ(after.circuits_simulated, before.circuits_simulated);
+  EXPECT_EQ(after.requests, before.requests + static_cast<std::uint64_t>(n));
+  EXPECT_EQ(after.memo.hits, before.memo.hits + static_cast<std::uint64_t>(n));
+}
+
+TEST(InferenceEngine, EveryRequestCountsOnceInTheMemoStatistics) {
+  // New rows and repeats of already answered rows, interleaved: each
+  // request is one memo lookup, a repeat is a hit wherever it is
+  // answered, and the registry counters agree with EngineStats.
+  const Serving s = make_serving(14);
+  EngineConfig cfg;
+  cfg.max_batch = 3;
+  cfg.num_threads = 2;
+  InferenceEngine engine(s.bundle, cfg);
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& reg_hits = reg.counter("serve.memo.hits");
+  obs::Counter& reg_misses = reg.counter("serve.memo.misses");
+  obs::Counter& reg_requests = reg.counter("serve.engine.requests");
+  const std::uint64_t hits0 = reg_hits.value();
+  const std::uint64_t misses0 = reg_misses.value();
+  const std::uint64_t requests0 = reg_requests.value();
+
+  // Eight distinct rows: the held-out queries, shifted a little apart.
+  std::vector<std::vector<double>> rows;
+  for (idx r = 0; r < 8; ++r) {
+    std::vector<double> x = raw_row(s.x_test_raw, r % s.x_test_raw.rows());
+    x[0] += 0.01 * static_cast<double>(r);
+    rows.push_back(std::move(x));
+  }
+  std::vector<std::future<Prediction>> first;
+  for (std::size_t r = 0; r < 4; ++r) first.push_back(engine.submit(rows[r]));
+  std::vector<double> answered;
+  for (auto& f : first) answered.push_back(f.get().decision_value);
+
+  std::vector<std::future<Prediction>> repeats, fresh;
+  for (std::size_t r = 0; r < 4; ++r) {
+    repeats.push_back(engine.submit(rows[r]));
+    fresh.push_back(engine.submit(rows[4 + r]));
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    const Prediction p = repeats[r].get();
+    EXPECT_TRUE(p.memo_hit) << "row " << r;
+    EXPECT_EQ(p.decision_value, answered[r]) << "row " << r;
+    EXPECT_FALSE(fresh[r].get().memo_hit) << "row " << 4 + r;
+  }
+
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.requests, 12u);
+  EXPECT_EQ(st.memo.hits + st.memo.misses, st.requests);
+  EXPECT_EQ(st.memo.hits, 4u);
+  EXPECT_EQ(st.circuits_simulated, 8u);
+  EXPECT_LE(st.max_batch_seen, cfg.max_batch);
+  EXPECT_EQ(reg_hits.value() - hits0, 4u);
+  EXPECT_EQ(reg_misses.value() - misses0, 8u);
+  EXPECT_EQ(reg_requests.value() - requests0, 12u);
 }
 
 TEST(InferenceEngine, MemoEvictionStaysCorrectUnderTinyCapacity) {

@@ -333,6 +333,35 @@ TEST(SocketTransport, PairIsAFramedDuplexLinkWithCloexecFds) {
   EXPECT_THROW(b->send(bytes_of({1})), Error);
 }
 
+TEST(SocketTransport, FrameLargerThanTheSocketBufferArrivesWhole) {
+  // A frame several times the kernel's socket buffer cannot go out in one
+  // write: send() must carry its header and payload across partial writes
+  // while the peer drains on another thread, and the next frame must
+  // still start on a frame boundary.
+  auto [a, b] = SocketTransport::pair();
+  std::vector<std::uint8_t> big(6u << 20);
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<std::uint8_t>((i * 131u) ^ (i >> 16));
+  auto reader = std::async(std::launch::async, [&b] {
+    std::vector<std::vector<std::uint8_t>> got;
+    for (int i = 0; i < 2; ++i) {
+      auto frame = b->recv_for(std::chrono::microseconds(10'000'000));
+      if (!frame) break;
+      got.push_back(std::move(*frame));
+    }
+    return got;
+  });
+  a->send(big);
+  a->send(bytes_of({1, 2, 3}));
+  const auto got = reader.get();
+  ASSERT_EQ(got.size(), 2u);
+  ASSERT_EQ(got[0].size(), big.size());
+  EXPECT_TRUE(got[0] == big);  // not EXPECT_EQ: no 6 MiB failure dump
+  EXPECT_EQ(got[1], bytes_of({1, 2, 3}));
+  EXPECT_EQ(a->counters().bytes_sent,
+            2 * kFrameHeaderBytes + big.size() + 3);
+}
+
 TEST(SocketTransport, ConnectTimesOutAgainstNobody) {
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_THROW(SocketTransport::connect(
