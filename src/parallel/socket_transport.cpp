@@ -12,14 +12,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/binary_io.hpp"
 #include "util/error.hpp"
 
 namespace qkmps::parallel {
@@ -193,6 +189,10 @@ void encode_frame_header(const FrameHeader& header,
   std::memcpy(out + 16, &header.checksum, sizeof header.checksum);
 }
 
+namespace {
+
+/// Throws qkmps::Error on wrong magic, a version newer than this build
+/// speaks, a nonzero reserved field, or a length over `max_payload`.
 void validate_frame_header(const FrameHeader& header,
                            std::uint64_t max_payload) {
   QKMPS_CHECK_MSG(header.magic == kFrameMagic,
@@ -210,6 +210,8 @@ void validate_frame_header(const FrameHeader& header,
                                           << max_payload << " bytes");
 }
 
+/// Throws qkmps::Error when the payload's checksum disagrees with the
+/// header's.
 void verify_frame_checksum(const FrameHeader& header,
                            const std::uint8_t* payload) {
   const std::uint32_t sum =
@@ -220,52 +222,7 @@ void verify_frame_checksum(const FrameHeader& header,
                       << ")");
 }
 
-void write_frame(std::ostream& os, const std::uint8_t* payload,
-                 std::size_t n) {
-  FrameHeader header;
-  header.length = n;
-  header.checksum = frame_checksum(payload, n);
-  std::uint8_t raw[kFrameHeaderBytes];
-  encode_frame_header(header, raw);
-  os.write(reinterpret_cast<const char*>(raw), kFrameHeaderBytes);
-  QKMPS_CHECK_MSG(os.good(), "short write (frame header)");
-  if (n > 0) {
-    os.write(reinterpret_cast<const char*>(payload),
-             static_cast<std::streamsize>(n));
-    QKMPS_CHECK_MSG(os.good(),
-                    "short write (frame payload of " << n << " bytes)");
-  }
-}
-
-void write_frame(std::ostream& os, const std::vector<std::uint8_t>& payload) {
-  write_frame(os, payload.data(), payload.size());
-}
-
-std::optional<std::vector<std::uint8_t>> read_frame(
-    std::istream& is, std::uint64_t max_payload) {
-  std::uint8_t raw[kFrameHeaderBytes];
-  is.read(reinterpret_cast<char*>(raw), kFrameHeaderBytes);
-  const std::streamsize got = is.gcount();
-  if (got == 0) return std::nullopt;  // clean end at a frame boundary
-  QKMPS_CHECK_MSG(got == static_cast<std::streamsize>(kFrameHeaderBytes),
-                  "truncated frame header (" << got << " of "
-                                             << kFrameHeaderBytes
-                                             << " bytes)");
-  const FrameHeader header = decode_frame_header(raw);
-  validate_frame_header(header, max_payload);
-
-  std::vector<std::uint8_t> payload(static_cast<std::size_t>(header.length));
-  if (header.length > 0) {
-    is.read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(header.length));
-    QKMPS_CHECK_MSG(
-        is.gcount() == static_cast<std::streamsize>(header.length),
-        "truncated frame payload (" << is.gcount() << " of "
-                                    << header.length << " bytes)");
-  }
-  verify_frame_checksum(header, payload.data());
-  return payload;
-}
+}  // namespace
 
 // ---------------------------------------------------------------------
 // SocketListener.

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,7 +15,7 @@ namespace qkmps::parallel {
 /// socketpair), with each message carried as one length-prefixed,
 /// version-tagged, checksummed frame. Message boundaries are preserved:
 /// one send() arrives as exactly one recv, in FIFO order — the property
-/// the serving drain barrier relies on. This is the only carrier of
+/// the serving shutdown barrier relies on. This is the only carrier of
 /// serve::RankShardedEngine's shard protocol, whether a shard worker is
 /// a spawned process or a thread of the engine's own process (DESIGN.md
 /// §1, "From ranks to processes"); correctness of the framing is
@@ -67,34 +66,10 @@ struct FrameHeader {
 FrameHeader decode_frame_header(const std::uint8_t* bytes);
 
 /// Encodes a header into its 20 wire bytes (exact inverse of
-/// decode_frame_header — the one definition of the layout both the
-/// stream codec and the socket send path share).
+/// decode_frame_header — the one definition of the layout the send path
+/// writes).
 void encode_frame_header(const FrameHeader& header,
                          std::uint8_t out[kFrameHeaderBytes]);
-
-/// Throws qkmps::Error on wrong magic, a version newer than this build
-/// speaks, a nonzero reserved field, or a length over `max_payload`.
-void validate_frame_header(const FrameHeader& header,
-                           std::uint64_t max_payload);
-
-/// Throws qkmps::Error when the payload's checksum disagrees with the
-/// header's — shared by the stream reader and the socket receive path so
-/// the torture suite's guarantees hold for both.
-void verify_frame_checksum(const FrameHeader& header,
-                           const std::uint8_t* payload);
-
-/// Writes one frame (header + payload) to `os`; a short write throws at
-/// the write site via the hardened io::write_pod path.
-void write_frame(std::ostream& os, const std::uint8_t* payload,
-                 std::size_t n);
-void write_frame(std::ostream& os, const std::vector<std::uint8_t>& payload);
-
-/// Reads one frame from `os`'s counterpart stream. Returns the payload,
-/// or nullopt on a clean end-of-stream at a frame boundary (zero bytes
-/// available). Anything else malformed — a partial header, a bad header,
-/// a payload cut short, a checksum mismatch — throws qkmps::Error.
-std::optional<std::vector<std::uint8_t>> read_frame(
-    std::istream& is, std::uint64_t max_payload = kMaxFramePayload);
 
 /// A bound-and-listening server socket. Addresses:
 ///   "unix:<path>"       Unix-domain socket at <path> (unlinked on close)

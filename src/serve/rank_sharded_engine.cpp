@@ -231,17 +231,13 @@ void RankShardedEngine::run_router() {
     util::MutexLock lock(mu_);
     runtime_error_ = std::current_exception();
   }
-  // Fulfil any stats or resize request that raced the shutdown so no
-  // caller is left waiting on a promise nobody owns.
-  std::deque<std::promise<std::vector<EngineStats>>> stats_leftovers;
+  // Fail any resize request that raced the shutdown so no caller is
+  // left waiting on a promise nobody owns.
   std::deque<TopologyCommand> topology_leftovers;
   {
     util::MutexLock lock(mu_);
-    stats_leftovers.swap(stats_requests_);
     topology_leftovers.swap(topology_requests_);
   }
-  for (auto& p : stats_leftovers)
-    p.set_value(std::vector<EngineStats>(workers_.size()));
   for (auto& c : topology_leftovers)
     c.done.set_exception(std::make_exception_ptr(
         Error("engine stopped before the resize could run")));
@@ -289,7 +285,7 @@ RankShardedEngine::Worker RankShardedEngine::start_worker(
     engine_config.num_threads = threads;
     auto engine = std::make_unique<InferenceEngine>(bundle_, engine_config);
     ShardWorkerOptions options;
-    options.batch_limit = std::max<std::size_t>(1, drain_batch_limit());
+    options.batch_limit = config_.engine.max_batch;
     worker.link = std::move(router_end);
     worker.thread = std::thread([link = std::move(worker_end),
                                  engine = std::move(engine), options, shard] {
@@ -429,11 +425,6 @@ long RankShardedEngine::worker_pid(std::size_t shard) const {
   return state.pid.load(std::memory_order_relaxed);
 }
 
-std::size_t RankShardedEngine::drain_batch_limit() const {
-  return config_.drain_max_batch > 0 ? config_.drain_max_batch
-                                     : config_.engine.max_batch;
-}
-
 std::future<RoutedPrediction> RankShardedEngine::submit(
     std::vector<double> features) {
   check_request_features(features, bundle_->num_features());
@@ -523,7 +514,7 @@ std::vector<std::string> RankShardedEngine::worker_args(
       "--connect=" + listener_->address(),
       "--shard=" + std::to_string(shard),
       "--bundle=" + config_.socket.bundle_dir,
-      "--gather=" + std::to_string(drain_batch_limit()),
+      "--gather=" + std::to_string(config_.engine.max_batch),
       "--threads=" + std::to_string(threads),
       "--cache=" + std::to_string(config_.engine.cache_capacity),
       "--memo=" + std::to_string(config_.engine.memo_capacity),
@@ -544,24 +535,26 @@ void RankShardedEngine::router_loop() {
     obs::TraceContext trace;
   };
   std::unordered_map<std::uint64_t, InFlight> inflight;
-  bool drain_marker_sent = false;
-  // Sized when the drain marker goes out: the topology is frozen from
-  // that point on (resize commands are refused while draining).
-  std::vector<char> drain_acked;
   // A connected-but-unresponsive worker (deadlocked, SIGSTOP'd) owing
-  // replies or a drain ack would otherwise stall the drain loop — and
-  // with it the destructor — forever. Any progress pushes the deadline
-  // out; total silence past it marks the offenders dead, matching the
-  // shutdown handshake's escalation.
-  constexpr std::chrono::seconds kDrainStall{30};
-  std::chrono::steady_clock::time_point drain_stall_deadline{};
+  // replies would otherwise stall the destructor's drain, or a removal,
+  // forever. Any progress pushes the deadline out; total silence past it
+  // marks the offenders dead, matching the shutdown handshake's
+  // escalation.
+  constexpr std::chrono::seconds kStallPatience{30};
+  std::optional<std::chrono::steady_clock::time_point> drain_stall_deadline;
+
+  // ShardState objects are stable once published (slots are never
+  // erased), so the pointer outlives the lock that found it.
+  const auto state_of = [this](int s) {
+    util::MutexLock topo(topology_mu_);
+    return shard_state_[static_cast<std::size_t>(s)].get();
+  };
 
   // A shard is addressable when it is neither dead nor drained out of
   // the topology. Removed slots keep their index (ids are never reused)
   // but own no ring points, no worker, and no futures.
-  const auto routable = [this](int s) {
-    util::MutexLock topo(topology_mu_);
-    const ShardState& state = *shard_state_[static_cast<std::size_t>(s)];
+  const auto routable = [&state_of](int s) {
+    const ShardState& state = *state_of(s);
     return state.alive.load(std::memory_order_relaxed) &&
            !state.removed.load(std::memory_order_relaxed);
   };
@@ -587,22 +580,12 @@ void RankShardedEngine::router_loop() {
     fl.promise.set_value(out);
   };
 
-  const auto generation_of = [this](int s) {
-    util::MutexLock topo(topology_mu_);
-    return shard_state_[static_cast<std::size_t>(s)]->generation.load(
-        std::memory_order_relaxed);
-  };
-
   const auto mark_dead = [&](int s, const std::string& why) {
-    ShardState* state_ptr;
-    {
-      util::MutexLock topo(topology_mu_);
-      state_ptr = shard_state_[static_cast<std::size_t>(s)].get();
-    }
-    ShardState& state = *state_ptr;
+    ShardState& state = *state_of(s);
     if (!state.alive.exchange(false, std::memory_order_relaxed)) return;
-    flight_.record_event(obs::EventKind::kWorkerDeath, s, generation_of(s),
-                         why);
+    const std::uint64_t generation =
+        state.generation.load(std::memory_order_relaxed);
+    flight_.record_event(obs::EventKind::kWorkerDeath, s, generation, why);
     std::size_t shed_count = 0;
     for (auto it = inflight.begin(); it != inflight.end();) {
       if (it->second.shard == s) {
@@ -619,7 +602,7 @@ void RankShardedEngine::router_loop() {
     // (the per-request detail is in the trace ring and the counters).
     if (shed_count > 0)
       flight_.record_event(
-          obs::EventKind::kShed, s, generation_of(s),
+          obs::EventKind::kShed, s, generation,
           "shed " + std::to_string(shed_count) + " in-flight requests");
     // Arm the self-heal: a fresh death gets a fresh attempt budget and
     // the base backoff (the monitor below doubles it per failure).
@@ -659,16 +642,6 @@ void RankShardedEngine::router_loop() {
   };
 
   const auto handle_reply = [&](int s, ShardReply reply) {
-    if (reply.kind == ShardReply::Kind::kDrained) {
-      QKMPS_CHECK_MSG(static_cast<std::size_t>(s) < drain_acked.size(),
-                      "unsolicited drain ack");
-      drain_acked[static_cast<std::size_t>(s)] = 1;
-      return;
-    }
-    if (reply.kind == ShardReply::Kind::kStats) {
-      // A stats sweep that timed out and was abandoned; stale, drop it.
-      return;
-    }
     QKMPS_CHECK_MSG(reply.kind == ShardReply::Kind::kPrediction ||
                         reply.kind == ShardReply::Kind::kFailed,
                     "unexpected reply kind in router loop");
@@ -678,6 +651,13 @@ void RankShardedEngine::router_loop() {
     InFlight fl = std::move(it->second);
     inflight.erase(it);
     const auto now = std::chrono::steady_clock::now();
+    ShardState& state = *state_of(s);
+    {
+      // Before the future resolves, so a caller holding its result reads
+      // counters that include the batch behind it.
+      util::MutexLock lock(state.engine_mu);
+      state.engine = reply.stats;
+    }
     if (reply.kind == ShardReply::Kind::kPrediction) {
       // A trace-id mismatch is a protocol violation like an unknown
       // request id (the caller marks the shard dead). An echo of 0 is
@@ -686,11 +666,7 @@ void RankShardedEngine::router_loop() {
           reply.trace_id == 0 || reply.trace_id == fl.trace.trace_id,
           "shard echoed trace id " << reply.trace_id << " for request "
                                    << reply.id);
-      {
-        util::MutexLock topo(topology_mu_);
-        shard_state_[static_cast<std::size_t>(s)]->served.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+      state.served.fetch_add(1, std::memory_order_relaxed);
       RoutedPrediction out;
       out.status = ServeStatus::kServed;
       out.shard = fl.shard;
@@ -780,12 +756,7 @@ void RankShardedEngine::router_loop() {
   // inherits exactly the keyspace its predecessor owned — nothing else
   // moves.
   const auto try_respawn = [&](std::size_t s) {
-    ShardState* state_ptr;
-    {
-      util::MutexLock topo(topology_mu_);
-      state_ptr = shard_state_[s].get();
-    }
-    ShardState& state = *state_ptr;
+    ShardState& state = *state_of(static_cast<int>(s));
     state.pid.store(-1, std::memory_order_relaxed);
     stop_worker(workers_[s], std::chrono::milliseconds(0));
     const std::uint64_t generation =
@@ -797,6 +768,11 @@ void RankShardedEngine::router_loop() {
       state.respawns.fetch_add(1, std::memory_order_relaxed);
       state.respawn_attempts = 0;
       state.respawn_delay = config_.socket.respawn_backoff;
+      {
+        // The new generation starts from zero counters.
+        util::MutexLock lock(state.engine_mu);
+        state.engine = EngineStats{};
+      }
       // Back in rotation: requests hashing to this slot serve again.
       state.alive.store(true, std::memory_order_relaxed);
       flight_.record_event(obs::EventKind::kRespawn, static_cast<int>(s),
@@ -861,31 +837,26 @@ void RankShardedEngine::router_loop() {
   };
 
   // remove_shard: ring handoff first (new routes skip the leaver
-  // immediately), then drain what it still owes, then the shutdown
-  // handshake and the stop. The slot stays, marked removed.
+  // immediately), then the shutdown handshake and the stop. The slot
+  // stays, marked removed.
   const auto execute_remove = [&](std::size_t s) {
-    ShardState* state_ptr;
-    {
-      // Handoff: erase the leaver's ring points. Links are FIFO, so
-      // every envelope it owes predates the kDrain marker below.
-      util::MutexLock topo(topology_mu_);
-      router_->remove_shard(static_cast<int>(s));
-      state_ptr = shard_state_[s].get();
-    }
-    ShardState& state = *state_ptr;
     const int leaver = static_cast<int>(s);
-    // Post-ack the leaver owes nothing (FIFO: its kDrained follows every
-    // reply to pre-handoff envelopes), so the shutdown handshake is
-    // immediate. Each wait is bounded: a leaver that goes silent is
-    // marked dead, which sheds what it owed.
+    {
+      // Handoff: erase the leaver's ring points, so every envelope it
+      // will ever get predates the kShutdown below.
+      util::MutexLock topo(topology_mu_);
+      router_->remove_shard(leaver);
+    }
+    ShardState& state = *state_of(leaver);
+    // Links are FIFO: the worker scores everything it was sent before
+    // the kShutdown, and await_ack takes those replies on the way to the
+    // kStopped ack. A leaver silent for kStallPatience is marked dead,
+    // which sheds what it owed.
     if (routable(leaver) &&
-        shard_send(leaver, ShardEnvelope{ShardEnvelope::Kind::kDrain, 0, {}}) &&
-        await_ack(leaver, ShardReply::Kind::kDrained, kDrainStall,
-                  "no progress during removal drain") &&
         shard_send(leaver,
                    ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}}))
-      await_ack(leaver, ShardReply::Kind::kStopped,
-                std::chrono::seconds(5), "no shutdown ack while leaving");
+      await_ack(leaver, ShardReply::Kind::kStopped, kStallPatience,
+                "no progress while leaving");
     // Whether it left cleanly or died on the way out, its futures are
     // all resolved (served above, or shed by mark_dead). Defensive:
     // shed any stragglers so removal can never leak a promise.
@@ -908,13 +879,13 @@ void RankShardedEngine::router_loop() {
   // Flow control: a live shard is sent at most two drain batches — one
   // scoring, one gathered behind it. Everything else waits in its pending
   // queue, where admission bounds it.
-  const std::size_t window = 2 * std::max<std::size_t>(1, drain_batch_limit());
+  const std::size_t window =
+      2 * std::max<std::size_t>(1, config_.engine.max_batch);
   std::vector<std::size_t> room;
   std::vector<Pending> pulled;
   for (;;) {
     bool progress = false;
     bool drain = false;
-    std::optional<std::promise<std::vector<EngineStats>>> stats_request;
     std::optional<TopologyCommand> topology_command;
 
     // What each shard may still take. A removed or dead shard's queue
@@ -934,11 +905,11 @@ void RankShardedEngine::router_loop() {
       // kRouterPoll so a drain request can't be missed). With work in
       // flight, fall through and poll the reply links instead.
       if (inflight.empty() && !stopped_ && (paused_ || queues_empty()) &&
-          stats_requests_.empty() && topology_requests_.empty()) {
+          topology_requests_.empty()) {
         const auto idle_deadline =
             std::chrono::steady_clock::now() + kRouterPoll;
         while (!stopped_ && (paused_ || queues_empty()) &&
-               stats_requests_.empty() && topology_requests_.empty()) {
+               topology_requests_.empty()) {
           if (cv_router_.wait_until(lock, idle_deadline) ==
               std::cv_status::timeout)
             break;
@@ -954,10 +925,6 @@ void RankShardedEngine::router_loop() {
             queue.pop_front();
           }
         }
-      }
-      if (!stats_requests_.empty()) {
-        stats_request = std::move(stats_requests_.front());
-        stats_requests_.pop_front();
       }
       if (!topology_requests_.empty()) {
         topology_command = std::move(topology_requests_.front());
@@ -1052,63 +1019,25 @@ void RankShardedEngine::router_loop() {
       }
     }
 
-    if (stats_request) {
-      progress = true;
-      // Synchronous sweep: briefly prioritises the snapshot over routing
-      // (a stats() call is an operator action, not a data-path one).
-      // Non-kStats replies arriving meanwhile are processed normally.
-      std::vector<EngineStats> snapshot(static_cast<std::size_t>(n));
-      for (int s = 0; s < n; ++s) {
-        if (!routable(s) ||
-            !shard_send(s, ShardEnvelope{ShardEnvelope::Kind::kStats, 0, {}}))
-          continue;
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(5);
-        while (routable(s) && std::chrono::steady_clock::now() < deadline) {
-          std::optional<ShardReply> reply =
-              shard_recv(s, std::chrono::microseconds(10'000));
-          if (!reply) continue;
-          if (reply->kind == ShardReply::Kind::kStats) {
-            snapshot[static_cast<std::size_t>(s)] = reply->stats;
-            break;
-          }
-          take_reply(s, std::move(*reply));
-        }
-      }
-      stats_request->set_value(std::move(snapshot));
-    }
-
     if (drain) {
-      if (!drain_marker_sent) {
-        // Flush barrier: links are FIFO, so a shard's kDrained ack
-        // proves every envelope sent before the marker has been scored
-        // and its replies are already queued back to us.
-        drain_acked.assign(static_cast<std::size_t>(n), 0);
-        for (int s = 0; s < n; ++s)
-          if (routable(s))
-            shard_send(s, ShardEnvelope{ShardEnvelope::Kind::kDrain, 0, {}});
-        drain_marker_sent = true;
-        drain_stall_deadline = std::chrono::steady_clock::now() + kDrainStall;
-      }
-      if (progress)
-        drain_stall_deadline = std::chrono::steady_clock::now() + kDrainStall;
+      // Every reply to an envelope sent is back once inflight is empty,
+      // so nothing more is owed and the shutdown handshake below is the
+      // only barrier the workers need.
+      if (progress || !drain_stall_deadline)
+        drain_stall_deadline =
+            std::chrono::steady_clock::now() + kStallPatience;
       bool queued;
       {
         util::MutexLock lock(mu_);
         queued = !queues_empty();
       }
-      bool acked = true;
-      for (int s = 0; s < n; ++s)
-        if (routable(s) && !drain_acked[static_cast<std::size_t>(s)])
-          acked = false;
-      if (!queued && inflight.empty() && acked) break;
-      if (std::chrono::steady_clock::now() > drain_stall_deadline) {
+      if (!queued && inflight.empty()) break;
+      if (std::chrono::steady_clock::now() > *drain_stall_deadline) {
         std::vector<char> owes(static_cast<std::size_t>(n), 0);
         for (const auto& [id, fl] : inflight)
           owes[static_cast<std::size_t>(fl.shard)] = 1;
         for (int s = 0; s < n; ++s)
-          if (routable(s) && (owes[static_cast<std::size_t>(s)] ||
-                              !drain_acked[static_cast<std::size_t>(s)]))
+          if (owes[static_cast<std::size_t>(s)])
             mark_dead(s, "no progress during drain within the deadline");
       }
     }
@@ -1136,23 +1065,6 @@ bool RankShardedEngine::queues_empty() const {
   return true;
 }
 
-std::vector<EngineStats> RankShardedEngine::fetch_remote_stats() const {
-  const std::size_t n = num_shards();
-  std::promise<std::vector<EngineStats>> promise;
-  std::future<std::vector<EngineStats>> fut = promise.get_future();
-  {
-    util::MutexLock lock(mu_);
-    if (stopped_ || runtime_error_) return std::vector<EngineStats>(n);
-    stats_requests_.push_back(std::move(promise));
-  }
-  cv_router_.notify_all();
-  if (fut.wait_for(std::chrono::seconds(10)) != std::future_status::ready)
-    return std::vector<EngineStats>(n);
-  std::vector<EngineStats> snapshot = fut.get();
-  snapshot.resize(n);
-  return snapshot;
-}
-
 RankShardedStats RankShardedEngine::stats() const {
   RankShardedStats agg;
   // admitted first, with acquire (see submit()), then completed and shed:
@@ -1163,10 +1075,6 @@ RankShardedStats RankShardedEngine::stats() const {
   agg.completed = completed_.load(std::memory_order_relaxed);
   agg.shed = shed_.load(std::memory_order_relaxed);
   agg.resizes = resizes_.load(std::memory_order_relaxed);
-  // The sweep happens before topology_mu_ is taken: the router answers
-  // it, and the router may itself be inside a resize holding
-  // topology_mu_ — waiting on it while it waited on us would deadlock.
-  const std::vector<EngineStats> engine_stats = fetch_remote_stats();
   std::vector<std::pair<std::size_t, std::size_t>> depths;  // now, high water
   {
     util::MutexLock lock(mu_);
@@ -1176,18 +1084,22 @@ RankShardedStats RankShardedEngine::stats() const {
   util::MutexLock topo(topology_mu_);
   agg.shards.reserve(shard_state_.size());
   for (std::size_t i = 0; i < shard_state_.size(); ++i) {
+    const ShardState& state = *shard_state_[i];
     RankShardStats s;
-    s.routed = shard_state_[i]->routed.load(std::memory_order_relaxed);
-    s.served = shard_state_[i]->served.load(std::memory_order_relaxed);
-    s.alive = shard_state_[i]->alive.load(std::memory_order_relaxed);
-    s.removed = shard_state_[i]->removed.load(std::memory_order_relaxed);
-    s.demoted = shard_state_[i]->demoted.load(std::memory_order_relaxed);
-    s.respawns = shard_state_[i]->respawns.load(std::memory_order_relaxed);
-    s.generation = shard_state_[i]->generation.load(std::memory_order_relaxed);
-    s.weight = shard_state_[i]->weight;
+    s.routed = state.routed.load(std::memory_order_relaxed);
+    s.served = state.served.load(std::memory_order_relaxed);
+    s.alive = state.alive.load(std::memory_order_relaxed);
+    s.removed = state.removed.load(std::memory_order_relaxed);
+    s.demoted = state.demoted.load(std::memory_order_relaxed);
+    s.respawns = state.respawns.load(std::memory_order_relaxed);
+    s.generation = state.generation.load(std::memory_order_relaxed);
+    s.weight = state.weight;
     if (i < depths.size())
       std::tie(s.queue_depth, s.max_queue_depth) = depths[i];
-    s.engine = i < engine_stats.size() ? engine_stats[i] : EngineStats{};
+    if (s.alive && !s.removed) {
+      util::MutexLock lock(state.engine_mu);
+      s.engine = state.engine;
+    }
     agg.shards.push_back(std::move(s));
   }
   return agg;

@@ -142,7 +142,9 @@ struct RankShardedEngineConfig {
   /// across the shards (shard_thread_lanes) — including socket workers,
   /// which are handed their lane count on the command line (the
   /// processes share this host, so full-width pools would oversubscribe
-  /// it N-fold).
+  /// it N-fold). max_batch also bounds each worker's gathered batch, and
+  /// the router keeps at most two such batches in flight per shard (one
+  /// scoring, one gathered behind it); the rest wait in the pending queue.
   EngineConfig engine;
   /// Key->shard assignment. Defaults to the consistent-hash ring because
   /// this engine supports add_shard(): growth only remigrates ~1/(N+1) of
@@ -153,10 +155,6 @@ struct RankShardedEngineConfig {
   std::size_t admission_capacity = 256;
   /// What submit() does when the routed shard's pending queue is full.
   AdmissionPolicy policy = AdmissionPolicy::kRejectNew;
-  /// Per shard-drain batch bound; 0 = engine.max_batch. The router keeps
-  /// at most two such batches in flight per shard (one scoring, one
-  /// gathered behind it); the rest wait in the pending queue.
-  std::size_t drain_max_batch = 0;
   /// Where the shard workers run, plus socket-mode and self-heal knobs.
   TransportKind transport = TransportKind::kInProcess;
   SocketTransportConfig socket;
@@ -173,9 +171,7 @@ struct RankShardedEngineConfig {
 };
 
 /// Per-shard snapshot: router-side routing counters plus the shard
-/// engine's own counters (cache, memo, circuits). The engine counters
-/// are fetched over the worker's link (kStats flow) in both transports
-/// and are zeros for a dead or removed worker.
+/// engine's own counters (cache, memo, circuits).
 struct RankShardStats {
   std::uint64_t routed = 0;  ///< envelopes the router sent this shard
   std::uint64_t served = 0;  ///< predictions this shard replied
@@ -187,6 +183,12 @@ struct RankShardStats {
   double weight = 1.0;           ///< consistent-hash ring weight
   std::size_t queue_depth = 0;   ///< pending (admitted, not yet forwarded)
   std::size_t max_queue_depth = 0;  ///< high-water mark of queue_depth
+  /// The worker engine's counters as of the last reply the router took
+  /// from it: every reply carries the snapshot its worker took after the
+  /// batch, in both transports, so reading them costs no round trip.
+  /// Once a request's future has resolved, they count its batch. Zeros
+  /// for a dead or removed worker, and for a new or respawned one until
+  /// its first reply.
   EngineStats engine;
 };
 
@@ -233,10 +235,11 @@ struct RankShardedStats {
 /// reply links with try_recv. Each worker owns an InferenceEngine (with
 /// its StateCache and memo) and runs the shared gather->predict->reply
 /// loop (serve::run_shard_worker): block on the first envelope,
-/// opportunistically try_recv more up to the drain batch bound, score
-/// through the engine, reply per request. The only state crossing the
-/// link is protocol bytes in the same frames, so TransportKind decides
-/// only where a worker runs:
+/// opportunistically try_recv more up to engine.max_batch, score
+/// through the engine, reply per request, each reply carrying the
+/// engine's counters (which is how stats() sees a worker without asking
+/// it). The only state crossing the link is protocol bytes in the same
+/// frames, so TransportKind decides only where a worker runs:
 ///
 ///  - kInProcess: a thread of this process on one end of a
 ///    SocketTransport::pair.
@@ -280,10 +283,11 @@ struct RankShardedStats {
 /// thread between routing iterations while the survivors keep serving:
 ///  - add_shard(weight): starts one more worker and extends the ring.
 ///  - remove_shard(i): hands i's ring keys to the clockwise survivors
-///    (no survivor key moves), drains i's in-flight envelopes, then
-///    shutdown-handshakes and stops its worker. Shard ids are never
-///    reused: the slot stays, marked `removed`, so assignments remain a
-///    pure function of (hash, topology-history).
+///    (no survivor key moves), then shutdown-handshakes i — links are
+///    FIFO, so its kStopped ack follows every reply it owes — and stops
+///    its worker. Shard ids are never reused: the slot stays, marked
+///    `removed`, so assignments remain a pure function of (hash,
+///    topology-history).
 /// The surviving workers — and their StateCaches/memos — are never
 /// touched by a resize; with the consistent-hash router growth
 /// remigrates only ~1/(N+1) of keys, so hot caches stay hot
@@ -305,13 +309,14 @@ struct RankShardedStats {
 /// of the live topology (workers, ring, shard slots); external readers
 /// synchronize through topology_mu_, never through the router — so a
 /// resize can make progress while stats()/shard_for() callers come and
-/// go.
+/// go, and stats() returns at once even while a worker is stalled.
 ///
 /// Shutdown contract: the destructor stops admission (later submits
 /// throw), serves every request already admitted to a pending queue or
-/// in flight (shedding those owed to dead workers) even while draining
-/// is paused, shuts the workers down with control envelopes, joins the
-/// router, and stops every worker — no future is ever dropped.
+/// in flight (shedding those owed to dead workers, or to workers that
+/// stall the drain) even while draining is paused, shutdown-handshakes
+/// the workers, joins the router, and stops every worker — no future is
+/// ever dropped.
 class RankShardedEngine {
  public:
   explicit RankShardedEngine(ModelBundle bundle,
@@ -341,8 +346,8 @@ class RankShardedEngine {
   void add_shard(double weight = 1.0);
 
   /// Shrinks the fleet: hands shard `shard`'s ring keys to the
-  /// clockwise survivors, drains its in-flight envelopes, shutdown-
-  /// handshakes it, and stops its worker. The id is never reused — the
+  /// clockwise survivors, shutdown-handshakes it (serving what it
+  /// already holds), and stops its worker. The id is never reused — the
   /// slot stays, reported `removed` by stats(), and num_shards() keeps
   /// counting it. Throws when `shard` is out of range, already removed,
   /// or the last shard standing. Blocks until the handoff is complete.
@@ -393,10 +398,11 @@ class RankShardedEngine {
     std::size_t high_water = 0;
   };
 
-  /// Router-side per-shard slot: routing counters, liveness, and the
-  /// respawn state machine. Atomics are the cross-thread surface
-  /// (stats() and worker_pid() snapshot them); the trailing plain fields
-  /// belong to the router thread.
+  /// Router-side per-shard slot: routing counters, liveness, the
+  /// respawn state machine, and the worker's latest engine counters.
+  /// The atomics and the engine_mu-guarded snapshot are the cross-thread
+  /// surface (stats() and worker_pid() read them); the other plain
+  /// fields belong to the router thread.
   struct ShardState {
     std::atomic<std::uint64_t> routed{0};
     std::atomic<std::uint64_t> served{0};
@@ -415,6 +421,10 @@ class RankShardedEngine {
     std::size_t respawn_attempts = 0;
     std::chrono::milliseconds respawn_delay{0};
     std::chrono::steady_clock::time_point next_respawn{};
+    /// The snapshot the worker attached to its latest reply: the router
+    /// stores it before resolving that reply's future; stats() copies it.
+    mutable util::Mutex engine_mu;
+    EngineStats engine QKMPS_GUARDED_BY(engine_mu);
   };
 
   /// One shard worker, whichever transport runs it: the router's end of
@@ -451,8 +461,8 @@ class RankShardedEngine {
       const ShardAcceptPolicy& policy);
   /// add_shard()/remove_shard(): hands `cmd` to the router and waits.
   void resize(TopologyCommand cmd);
-  /// The router thread's body: router_loop(), then fail whatever stats
-  /// or resize request is still waiting on it.
+  /// The router thread's body: router_loop(), then fail whatever resize
+  /// request is still waiting on it.
   void run_router();
   /// The router thread's loop: admission queues -> workers -> futures,
   /// plus resizes, the self-heal monitor, and the final drain.
@@ -461,11 +471,6 @@ class RankShardedEngine {
   std::vector<std::string> worker_args(std::size_t shard, std::size_t threads,
                                        double weight,
                                        std::uint64_t generation) const;
-  /// Snapshot every live worker's EngineStats over the kStats flow.
-  /// Called by stats() via the stats_requests_ queue the router services
-  /// between iterations.
-  std::vector<EngineStats> fetch_remote_stats() const;
-  std::size_t drain_batch_limit() const;
   bool queues_empty() const QKMPS_REQUIRES(mu_);
 
   const std::shared_ptr<const ModelBundle> bundle_;
@@ -498,10 +503,6 @@ class RankShardedEngine {
   /// a shard, so there may be fewer than shards. A deque: growing it
   /// never moves a queue (a deque of promises cannot be copied).
   std::deque<ShardQueue> queues_ QKMPS_GUARDED_BY(mu_);
-  /// stats() -> router handoff: the router answers each with a kStats
-  /// sweep of the live workers.
-  mutable std::deque<std::promise<std::vector<EngineStats>>> stats_requests_
-      QKMPS_GUARDED_BY(mu_);
   /// add/remove_shard -> router handoff.
   std::deque<TopologyCommand> topology_requests_ QKMPS_GUARDED_BY(mu_);
   /// pause_draining(): the router forwards nothing unless stopped_.

@@ -99,7 +99,7 @@ ShardEnvelope decode_envelope(const std::vector<std::uint8_t>& payload) {
   ShardEnvelope envelope;
   const auto kind = r.pod<std::uint8_t>();
   QKMPS_CHECK_MSG(
-      kind <= static_cast<std::uint8_t>(ShardEnvelope::Kind::kStats),
+      kind <= static_cast<std::uint8_t>(ShardEnvelope::Kind::kShutdown),
       "unknown envelope kind byte " << static_cast<int>(kind));
   envelope.kind = static_cast<ShardEnvelope::Kind>(kind);
   envelope.id = r.pod<std::uint64_t>();
@@ -117,7 +117,7 @@ ShardEnvelope decode_envelope(const std::vector<std::uint8_t>& payload) {
 //        | u64 trace_id | u64 span_count | spans (v3).
 // Each span: vec<char> name | u8 origin | u64 start_ns | u64 duration_ns.
 // Fixed field set for every kind — a reply is ~150 bytes, and one layout
-// means one decoder to torture instead of five.
+// means one decoder to torture instead of three.
 
 std::vector<std::uint8_t> encode_reply(const ShardReply& reply) {
   std::ostringstream os;
@@ -150,8 +150,9 @@ ShardReply decode_reply(const std::vector<std::uint8_t>& payload) {
   PayloadReader r(payload);
   ShardReply reply;
   const auto kind = r.pod<std::uint8_t>();
-  QKMPS_CHECK_MSG(kind <= static_cast<std::uint8_t>(ShardReply::Kind::kStats),
-                  "unknown reply kind byte " << static_cast<int>(kind));
+  QKMPS_CHECK_MSG(
+      kind <= static_cast<std::uint8_t>(ShardReply::Kind::kStopped),
+      "unknown reply kind byte " << static_cast<int>(kind));
   reply.kind = static_cast<ShardReply::Kind>(kind);
   reply.id = r.pod<std::uint64_t>();
   reply.prediction.label = r.pod<std::int32_t>();

@@ -23,14 +23,14 @@ namespace qkmps::serve {
 /// portable to big-endian hosts.
 
 /// Router -> shard. A request envelope carries the raw (pre-scaling)
-/// feature vector, validated once at submit(); control kinds carry no
-/// payload.
+/// feature vector, validated once at submit(); kShutdown carries no
+/// payload. These two kinds are the whole router -> shard protocol:
+/// worker stats ride on every reply, and the kStopped ack of kShutdown is
+/// the only barrier (links are FIFO, so it follows every owed reply).
 struct ShardEnvelope {
   enum class Kind : std::uint8_t {
     kRequest,   ///< score `features`, reply kPrediction with the same id
-    kDrain,     ///< flush any gathered batch now (maintenance barrier)
     kShutdown,  ///< finish in-hand work, reply kStopped, exit the loop
-    kStats,     ///< reply kStats with an EngineStats snapshot
   };
   Kind kind = Kind::kRequest;
   std::uint64_t id = 0;  ///< router-assigned, unique per engine incarnation
@@ -46,15 +46,17 @@ struct ShardReply {
   enum class Kind : std::uint8_t {
     kPrediction,  ///< `prediction` is valid for request `id`
     kFailed,      ///< the batch containing `id` threw; `error` explains
-    kDrained,     ///< ack of kDrain
     kStopped,     ///< ack of kShutdown; the shard has exited its loop
-    kStats,       ///< `stats` is a point-in-time EngineStats snapshot
   };
   Kind kind = Kind::kPrediction;
   std::uint64_t id = 0;
   Prediction prediction;
   std::string error;
-  EngineStats stats;  ///< meaningful for kStats replies only
+  /// kPrediction/kFailed: the worker engine's counters once the batch
+  /// that produced this reply was done (one snapshot shared by every
+  /// reply of the batch). The router keeps the latest per shard, which
+  /// is what RankShardedEngine::stats() reports.
+  EngineStats stats;
   /// v3: echo of the request envelope's trace id (0 = untraced or v2
   /// peer) plus the worker-side spans for the batch that scored this
   /// request — start_ns relative to the worker's batch start; the router
@@ -63,16 +65,17 @@ struct ShardReply {
   std::vector<obs::Span> spans;
 };
 
-/// Version of the *payload* schema (fields and their order), negotiated
-/// at handshake. Independent of the frame-codec version, which covers
-/// only the 20-byte header around each payload. v2 added the elastic-
-/// fleet fields (ring weight + spawn generation) to the hello. v3
-/// appended the tracing tail: trace_id on the envelope, trace_id + spans
-/// on the reply. The v3 decoders still accept v2-length payloads (the
-/// tail defaults to "untraced") so a mixed-version fleet degrades to
-/// untraced requests instead of refusing to decode — pinned by
+/// Version of the *payload* schema (fields, their order and the kind
+/// bytes), negotiated at handshake. Independent of the frame-codec
+/// version, which covers only the 20-byte header around each payload. v2
+/// added the elastic-fleet fields (ring weight + spawn generation) to the
+/// hello. v3 appended the tracing tail: trace_id on the envelope,
+/// trace_id + spans on the reply. v4 dropped the drain and stats control
+/// kinds, which renumbers kShutdown and kStopped, so a worker built from
+/// an older tree is refused at the handshake. The decoders still accept
+/// v2-length payloads (the tail defaults to "untraced") — pinned by
 /// tests/test_shard_wire.cpp.
-inline constexpr std::uint16_t kShardWireVersion = 3;
+inline constexpr std::uint16_t kShardWireVersion = 4;
 
 /// Worker -> router, first message after connect: identifies which shard
 /// this process serves, what it believes the model shape is, and — since

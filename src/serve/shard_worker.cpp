@@ -14,6 +14,11 @@ namespace qkmps::serve {
 
 namespace {
 
+/// Poll tick while idle-waiting for the first envelope of a batch: the
+/// worker stays reclaimable (a dead router surfaces as a transport error
+/// on the next tick) instead of blocking forever.
+constexpr std::chrono::microseconds kIdlePoll{100'000};
+
 /// Worker-side spans for one scored batch: the gather wait plus the
 /// engine's stage breakdown, laid end-to-end from the batch's first
 /// envelope (start_ns = 0 on the worker clock; the router re-bases the
@@ -54,22 +59,9 @@ bool run_shard_worker(parallel::SocketTransport& link,
   const std::size_t limit = std::max<std::size_t>(1, options.batch_limit);
   std::size_t scored_total = 0;
 
-  const auto reply_control = [&link, &engine](ShardEnvelope::Kind kind) {
+  const auto send_stopped = [&link] {
     ShardReply reply;
-    switch (kind) {
-      case ShardEnvelope::Kind::kDrain:
-        reply.kind = ShardReply::Kind::kDrained;
-        break;
-      case ShardEnvelope::Kind::kShutdown:
-        reply.kind = ShardReply::Kind::kStopped;
-        break;
-      case ShardEnvelope::Kind::kStats:
-        reply.kind = ShardReply::Kind::kStats;
-        reply.stats = engine.stats();
-        break;
-      case ShardEnvelope::Kind::kRequest:
-        QKMPS_CHECK_MSG(false, "kRequest is not a control envelope");
-    }
+    reply.kind = ShardReply::Kind::kStopped;
     link.send(encode_reply(reply));
   };
 
@@ -79,34 +71,33 @@ bool run_shard_worker(parallel::SocketTransport& link,
     ShardEnvelope first;
     for (;;) {
       if (std::optional<std::vector<std::uint8_t>> bytes =
-              link.recv_for(options.idle_poll)) {
+              link.recv_for(kIdlePoll)) {
         first = decode_envelope(*bytes);
         break;
       }
     }
-    if (first.kind != ShardEnvelope::Kind::kRequest) {
-      reply_control(first.kind);
-      if (first.kind == ShardEnvelope::Kind::kShutdown) return true;
-      continue;
+    if (first.kind == ShardEnvelope::Kind::kShutdown) {
+      send_stopped();
+      return true;
     }
 
     // Gather: micro-batching emerges under load exactly as in the
     // single engine — whatever envelopes are already queued join
-    // the batch, up to the drain bound; an idle link means a batch of
-    // one. A control envelope ends the gather and is honoured after the
-    // batch is scored (FIFO: its ack must follow our replies).
+    // the batch, up to the batch bound; an idle link means a batch of
+    // one. A kShutdown ends the gather and is honoured after the batch
+    // is scored (FIFO: its ack must follow our replies).
     Timer gather_timer;
     std::vector<std::uint64_t> ids{first.id};
     std::vector<std::uint64_t> trace_ids{first.trace_id};
     std::vector<std::vector<double>> rows;
     rows.push_back(std::move(first.features));
-    std::optional<ShardEnvelope::Kind> control;
+    bool shutdown = false;
     while (rows.size() < limit) {
       std::optional<std::vector<std::uint8_t>> bytes = link.try_recv();
       if (!bytes) break;
       ShardEnvelope next = decode_envelope(*bytes);
-      if (next.kind != ShardEnvelope::Kind::kRequest) {
-        control = next.kind;
+      if (next.kind == ShardEnvelope::Kind::kShutdown) {
+        shutdown = true;
         break;
       }
       ids.push_back(next.id);
@@ -115,6 +106,7 @@ bool run_shard_worker(parallel::SocketTransport& link,
     }
     const double gather_seconds = gather_timer.seconds();
 
+    std::vector<ShardReply> replies(ids.size());
     try {
       // Trusted entry: rows were validated once at submit().
       StageTimings timings;
@@ -123,32 +115,32 @@ bool run_shard_worker(parallel::SocketTransport& link,
       const std::vector<obs::Span> spans =
           batch_spans(gather_seconds, timings);
       for (std::size_t i = 0; i < ids.size(); ++i) {
-        ShardReply reply;
-        reply.kind = ShardReply::Kind::kPrediction;
-        reply.id = ids[i];
-        reply.prediction = predictions[i];
+        replies[i].kind = ShardReply::Kind::kPrediction;
+        replies[i].prediction = predictions[i];
         // Trace echo: only traced requests pay the span bytes. An
         // untraced envelope (trace_id 0 — e.g. from a v2 peer) gets an
         // empty span set back.
-        reply.trace_id = trace_ids[i];
-        if (reply.trace_id != 0) reply.spans = spans;
-        link.send(encode_reply(reply));
+        if (trace_ids[i] != 0) replies[i].spans = spans;
       }
     } catch (const std::exception& e) {
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        ShardReply reply;
+      for (ShardReply& reply : replies) {
+        reply = ShardReply{};
         reply.kind = ShardReply::Kind::kFailed;
-        reply.id = ids[i];
         reply.error = e.what();
-        reply.trace_id = trace_ids[i];
-        link.send(encode_reply(reply));
       }
+    }
+    const EngineStats stats = engine.stats();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      replies[i].id = ids[i];
+      replies[i].trace_id = trace_ids[i];
+      replies[i].stats = stats;
+      link.send(encode_reply(replies[i]));
     }
     scored_total += ids.size();
 
-    if (control) {
-      reply_control(*control);
-      if (*control == ShardEnvelope::Kind::kShutdown) return true;
+    if (shutdown) {
+      send_stopped();
+      return true;
     }
 
     if (options.die_after_requests > 0 &&

@@ -21,12 +21,9 @@ namespace qkmps::serve {
 /// other.
 
 struct ShardWorkerOptions {
-  /// Gather bound per batch (the engine's drain_max_batch resolution).
+  /// Gather bound per batch: the router's EngineConfig::max_batch, which
+  /// is also the unit of its two-batch flow-control window.
   std::size_t batch_limit = 32;
-  /// Poll tick while idle-waiting for the first envelope of a batch: the
-  /// worker stays reclaimable (a dead router surfaces as a transport
-  /// error on the next tick) instead of blocking forever.
-  std::chrono::microseconds idle_poll{100'000};
   /// Test hook: abandon the loop — without sending the kStopped ack —
   /// once this many requests have been scored, simulating a worker that
   /// crashes mid-service (the socket closes when the process exits).
@@ -38,9 +35,11 @@ struct ShardWorkerOptions {
 /// arrives (acked with kStopped) or `die_after_requests` trips. Batching
 /// is opportunistic: block for the first envelope, try_recv whatever is
 /// already queued up to batch_limit, score once through the engine,
-/// reply per request. kDrain
-/// and kStats are honoured after the in-hand batch (FIFO: their acks must
-/// follow the batch's replies). Throws qkmps::Error if the link dies —
+/// reply per request. Every reply of a batch, scored or failed, carries
+/// one engine.stats() snapshot taken after the batch, so the router knows
+/// the worker's counters without asking. A kShutdown is honoured after
+/// the in-hand batch (FIFO: its kStopped ack follows every reply the
+/// worker owes). Throws qkmps::Error if the link dies —
 /// the caller owns what a dead router means (a worker process exits, a
 /// worker thread returns). Returns true on a clean, kStopped-acked
 /// shutdown; false when the die_after_requests hook ended the loop

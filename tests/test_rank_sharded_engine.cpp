@@ -374,13 +374,13 @@ TEST(RankShardedEngine, PerShardStatsExposeEngineAndQueueCounters) {
 /// cache or memo) never has more than num_shards x (admission_capacity +
 /// 2 x max_batch) = 24 requests admitted but unresolved. The router sends
 /// a shard at most two batches, so the excess is refused at submit rather
-/// than piling up in the transport. Sampled after every submit by
+/// than piling up in the transport. Sampled after every submit twice: by
 /// counting the futures not yet ready (a rejected future resolves before
 /// submit() returns, so that count is exactly admitted-but-unresolved),
-/// and every 50th submit through stats() as well. stats() is a kStats
-/// round trip to every worker, so calling it at every submit would pace
-/// the flood below what the fixture can serve; the flood must overload
-/// it (rejected > 0) or the bound is never tested. The flood sleeps until
+/// and through stats(). Sampling stats() that often also pins that it is
+/// cheap: a stats() that waited on the workers would pace the flood below
+/// what the fixture can serve, and the flood must overload it
+/// (rejected > 0) or the bound is never tested. The flood sleeps until
 /// every fifth submit is due and sends five at once: a submitter spinning
 /// between submits would starve the router of CPU on a small host, and a
 /// starved router hides an unbounded transport.
@@ -414,14 +414,12 @@ void flood_holds_admission_bound(const Serving& s,
              std::future_status::ready;
     });
     worst = std::max(worst, static_cast<std::int64_t>(unresolved.size()));
-    if (r % 50 == 0) {
-      const RankShardedStats st = engine.stats();
-      // Signed: completions landing between the loads can exceed the
-      // admitted count read first.
-      worst = std::max(worst, static_cast<std::int64_t>(st.admitted) -
-                                  static_cast<std::int64_t>(st.completed) -
-                                  static_cast<std::int64_t>(st.shed));
-    }
+    const RankShardedStats st = engine.stats();
+    // Signed: completions landing between the loads can exceed the
+    // admitted count read first.
+    worst = std::max(worst, static_cast<std::int64_t>(st.admitted) -
+                                static_cast<std::int64_t>(st.completed) -
+                                static_cast<std::int64_t>(st.shed));
   }
   EXPECT_LE(worst, kBound);
 
@@ -624,6 +622,7 @@ TEST(RankShardedEngine, RemoveShardInProcessHandsOffAndKeepsParity) {
   EXPECT_EQ(st.resizes, 1u);
   ASSERT_EQ(st.shards.size(), 3u);
   EXPECT_TRUE(st.shards[1].removed);
+  EXPECT_EQ(st.shards[1].engine.requests, 0u);  // a removed slot reads zero
   EXPECT_EQ(st.shed, 0u);
   for (idx i = 0; i < n; ++i)
     EXPECT_NE(engine.shard_for(std::vector<double>(
@@ -715,8 +714,8 @@ TEST_F(RankShardedSocketTest, SocketParityMatchesSequentialPipeline) {
         << "request " << r;
   }
 
-  // Remote engine stats travel the kStats flow; the workers really did
-  // the scoring (circuits simulated remotely, never locally).
+  // Remote engine stats ride on the workers' replies; the workers really
+  // did the scoring (circuits simulated remotely, never locally).
   const RankShardedStats st = engine.stats();
   EXPECT_EQ(st.completed, static_cast<std::uint64_t>(scenario.size()));
   EXPECT_EQ(st.shed, 0u);
@@ -862,6 +861,8 @@ TEST_F(RankShardedSocketTest, DeadWorkerShedsWithStatusAndOthersKeepServing) {
   const RankShardedStats st = engine.stats();
   ASSERT_EQ(st.shards.size(), 2u);
   EXPECT_FALSE(st.shards[static_cast<std::size_t>(target)].alive);
+  // It served one request before dying, but a dead slot reads zero.
+  EXPECT_EQ(st.shards[static_cast<std::size_t>(target)].engine.requests, 0u);
   EXPECT_EQ(st.shed, shed);
   EXPECT_EQ(st.admitted, st.completed + st.shed);
 }
@@ -953,6 +954,68 @@ TEST_F(RankShardedSocketTest, RemoveShardOverSocketHandsOffKeys) {
 TEST_F(RankShardedSocketTest, FloodKeepsAdmittedButUnresolvedBounded) {
   flood_holds_admission_bound(qkmps::testing::train_small_serving(32),
                               socket_config(bundle_dir_, 2));
+}
+
+/// stats() is a read of what the replies already carried: it never waits
+/// on a worker, so a stopped (SIGSTOP'd) worker that owes a reply neither
+/// stalls stats() nor the traffic of the healthy shard while a stats()
+/// call is in progress.
+TEST_F(RankShardedSocketTest, StatsNeverWaitsOnAStoppedWorker) {
+  const Serving s = qkmps::testing::train_small_serving(64);
+  const auto pool = request_pool();
+  RankShardedEngineConfig rcfg = socket_config(bundle_dir_, 2);
+  rcfg.engine.memo_capacity = 0;  // every request reaches a worker
+  RankShardedEngine engine(s.bundle, rcfg);
+
+  // One point per shard; both workers serve once, so both are live.
+  std::vector<double> on_shard[2];
+  for (idx i = 0; i < pool.rows(); ++i) {
+    std::vector<double> f(pool.row(i), pool.row(i) + pool.cols());
+    auto& slot = on_shard[static_cast<std::size_t>(engine.shard_for(f))];
+    if (slot.empty()) slot = std::move(f);
+  }
+  ASSERT_FALSE(on_shard[0].empty());
+  ASSERT_FALSE(on_shard[1].empty());
+  for (const auto& f : on_shard)
+    ASSERT_EQ(engine.submit(f).get().status, ServeStatus::kServed);
+
+  const long stopped = engine.worker_pid(0);
+  ASSERT_GT(stopped, 0);
+  ASSERT_EQ(::kill(static_cast<pid_t>(stopped), SIGSTOP), 0);
+  // Declared after the engine, so it resumes the worker before the
+  // engine's destructor shuts the fleet down.
+  struct Resume {
+    long pid;
+    ~Resume() { ::kill(static_cast<pid_t>(pid), SIGCONT); }
+  } resume{stopped};
+
+  // The stopped worker now owes a reply.
+  std::future<RoutedPrediction> owed = engine.submit(on_shard[0]);
+
+  const auto seconds_since = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t)
+        .count();
+  };
+  const auto stats_start = std::chrono::steady_clock::now();
+  std::future<double> stats_seconds =
+      std::async(std::launch::async, [&engine, &seconds_since, stats_start] {
+        const RankShardedStats st = engine.stats();
+        EXPECT_EQ(st.shards.size(), 2u);
+        return seconds_since(stats_start);
+      });
+  // Give a stats() that involves the router time to occupy it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto request_start = std::chrono::steady_clock::now();
+  const RoutedPrediction healthy = engine.submit(on_shard[1]).get();
+  const double request_seconds = seconds_since(request_start);
+  EXPECT_EQ(healthy.status, ServeStatus::kServed);
+  EXPECT_LT(request_seconds, 1.0)
+      << "a request to the healthy shard waited on the stopped worker";
+  EXPECT_LT(stats_seconds.get(), 0.5) << "stats() waited on a worker";
+
+  ::kill(static_cast<pid_t>(stopped), SIGCONT);
+  EXPECT_EQ(owed.get().status, ServeStatus::kServed);
 }
 
 /// The fd-hygiene bugfix, observed from outside: a spawned worker's fd

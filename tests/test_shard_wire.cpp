@@ -40,15 +40,11 @@ TEST(ShardWire, EnvelopeRoundTripIsLossless) {
 }
 
 TEST(ShardWire, ControlEnvelopesRoundTrip) {
-  for (const auto kind :
-       {ShardEnvelope::Kind::kDrain, ShardEnvelope::Kind::kShutdown,
-        ShardEnvelope::Kind::kStats}) {
-    const ShardEnvelope back =
-        decode_envelope(encode_envelope(ShardEnvelope{kind, 7, {}}));
-    EXPECT_EQ(back.kind, kind);
-    EXPECT_EQ(back.id, 7u);
-    EXPECT_TRUE(back.features.empty());
-  }
+  const ShardEnvelope back = decode_envelope(
+      encode_envelope(ShardEnvelope{ShardEnvelope::Kind::kShutdown, 7, {}}));
+  EXPECT_EQ(back.kind, ShardEnvelope::Kind::kShutdown);
+  EXPECT_EQ(back.id, 7u);
+  EXPECT_TRUE(back.features.empty());
 }
 
 TEST(ShardWire, ReplyRoundTripIsLossless) {
@@ -144,9 +140,14 @@ TEST(ShardWire, UnknownKindBytesThrow) {
       ShardEnvelope{ShardEnvelope::Kind::kRequest, 1, {1.0}});
   env[0] = 200;
   EXPECT_THROW(decode_envelope(env), Error);
+  // The first byte past the last kind (a v3 peer's kShutdown) too.
+  env[0] = static_cast<std::uint8_t>(ShardEnvelope::Kind::kShutdown) + 1;
+  EXPECT_THROW(decode_envelope(env), Error);
 
   std::vector<std::uint8_t> rep = encode_reply(ShardReply{});
   rep[0] = 99;
+  EXPECT_THROW(decode_reply(rep), Error);
+  rep[0] = static_cast<std::uint8_t>(ShardReply::Kind::kStopped) + 1;
   EXPECT_THROW(decode_reply(rep), Error);
 }
 
@@ -254,7 +255,7 @@ TEST(ShardWire, HostileFeatureLengthCannotOverAllocate) {
 
 TEST(ShardWire, TrailingGarbageThrows) {
   std::vector<std::uint8_t> env = encode_envelope(
-      ShardEnvelope{ShardEnvelope::Kind::kDrain, 0, {}});
+      ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}});
   env.push_back(0xAB);
   EXPECT_THROW(decode_envelope(env), Error);
 
@@ -269,7 +270,7 @@ TEST(ShardWire, HandshakeMagicConfusionThrows) {
   EXPECT_THROW(decode_welcome(encode_hello(ShardHello{})), Error);
   EXPECT_THROW(decode_hello(encode_welcome(ShardWelcome{})), Error);
   EXPECT_THROW(decode_hello(encode_envelope(
-                   ShardEnvelope{ShardEnvelope::Kind::kDrain, 0, {}})),
+                   ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}})),
                Error);
 }
 

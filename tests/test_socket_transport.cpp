@@ -2,11 +2,14 @@
 // link. The codec carries every byte of the rank-sharded serving
 // protocol across process boundaries, so the contract under torture is
 // absolute: every malformed frame — truncated header, truncated payload,
-// wrong magic, future version, oversized or hostile length, flipped
-// payload bits — surfaces as qkmps::Error; never a crash, a hang, or a
-// silently wrong payload. A byte-level fuzz loop sweeps single-byte
-// corruptions over a valid frame to pin "error or identical bytes, no
-// third outcome".
+// wrong magic, future version, nonzero reserved field, oversized or
+// hostile length, flipped payload bits — surfaces as qkmps::Error; never
+// a crash, a hang, or a silently wrong payload. The torture writes raw
+// bytes into one end of a socketpair and reads them back through
+// SocketTransport::recv_for, the decoder every shard link runs; the
+// writer then closes, so a frame cut short reads as a peer that closed
+// mid-frame. A byte-level fuzz loop sweeps single-byte corruptions over a
+// valid frame to pin "error or identical bytes, no third outcome".
 
 #include "parallel/socket_transport.hpp"
 
@@ -16,18 +19,19 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <set>
-#include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
-#include "util/binary_io.hpp"
 #include "util/error.hpp"
 
 namespace qkmps::parallel {
@@ -39,34 +43,94 @@ std::vector<std::uint8_t> bytes_of(std::initializer_list<int> xs) {
   return v;
 }
 
-std::string encode_to_string(const std::vector<std::uint8_t>& payload) {
-  std::ostringstream os;
-  write_frame(os, payload);
-  return os.str();
+/// A raw AF_UNIX socketpair. The torture needs one end that is not a
+/// SocketTransport, to write bytes no encoder would produce or to read
+/// what send() produced. Setup failures throw std::system_error, never
+/// qkmps::Error, so they cannot pass for an expected decode error.
+std::array<int, 2> raw_socketpair() {
+  int fds[2];
+  // Test-only fds that live inside one test; nothing execs.
+  // lint: allow(cloexec)
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+    throw std::system_error(errno, std::generic_category(), "socketpair");
+  return {fds[0], fds[1]};
+}
+
+/// Wraps a raw fd the way the library wraps the fds it creates: a
+/// SocketTransport drains its socket until EAGAIN, so the fd must be
+/// non-blocking.
+std::unique_ptr<SocketTransport> adopt(
+    int fd, std::uint64_t max_payload = kMaxFramePayload) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0)
+    throw std::system_error(errno, std::generic_category(), "fcntl");
+  return std::make_unique<SocketTransport>(fd, max_payload);
+}
+
+/// The bytes SocketTransport::send puts on the wire for `payload`.
+std::string wire_bytes(const std::vector<std::uint8_t>& payload) {
+  const auto [ours, peer] = raw_socketpair();
+  adopt(ours)->send(payload);  // the temporary transport closes `ours`
+  std::string bytes;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(peer, buf, sizeof buf)) > 0)
+    bytes.append(buf, static_cast<std::size_t>(n));
+  ::close(peer);
+  return bytes;
+}
+
+/// Writes `bytes` from a raw peer that then closes, and reads one message
+/// through SocketTransport::recv_for.
+std::optional<std::vector<std::uint8_t>> recv_raw(
+    const std::string& bytes, std::uint64_t max_payload = kMaxFramePayload) {
+  const auto [ours, peer] = raw_socketpair();
+  const std::unique_ptr<SocketTransport> link = adopt(ours, max_payload);
+  const ssize_t written = ::write(peer, bytes.data(), bytes.size());
+  const int write_errno = errno;
+  ::close(peer);
+  if (written != static_cast<ssize_t>(bytes.size()))
+    throw std::system_error(write_errno, std::generic_category(), "write");
+  return link->recv_for(std::chrono::microseconds(2'000'000));
+}
+
+/// What recv_raw throws for `bytes`, or "" when it decodes them.
+std::string recv_error(const std::string& bytes,
+                       std::uint64_t max_payload = kMaxFramePayload) {
+  try {
+    recv_raw(bytes, max_payload);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool mentions(const std::string& text, const char* needle) {
+  return text.find(needle) != std::string::npos;
 }
 
 // ---------------------------------------------------------------------
 // Codec round trips.
 
 TEST(FrameCodec, RoundTripsPayloadsIncludingEmpty) {
-  std::stringstream ss;
-  const auto a = bytes_of({1, 2, 3, 255, 0, 128});
-  write_frame(ss, a);
-  write_frame(ss, std::vector<std::uint8_t>{});
-  const auto back_a = read_frame(ss);
+  auto [a, b] = SocketTransport::pair();
+  const auto payload = bytes_of({1, 2, 3, 255, 0, 128});
+  a->send(payload);
+  a->send(std::vector<std::uint8_t>{});
+  const auto back_a = b->recv_for(std::chrono::microseconds(2'000'000));
   ASSERT_TRUE(back_a.has_value());
-  EXPECT_EQ(*back_a, a);
-  const auto back_b = read_frame(ss);
+  EXPECT_EQ(*back_a, payload);
+  const auto back_b = b->recv_for(std::chrono::microseconds(2'000'000));
   ASSERT_TRUE(back_b.has_value());
   EXPECT_TRUE(back_b->empty());
-  // Clean end-of-stream at a frame boundary: nullopt, not an error.
-  EXPECT_FALSE(read_frame(ss).has_value());
+  EXPECT_EQ(recv_raw(wire_bytes(payload)), payload);
 }
 
 TEST(FrameCodec, HeaderLayoutIsStable) {
   // The 20-byte header layout is wire contract (DESIGN.md §1); a reshuffle
-  // would silently break cross-version deployments, so pin the offsets.
-  const std::string frame = encode_to_string(bytes_of({0xAB}));
+  // would silently break cross-version deployments, so pin the offsets of
+  // what send() writes.
+  const std::string frame = wire_bytes(bytes_of({0xAB}));
   ASSERT_EQ(frame.size(), kFrameHeaderBytes + 1);
   const auto* raw = reinterpret_cast<const std::uint8_t*>(frame.data());
   const FrameHeader h = decode_frame_header(raw);
@@ -80,63 +144,73 @@ TEST(FrameCodec, HeaderLayoutIsStable) {
 }
 
 // ---------------------------------------------------------------------
-// Malformed frames: the torture checklist from the issue.
+// Malformed frames: each one fails loudly, at the check that owns it.
 
 TEST(FrameCodec, TruncatedHeaderThrows) {
-  const std::string frame = encode_to_string(bytes_of({1, 2, 3}));
+  const std::string frame = wire_bytes(bytes_of({1, 2, 3}));
   for (std::size_t keep : {1u, 7u, 19u}) {
-    std::istringstream is(frame.substr(0, keep));
-    EXPECT_THROW(read_frame(is), Error) << "header cut at " << keep;
+    const std::string why = recv_error(frame.substr(0, keep));
+    EXPECT_TRUE(mentions(why, "closed mid-frame"))
+        << "header cut at " << keep << ": " << why;
   }
 }
 
 TEST(FrameCodec, TruncatedPayloadThrows) {
-  const std::string frame = encode_to_string(bytes_of({1, 2, 3, 4, 5}));
+  const std::string frame = wire_bytes(bytes_of({1, 2, 3, 4, 5}));
   for (std::size_t drop : {1u, 4u}) {
-    std::istringstream is(frame.substr(0, frame.size() - drop));
-    EXPECT_THROW(read_frame(is), Error) << "payload short by " << drop;
+    const std::string why = recv_error(frame.substr(0, frame.size() - drop));
+    EXPECT_TRUE(mentions(why, "closed mid-frame"))
+        << "payload short by " << drop << ": " << why;
   }
 }
 
 TEST(FrameCodec, WrongMagicThrows) {
-  std::string frame = encode_to_string(bytes_of({9}));
+  std::string frame = wire_bytes(bytes_of({9}));
   frame[0] = 'X';
-  std::istringstream is(frame);
-  EXPECT_THROW(read_frame(is), Error);
+  const std::string why = recv_error(frame);
+  EXPECT_TRUE(mentions(why, "bad frame magic")) << why;
 }
 
 TEST(FrameCodec, FutureVersionThrows) {
-  std::string frame = encode_to_string(bytes_of({9}));
+  std::string frame = wire_bytes(bytes_of({9}));
   frame[4] = static_cast<char>(kFrameVersion + 1);  // u16 LE low byte
-  std::istringstream is(frame);
-  EXPECT_THROW(read_frame(is), Error);
+  const std::string why = recv_error(frame);
+  EXPECT_TRUE(mentions(why, "unsupported frame version")) << why;
+}
+
+TEST(FrameCodec, NonzeroReservedFieldThrows) {
+  // The reserved bits are for a future version to assign; a v1 reader
+  // that ignored them would misread such a frame.
+  std::string frame = wire_bytes(bytes_of({9}));
+  frame[7] = 0x01;  // u16 LE high byte of the reserved field
+  const std::string why = recv_error(frame);
+  EXPECT_TRUE(mentions(why, "reserved")) << why;
 }
 
 TEST(FrameCodec, OversizedLengthFailsBeforeAllocating) {
-  // Hand-build a header claiming a 2^56-byte payload. The codec must
-  // reject on the length bound before constructing any buffer.
-  std::ostringstream os;
-  io::write_pod(os, kFrameMagic);
-  io::write_pod(os, kFrameVersion);
-  io::write_pod(os, std::uint16_t{0});
-  io::write_pod(os, std::uint64_t{1} << 56);
-  io::write_pod(os, std::uint32_t{0});
-  std::istringstream is(os.str());
-  EXPECT_THROW(read_frame(is), Error);
+  // A header claiming a 2^56-byte payload must be refused on the length
+  // bound itself, not left waiting for bytes that never come.
+  FrameHeader header;
+  header.length = std::uint64_t{1} << 56;
+  std::uint8_t raw[kFrameHeaderBytes];
+  encode_frame_header(header, raw);
+  const std::string why = recv_error(
+      std::string(reinterpret_cast<const char*>(raw), kFrameHeaderBytes));
+  EXPECT_TRUE(mentions(why, "exceeds the bound")) << why;
 }
 
 TEST(FrameCodec, LengthJustOverTheBoundThrowsAtTheBound) {
-  const auto payload = bytes_of({1, 2, 3, 4});
-  std::stringstream ss;
-  write_frame(ss, payload);
-  EXPECT_THROW(read_frame(ss, /*max_payload=*/3), Error);
+  const std::string frame = wire_bytes(bytes_of({1, 2, 3, 4}));
+  const std::string why = recv_error(frame, /*max_payload=*/3);
+  EXPECT_TRUE(mentions(why, "exceeds the bound")) << why;
+  EXPECT_EQ(recv_raw(frame, /*max_payload=*/4), bytes_of({1, 2, 3, 4}));
 }
 
 TEST(FrameCodec, CorruptedPayloadFailsTheChecksum) {
-  std::string frame = encode_to_string(bytes_of({10, 20, 30, 40}));
+  std::string frame = wire_bytes(bytes_of({10, 20, 30, 40}));
   frame[kFrameHeaderBytes + 2] ^= 0x01;
-  std::istringstream is(frame);
-  EXPECT_THROW(read_frame(is), Error);
+  const std::string why = recv_error(frame);
+  EXPECT_TRUE(mentions(why, "checksum mismatch")) << why;
 }
 
 TEST(FrameCodec, SingleByteFuzzNeverYieldsAWrongPayload) {
@@ -146,15 +220,14 @@ TEST(FrameCodec, SingleByteFuzzNeverYieldsAWrongPayload) {
   // different payload — the "malformed frames fail loudly" contract.
   const auto payload =
       bytes_of({0, 1, 2, 3, 250, 251, 252, 253, 254, 255, 42, 7});
-  const std::string frame = encode_to_string(payload);
+  const std::string frame = wire_bytes(payload);
   int errors = 0;
   for (std::size_t pos = 0; pos < frame.size(); ++pos) {
     for (const std::uint8_t flip : {0x01, 0x80, 0xFF}) {
       std::string corrupted = frame;
       corrupted[pos] = static_cast<char>(corrupted[pos] ^ flip);
-      std::istringstream is(corrupted);
       try {
-        const auto got = read_frame(is);
+        const auto got = recv_raw(corrupted);
         ASSERT_TRUE(got.has_value());
         EXPECT_EQ(*got, payload)
             << "byte " << pos << " xor " << int(flip)
@@ -167,16 +240,15 @@ TEST(FrameCodec, SingleByteFuzzNeverYieldsAWrongPayload) {
   EXPECT_GT(errors, 0);
 }
 
-TEST(FrameCodec, TruncationFuzzAlwaysThrowsOrCleanEof) {
-  const auto payload = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
-  const std::string frame = encode_to_string(payload);
+TEST(FrameCodec, TruncationFuzzAlwaysReadsAsADeadPeer) {
+  // On a duplex link every cut is a dead peer: no bytes at all is a
+  // clean close, any other prefix is a close mid-frame.
+  const std::string frame = wire_bytes(bytes_of({1, 2, 3, 4, 5, 6, 7, 8}));
   for (std::size_t keep = 0; keep < frame.size(); ++keep) {
-    std::istringstream is(frame.substr(0, keep));
-    if (keep == 0) {
-      EXPECT_FALSE(read_frame(is).has_value());  // clean boundary
-    } else {
-      EXPECT_THROW(read_frame(is), Error) << "kept " << keep << " bytes";
-    }
+    const std::string why = recv_error(frame.substr(0, keep));
+    EXPECT_TRUE(mentions(why, keep == 0 ? "peer closed the connection"
+                                        : "peer closed mid-frame"))
+        << "kept " << keep << " bytes: " << why;
   }
 }
 
@@ -389,37 +461,6 @@ TEST(SocketTransport, TcpLoopbackEphemeralPortWorksToo) {
   const auto got = server->recv_for(std::chrono::microseconds(2'000'000));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, bytes_of({1, 2, 3, 4}));
-}
-
-TEST(SocketTransport, CorruptedFrameOnTheWireFailsTheChecksumInPopFrame) {
-  // Exercise the *live receive path* (pop_frame), not just the stream
-  // codec: a correctly-headered frame whose payload bits were flipped in
-  // flight must fail the checksum when it arrives through a real socket.
-  SocketListener listener =
-      SocketListener::listen(test_socket_address("corrupt"));
-  const std::string path =
-      listener.address().substr(std::string("unix:").size());
-  std::string frame = encode_to_string(bytes_of({10, 20, 30, 40}));
-  frame[kFrameHeaderBytes + 1] ^= 0x40;  // payload corruption, header intact
-  auto rogue_fut = std::async(std::launch::async, [&path, &frame] {
-    // Rogue peer simulating a hostile client; the fd lives for
-    // microseconds inside this test and nothing execs. lint: allow(cloexec)
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    ASSERT_EQ(
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
-        0);
-    ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
-              static_cast<ssize_t>(frame.size()));
-    ::close(fd);
-  });
-  auto server = listener.accept_for(std::chrono::milliseconds(2000));
-  ASSERT_NE(server, nullptr);
-  rogue_fut.get();
-  EXPECT_THROW(server->recv_for(std::chrono::microseconds(2'000'000)), Error);
 }
 
 TEST(SocketTransport, GarbageBytesOnTheWireThrowNotCrash) {

@@ -27,8 +27,8 @@
 /// from a superseded spawn is refused at the handshake).
 ///
 /// --gather bounds the worker loop's opportunistic batch (the router's
-/// drain_max_batch resolution; default 32). --threads, --cache and
-/// --memo size the worker's engine.
+/// engine.max_batch; default 32). --threads, --cache and --memo size the
+/// worker's engine.
 ///
 /// ADDR is a parallel::SocketListener address ("unix:<path>" or
 /// "tcp:<ip>:<port>"). --die-after=N is a test hook: exit abruptly (no
