@@ -823,7 +823,7 @@ int main(int argc, char** argv) {
       jw.end_object();
     }
   });
-  // Full registry snapshot — counters, gauges, every latency histogram
+  // Full registry snapshot — counters and every latency histogram,
   // including the self-heal section's traffic — as its own artifact.
   if (!metrics_out.empty()) {
     std::ofstream mos(metrics_out, std::ios::binary | std::ios::trunc);

@@ -1,17 +1,18 @@
 /// Streaming soak bench: drives the sharded serving frontend
 /// (serve::RankShardedEngine, in-process transport) through the src/soak
-/// harness — pull-based workload, composed arrival shapes,
+/// harness — pull-based workload, a bounded in-flight window,
 /// priority classes through admission control, an SLO ledger reconciled
 /// exactly against engine counters, and coverage-guided metamorphic
 /// fuzzing over the relation x engine-state matrix (DESIGN.md §10).
 ///
 /// Sections:
-///  1. Steady soak: sustained + diurnal + flash-crowd composite through the
-///     engine, in-stream bitwise parity + routing checks.
+///  1. Steady soak: a duplicate-heavy stream through the engine, in-stream
+///     bitwise parity + routing checks.
 ///     Gates: zero lost futures, zero violations, exact SLO ledger
 ///     reconciliation.
-///  2. Overload soak: the same composite into a deliberately undersized
-///     admission queue under kShedOldest — per-class shed/reject/deadline
+///  2. Overload soak: a wide in-flight window into a deliberately
+///     undersized admission queue under kShedOldest — per-class
+///     shed/reject/deadline
 ///     accounting. Gate: exact reconciliation under load shedding.
 ///  3. Coverage-guided fuzz: FuzzLab steps planned by the guided mutator
 ///     vs an unguided baseline on the same seed and step budget.
@@ -37,7 +38,6 @@
 #include "kernel/gram.hpp"
 #include "serve/model_bundle.hpp"
 #include "serve/rank_sharded_engine.hpp"
-#include "soak/arrival.hpp"
 #include "soak/coverage.hpp"
 #include "soak/fuzz.hpp"
 #include "soak/harness.hpp"
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  // --- Section 1: steady soak, composite offered load. ------------------
+  // --- Section 1: steady soak. -------------------------------------------
   soak::SoakReport steady;
   {
     serve::RankShardedEngineConfig rcfg;
@@ -211,9 +211,6 @@ int main(int argc, char** argv) {
     cfg.total_requests = requests;
     cfg.max_in_flight = 128;
     cfg.num_unique = pool_rows / 2;  // duplicate-heavy: memo absorbs
-    cfg.shapes = {soak::sustained(2000.0),
-                  soak::diurnal(4000.0, 4.0),
-                  soak::flash_crowd(1000.0, 3.0, 0.5, 6.0)};
     soak::SoakHarness harness(setup.pool, setup.reference, cfg);
     steady = harness.run(engine);
     print_report("steady soak", steady);
@@ -241,7 +238,6 @@ int main(int argc, char** argv) {
     cfg.batch_gate_fraction = 0.50;   // ...and the gate sheds batch early
     cfg.standard_gate_fraction = 0.75;
     cfg.num_unique = pool_rows;       // duplicate-light: real queue pressure
-    cfg.shapes = {soak::flash_crowd(2000.0, 2.0, 1.0, 10.0)};
     soak::SoakHarness harness(setup.pool, setup.reference, cfg);
     overload = harness.run(engine);
     print_report("overload soak", overload);
@@ -326,9 +322,6 @@ int main(int argc, char** argv) {
     // makes a million requests tractable — and is the realistic serving
     // profile (hot keys dominate).
     cfg.num_unique = std::min<idx>(pool_rows, 64);
-    cfg.shapes = {soak::sustained(20'000.0),
-                  soak::diurnal(40'000.0, 60.0),
-                  soak::flash_crowd(10'000.0, 30.0, 2.0)};
     cfg.progress_every = long_requests / 10;
     soak::SoakHarness harness(setup.pool, setup.reference, cfg);
     long_report = harness.run(

@@ -166,46 +166,20 @@ Registry& Registry::global() {
 
 Counter& Registry::counter(const std::string& name) {
   util::MutexLock lock(mu_);
-  QKMPS_CHECK_MSG(gauges_.count(name) == 0 && histograms_.count(name) == 0,
+  QKMPS_CHECK_MSG(histograms_.count(name) == 0,
                   "metric '" << name << "' already registered as another kind");
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
   return *slot;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  util::MutexLock lock(mu_);
-  QKMPS_CHECK_MSG(counters_.count(name) == 0 && histograms_.count(name) == 0,
-                  "metric '" << name << "' already registered as another kind");
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& Registry::histogram(const std::string& name) {
   util::MutexLock lock(mu_);
-  QKMPS_CHECK_MSG(counters_.count(name) == 0 && gauges_.count(name) == 0,
+  QKMPS_CHECK_MSG(counters_.count(name) == 0,
                   "metric '" << name << "' already registered as another kind");
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>();
   return *slot;
-}
-
-std::string Registry::render_text() const {
-  std::ostringstream os;
-  util::MutexLock lock(mu_);
-  for (const auto& [name, c] : counters_)
-    os << "counter " << name << " " << c->value() << "\n";
-  for (const auto& [name, g] : gauges_)
-    os << "gauge " << name << " " << g->value() << "\n";
-  for (const auto& [name, h] : histograms_) {
-    const Histogram::Snapshot s = h->snapshot();
-    os << "histogram " << name << " count=" << s.count
-       << " mean=" << s.mean_seconds() << " p50=" << s.quantile(0.50)
-       << " p99=" << s.quantile(0.99) << " p999=" << s.quantile(0.999)
-       << "\n";
-  }
-  return os.str();
 }
 
 void Registry::render_json(JsonWriter& w) const {
@@ -213,9 +187,6 @@ void Registry::render_json(JsonWriter& w) const {
   w.begin_object("counters");
   for (const auto& [name, c] : counters_)
     w.field(name, static_cast<long long>(c->value()));
-  w.end_object();
-  w.begin_object("gauges");
-  for (const auto& [name, g] : gauges_) w.field(name, g->value());
   w.end_object();
   w.begin_object("histograms");
   for (const auto& [name, h] : histograms_) {

@@ -16,14 +16,14 @@ class JsonWriter;
 
 namespace qkmps::obs {
 
-/// Metrics registry for the serving stack (DESIGN.md §8): named counters,
-/// gauges, and log-scale latency histograms behind a process-wide
-/// Registry. The design rule is lock-cheap hot paths: a metric handle is
-/// looked up once (one mutex-protected map walk, typically at
-/// construction time) and every subsequent update is a relaxed atomic —
-/// safe to hammer from the engine's batcher, the router thread, and N
-/// pool workers at once. Exposition (render_text / render_json) is a
-/// point-in-time snapshot and never blocks updates.
+/// Metrics registry for the serving stack (DESIGN.md §8): named counters
+/// and log-scale latency histograms behind a process-wide Registry. The
+/// design rule is lock-cheap hot paths: a metric handle is looked up once
+/// (one mutex-protected map walk, typically at construction time) and
+/// every subsequent update is a relaxed atomic — safe to hammer from the
+/// engine's batcher, the router thread, and N pool workers at once.
+/// Exposition (render_json) is a point-in-time snapshot and never blocks
+/// updates.
 
 /// Monotonic counter.
 class Counter {
@@ -33,16 +33,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-written value (queue depth, fleet size, ...).
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
 };
 
 /// Fixed-bucket log-scale latency histogram. Buckets span
@@ -145,7 +135,7 @@ class WindowedRate {
 /// Name -> instrument registry. Names are dotted paths
 /// ("serve.latency.total_seconds"); a name is permanently one kind —
 /// asking for it as another kind throws. Handles returned by
-/// counter()/gauge()/histogram() are stable for the registry's lifetime
+/// counter()/histogram() are stable for the registry's lifetime
 /// (instruments are never removed), so callers cache them and pay the
 /// lookup once.
 class Registry {
@@ -159,16 +149,9 @@ class Registry {
   static Registry& global();
 
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// One instrument per line, sorted by name:
-  ///   counter <name> <value>
-  ///   gauge <name> <value>
-  ///   histogram <name> count=<n> mean=<s> p50=<s> p99=<s> p999=<s>
-  std::string render_text() const;
-
-  /// Emits {counters: {...}, gauges: {...}, histograms: {name: {count,
+  /// Emits {counters: {...}, histograms: {name: {count,
   /// sum_seconds, mean_seconds, p50..p999, underflow, overflow,
   /// buckets}}} as fields of an already-open JSON object.
   void render_json(JsonWriter& w) const;
@@ -179,7 +162,6 @@ class Registry {
   mutable util::Mutex mu_;  ///< guards the maps, never the instruments
   std::map<std::string, std::unique_ptr<Counter>> counters_
       QKMPS_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ QKMPS_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       QKMPS_GUARDED_BY(mu_);
 };

@@ -14,16 +14,17 @@ namespace qkmps::obs {
 /// Request tracing for the serving stack (DESIGN.md §8). A request gets a
 /// process-unique 64-bit trace id at submit(); every stage it crosses —
 /// admission queue, router, wire, worker gather/simulate/kernel — appends
-/// a Span, and the router stitches worker-side spans (shipped back inside
-/// ShardReply, wire v3) into one cross-process timeline under that id.
+/// a Span, and the router stitches worker-side spans (built from the stage
+/// durations every scored ShardReply carries) into one cross-process
+/// timeline under that id.
 ///
 /// Timestamps are steady-clock nanoseconds relative to the trace's epoch
-/// (the submit instant on the clock of whichever process recorded the
-/// span). Worker spans are recorded relative to their batch start and
-/// re-based by the router under its wire span, so a stitched timeline is
-/// coherent without any cross-process clock agreement.
+/// (the submit instant on the router's clock). Worker-side durations are
+/// measured on the worker's clock and laid end to end by the router from
+/// the start of its wire span, so a stitched timeline is coherent without
+/// any cross-process clock agreement.
 
-/// Which side of the wire recorded a span. Survives the wire (one byte).
+/// Which side of the wire measured a span.
 enum class SpanOrigin : std::uint8_t {
   kRouter = 0,  ///< router/frontend process (or the in-process engine)
   kWorker = 1,  ///< shard worker (serving_rankd process or worker thread)
@@ -51,8 +52,7 @@ struct TraceSummary {
 
 /// Process-unique 64-bit trace ids: splitmix64 of an atomic counter, so
 /// ids are well-mixed (usable as hash keys) and never 0 — 0 is reserved
-/// to mean "untraced" on the wire, which is how a v2 peer's envelopes
-/// decode.
+/// to mean "untraced" (a request rejected before admission).
 std::uint64_t next_trace_id();
 
 /// Mutable per-request trace under construction: an epoch plus the spans

@@ -395,8 +395,6 @@ void SocketTransport::send(const std::vector<std::uint8_t>& payload) {
   iovec iov[2] = {{raw, kFrameHeaderBytes},
                   {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
   send_all(fd_, iov, payload.empty() ? 1 : 2);
-  counters_.frames_sent += 1;
-  counters_.bytes_sent += kFrameHeaderBytes + payload.size();
   static obs::Counter& frames =
       obs::Registry::global().counter("parallel.socket.frames_sent");
   static obs::Counter& bytes =
@@ -456,8 +454,6 @@ std::optional<std::vector<std::uint8_t>> SocketTransport::pop_frame() {
     rx_.clear();
     rx_offset_ = 0;
   }
-  counters_.frames_received += 1;
-  counters_.bytes_received += total;
   static obs::Counter& frames =
       obs::Registry::global().counter("parallel.socket.frames_received");
   static obs::Counter& bytes =

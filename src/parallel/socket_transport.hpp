@@ -100,19 +100,6 @@ class SocketListener {
   std::string unlink_path_;  ///< unix socket file to remove on close
 };
 
-/// Per-link frame/byte accounting, monotonic since the link was opened.
-/// Byte totals include the 20-byte header of every frame — they measure
-/// what actually crossed the socket, not just payload. Every link —
-/// in-process socketpair links included — also folds into the
-/// process-wide obs::Registry counters
-/// (parallel.socket.frames/bytes_sent/received).
-struct FrameCounters {
-  std::uint64_t frames_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t bytes_received = 0;
-};
-
 /// One end of a link over a connected stream socket. Thread safety:
 /// none — one side of a link belongs to one loop (the router thread, or
 /// the worker's main loop), while the other side may run concurrently.
@@ -127,6 +114,12 @@ struct FrameCounters {
 ///    forever", never a throw).
 ///  - A dead peer surfaces as qkmps::Error from the next call that needs
 ///    it, never as a hang or silently dropped bytes.
+///
+/// Every link — in-process socketpair links included — counts the frames
+/// it moves into the process-wide obs::Registry counters
+/// parallel.socket.{frames,bytes}_{sent,received}. Byte totals include
+/// the 20-byte header of every frame: they measure what actually crossed
+/// the socket, not just payload.
 class SocketTransport {
  public:
   /// Connects to a SocketListener address, retrying until `timeout`
@@ -166,10 +159,6 @@ class SocketTransport {
   std::optional<std::vector<std::uint8_t>> recv_for(
       std::chrono::microseconds timeout);
 
-  /// Frames/bytes this link has moved (single-threaded like the rest of
-  /// the transport: read it from the loop that owns the link).
-  const FrameCounters& counters() const { return counters_; }
-
  private:
   void fill_from_socket(bool wait, std::chrono::microseconds timeout);
   std::optional<std::vector<std::uint8_t>> pop_frame();
@@ -184,7 +173,6 @@ class SocketTransport {
   /// Peer sent EOF. Complete frames still in rx_ are delivered first;
   /// once the buffer runs dry, recv calls throw qkmps::Error.
   bool peer_closed_ = false;
-  FrameCounters counters_;
 };
 
 }  // namespace qkmps::parallel

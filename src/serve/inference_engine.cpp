@@ -350,23 +350,9 @@ std::vector<Prediction> InferenceEngine::score(
 }
 
 std::vector<Prediction> InferenceEngine::predict_batch(
-    const kernel::RealMatrix& x) {
-  std::vector<std::vector<double>> features;
-  features.reserve(static_cast<std::size_t>(x.rows()));
-  for (idx i = 0; i < x.rows(); ++i)
-    features.emplace_back(x.row(i), x.row(i) + x.cols());
-  return predict_batch(std::move(features));
-}
-
-std::vector<Prediction> InferenceEngine::predict_batch(
-    std::vector<std::vector<double>> features) {
+    std::vector<std::vector<double>> features, StageTimings* timings) {
   for (const std::vector<double>& f : features)
     check_request_features(f, bundle_->num_features());
-  return predict_batch_trusted(std::move(features));
-}
-
-std::vector<Prediction> InferenceEngine::predict_batch_trusted(
-    std::vector<std::vector<double>> features, StageTimings* timings) {
   Timer timer;
   std::vector<Admission> rows;
   rows.reserve(features.size());

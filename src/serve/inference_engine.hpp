@@ -16,10 +16,6 @@
 #include "serve/prediction_memo.hpp"
 #include "serve/state_cache.hpp"
 
-namespace qkmps::parallel {
-class SocketTransport;  // the shard-worker loop's link
-}
-
 namespace qkmps::serve {
 
 /// Knobs of the micro-batching engine. The defaults target the latency /
@@ -59,8 +55,8 @@ struct Prediction {
 };
 
 /// Per-batch wall-clock breakdown of the engine's stages, filled by
-/// predict_batch_trusted for callers that pass a sink (the shard worker
-/// turns it into worker-side trace spans; see obs/trace.hpp). There the
+/// predict_batch for callers that pass a sink (the shard worker ships it
+/// to the router, which lays it out as worker-side trace spans). There the
 /// stages partition the batch's compute wall time in order: any
 /// queue/gather wait happened before the engine saw the batch. Every
 /// batch also feeds the process-wide obs::Registry histograms
@@ -140,15 +136,13 @@ class InferenceEngine {
   /// the error that killed its batch).
   std::future<Prediction> submit(std::vector<double> features);
 
-  /// Synchronous convenience: admits and scores every row of `x` through
-  /// the same two steps as the async path (bypassing the queue and
-  /// deadline), as one batch.
-  std::vector<Prediction> predict_batch(const kernel::RealMatrix& x);
-
-  /// Same, taking the rows directly, with no intermediate matrix
-  /// packing/unpacking copies.
+  /// Synchronous entry point: validates every row like submit(), then
+  /// admits and scores them through the same two steps as the async path
+  /// (bypassing the queue and deadline), as one batch. The batch's stage
+  /// wall times land in `timings` when non-null.
   std::vector<Prediction> predict_batch(
-      std::vector<std::vector<double>> features);
+      std::vector<std::vector<double>> features,
+      StageTimings* timings = nullptr);
 
   /// Lock-free counter snapshot; safe to poll during traffic.
   EngineStats stats() const;
@@ -156,19 +150,6 @@ class InferenceEngine {
   const EngineConfig& config() const { return config_; }
 
  private:
-  /// The sharded frontend validates each request once at admission; its
-  /// shard workers (the shared serve::run_shard_worker loop behind
-  /// RankShardedEngine and serving_rankd) then score through
-  /// predict_batch_trusted and skip the re-validation scan on the
-  /// latency-critical drain path: every request was validated by the
-  /// router's submit() before it crossed the wire.
-  friend bool run_shard_worker(parallel::SocketTransport& link,
-                               InferenceEngine& engine,
-                               const struct ShardWorkerOptions& options);
-  std::vector<Prediction> predict_batch_trusted(
-      std::vector<std::vector<double>> features,
-      StageTimings* timings = nullptr);
-
   /// A request past admission. `key` is its scaled features, the bit
   /// pattern the memo and the StateCache are keyed by; `hash` is
   /// feature_hash(key); `memoized` is the memo's answer on a hit.

@@ -307,7 +307,6 @@ RankShardedEngine::Worker RankShardedEngine::start_worker(
       worker_args(shard, threads, weight, generation));
   try {
     ShardAcceptPolicy policy;
-    policy.num_shards = std::max(shard + 1, num_shards());
     policy.num_features = bundle_->num_features();
     policy.require_shard = shard;
     policy.require_generation = generation;
@@ -351,10 +350,9 @@ std::unique_ptr<parallel::SocketTransport> RankShardedEngine::accept_worker(
           std::chrono::duration_cast<std::chrono::microseconds>(left));
       return conn;
     } catch (const Error& e) {
-      flight_.record_event(
-          obs::EventKind::kHandshakeRefused,
-          policy.require_shard ? static_cast<int>(*policy.require_shard) : -1,
-          policy.require_generation.value_or(0), e.what());
+      flight_.record_event(obs::EventKind::kHandshakeRefused,
+                           static_cast<int>(policy.require_shard),
+                           policy.require_generation, e.what());
       if (std::chrono::steady_clock::now() >= deadline) throw;
     }
   }
@@ -659,13 +657,6 @@ void RankShardedEngine::router_loop() {
       state.engine = reply.stats;
     }
     if (reply.kind == ShardReply::Kind::kPrediction) {
-      // A trace-id mismatch is a protocol violation like an unknown
-      // request id (the caller marks the shard dead). An echo of 0 is
-      // legal: a v2 peer decodes our envelopes without the trace tail.
-      QKMPS_CHECK_MSG(
-          reply.trace_id == 0 || reply.trace_id == fl.trace.trace_id,
-          "shard echoed trace id " << reply.trace_id << " for request "
-                                   << reply.id);
       state.served.fetch_add(1, std::memory_order_relaxed);
       RoutedPrediction out;
       out.status = ServeStatus::kServed;
@@ -673,23 +664,15 @@ void RankShardedEngine::router_loop() {
       out.prediction = reply.prediction;
       out.queue_seconds = seconds_between(fl.submitted, fl.forwarded);
 
-      // Stitch: router-side spans, then the worker's (recorded relative
-      // to its batch start on its own clock) re-based to open at our wire
+      // Stitch: router-side spans, then the worker's durations (measured
+      // on its own clock) laid end to end from the start of our wire
       // span — a coherent cross-process timeline with no clock agreement.
+      // The reply's id is what ties them to this request's trace.
       fl.trace.add_span("admission_wait", fl.submitted, fl.forwarded);
       fl.trace.add_span("route", fl.forwarded, fl.wire_start);
       fl.trace.add_span("wire", fl.wire_start, now);
-      const auto wire_offset = fl.wire_start - fl.trace.epoch;
-      const std::uint64_t base_ns =
-          wire_offset.count() <= 0
-              ? 0
-              : static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        wire_offset)
-                        .count());
-      for (const obs::Span& span : reply.spans)
-        fl.trace.add_span_ns(span.name, base_ns + span.start_ns,
-                             span.duration_ns, span.origin);
+      add_worker_spans(fl.trace, fl.trace.spans.back().start_ns,
+                       reply.timings);
       const auto done = std::chrono::steady_clock::now();
       fl.trace.add_span("reply", now, done);
       out.total_seconds = seconds_between(fl.submitted, done);
@@ -955,9 +938,8 @@ void RankShardedEngine::router_loop() {
         continue;
       }
       target->routed.fetch_add(1, std::memory_order_relaxed);
-      ShardEnvelope envelope{ShardEnvelope::Kind::kRequest, id,
-                             std::move(request.features)};
-      envelope.trace_id = fl.trace.trace_id;  // the worker echoes it back
+      const ShardEnvelope envelope{ShardEnvelope::Kind::kRequest, id,
+                                   std::move(request.features)};
       fl.wire_start = std::chrono::steady_clock::now();
       inflight.emplace(id, std::move(fl));
       shard_send(shard, envelope);

@@ -74,8 +74,8 @@ struct RoutedPrediction {
   /// died; empty for load-shedding and every other status.
   std::string error;
   /// The request's stitched trace (obs/trace.hpp): router-side spans
-  /// plus the worker-side spans shipped back in the reply, re-based onto
-  /// the router timeline.
+  /// plus the worker-side spans the router lays out from the reply's
+  /// WorkerTimings under its wire span.
   /// trace.trace_id == 0 for rejected requests (never admitted).
   obs::TraceSummary trace;
 };

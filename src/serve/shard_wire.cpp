@@ -46,14 +46,8 @@ struct PayloadReader {
   /// Every decoder ends with this: payload bytes beyond the message are
   /// a framing bug or an attack, not slack to ignore.
   void expect_exhausted(const char* what) {
-    QKMPS_CHECK_MSG(exhausted(), "trailing bytes after " << what);
-  }
-
-  /// True when the payload has no bytes left — how the v3 decoders
-  /// detect a v2-length payload (the v3 tail is strictly appended, so
-  /// "exhausted exactly at the v2 boundary" identifies the old schema).
-  bool exhausted() {
-    return is.peek() == std::istringstream::traits_type::eof();
+    QKMPS_CHECK_MSG(is.peek() == std::istringstream::traits_type::eof(),
+                    "trailing bytes after " << what);
   }
 
   std::istringstream is;
@@ -80,17 +74,48 @@ LruStats read_lru_stats(PayloadReader& r) {
   return s;
 }
 
+void write_worker_timings(std::ostream& os, const WorkerTimings& t) {
+  io::write_pod(os, t.gather_seconds);
+  io::write_pod(os, t.scale_seconds);
+  io::write_pod(os, t.memo_seconds);
+  io::write_pod(os, t.cache_seconds);
+  io::write_pod(os, t.simulate_seconds);
+  io::write_pod(os, t.kernel_seconds);
+  io::write_pod(os, t.score_seconds);
+}
+
+/// A worker timing the router can turn into whole nanoseconds: NaN,
+/// negative, infinite or decades-long values are hostile bytes, and
+/// converting them to an integer would be undefined behaviour.
+double read_seconds(PayloadReader& r) {
+  const double seconds = r.pod<double>();
+  QKMPS_CHECK_MSG(seconds >= 0.0 && seconds < 1e9,
+                  "worker timing " << seconds << " s out of range");
+  return seconds;
+}
+
+WorkerTimings read_worker_timings(PayloadReader& r) {
+  WorkerTimings t;
+  t.gather_seconds = read_seconds(r);
+  t.scale_seconds = read_seconds(r);
+  t.memo_seconds = read_seconds(r);
+  t.cache_seconds = read_seconds(r);
+  t.simulate_seconds = read_seconds(r);
+  t.kernel_seconds = read_seconds(r);
+  t.score_seconds = read_seconds(r);
+  return t;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Envelope: u8 kind | u64 id | vec<double> features | u64 trace_id (v3).
+// Envelope: u8 kind | u64 id | vec<double> features.
 
 std::vector<std::uint8_t> encode_envelope(const ShardEnvelope& envelope) {
   std::ostringstream os;
   io::write_pod(os, static_cast<std::uint8_t>(envelope.kind));
   io::write_pod(os, envelope.id);
   io::write_vector(os, envelope.features);
-  io::write_pod(os, envelope.trace_id);
   return take_bytes(os);
 }
 
@@ -104,20 +129,15 @@ ShardEnvelope decode_envelope(const std::vector<std::uint8_t>& payload) {
   envelope.kind = static_cast<ShardEnvelope::Kind>(kind);
   envelope.id = r.pod<std::uint64_t>();
   envelope.features = r.vec<double>();
-  // A payload that ends exactly here is a v2 envelope: the trace tail
-  // defaults to "untraced". Anything between the v2 boundary and a full
-  // v3 tail is truncation and throws on the pod read below.
-  if (!r.exhausted()) envelope.trace_id = r.pod<std::uint64_t>();
   r.expect_exhausted("envelope");
   return envelope;
 }
 
 // ---------------------------------------------------------------------
 // Reply: u8 kind | u64 id | prediction | error string | engine stats
-//        | u64 trace_id | u64 span_count | spans (v3).
-// Each span: vec<char> name | u8 origin | u64 start_ns | u64 duration_ns.
-// Fixed field set for every kind — a reply is ~150 bytes, and one layout
-// means one decoder to torture instead of three.
+//        | worker timings (7 x f64).
+// Fixed field set for every kind — a scored reply is 191 bytes, and one
+// layout means one decoder to torture instead of three.
 
 std::vector<std::uint8_t> encode_reply(const ShardReply& reply) {
   std::ostringstream os;
@@ -135,14 +155,7 @@ std::vector<std::uint8_t> encode_reply(const ShardReply& reply) {
   io::write_pod(os, reply.stats.max_batch_seen);
   write_lru_stats(os, reply.stats.cache);
   write_lru_stats(os, reply.stats.memo);
-  io::write_pod(os, reply.trace_id);
-  io::write_pod(os, static_cast<std::uint64_t>(reply.spans.size()));
-  for (const obs::Span& span : reply.spans) {
-    write_string(os, span.name);
-    io::write_pod(os, static_cast<std::uint8_t>(span.origin));
-    io::write_pod(os, span.start_ns);
-    io::write_pod(os, span.duration_ns);
-  }
+  write_worker_timings(os, reply.timings);
   return take_bytes(os);
 }
 
@@ -167,30 +180,7 @@ ShardReply decode_reply(const std::vector<std::uint8_t>& payload) {
   reply.stats.max_batch_seen = r.pod<std::uint64_t>();
   reply.stats.cache = read_lru_stats(r);
   reply.stats.memo = read_lru_stats(r);
-  // Exhausted exactly here: a v2 reply — untraced, no spans. A partial
-  // v3 tail throws below as truncation.
-  if (!r.exhausted()) {
-    reply.trace_id = r.pod<std::uint64_t>();
-    const std::uint64_t count = r.pod<std::uint64_t>();
-    // Each span costs at least 25 payload bytes (8-byte length prefix of
-    // an empty name + origin + two u64s), so the byte budget bounds a
-    // hostile count before the read loop spins.
-    QKMPS_CHECK_MSG(count <= r.budget / 25,
-                    "hostile span count " << count << " in reply");
-    reply.spans.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      obs::Span span;
-      span.name = r.str();
-      const auto origin = r.pod<std::uint8_t>();
-      QKMPS_CHECK_MSG(
-          origin <= static_cast<std::uint8_t>(obs::SpanOrigin::kWorker),
-          "unknown span origin byte " << static_cast<int>(origin));
-      span.origin = static_cast<obs::SpanOrigin>(origin);
-      span.start_ns = r.pod<std::uint64_t>();
-      span.duration_ns = r.pod<std::uint64_t>();
-      reply.spans.push_back(std::move(span));
-    }
-  }
+  reply.timings = read_worker_timings(r);
   r.expect_exhausted("reply");
   return reply;
 }

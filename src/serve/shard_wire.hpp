@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "serve/inference_engine.hpp"
 
 namespace qkmps::serve {
@@ -35,10 +34,20 @@ struct ShardEnvelope {
   Kind kind = Kind::kRequest;
   std::uint64_t id = 0;  ///< router-assigned, unique per engine incarnation
   std::vector<double> features;
-  /// v3: the router-side trace id riding along so worker-side spans can
-  /// be stitched into the request's cross-process timeline. 0 = untraced
-  /// (and what a v2 envelope decodes to).
-  std::uint64_t trace_id = 0;
+};
+
+/// How long the worker spent on the batch that scored a reply, in
+/// seconds, in the order the stages ran: the gather wait, then the
+/// engine's six StageTimings stages. The router lays these out as the
+/// request's worker-side trace spans (add_worker_spans, shard_worker.hpp).
+struct WorkerTimings {
+  double gather_seconds = 0.0;
+  double scale_seconds = 0.0;
+  double memo_seconds = 0.0;
+  double cache_seconds = 0.0;
+  double simulate_seconds = 0.0;
+  double kernel_seconds = 0.0;
+  double score_seconds = 0.0;
 };
 
 /// Shard -> router.
@@ -57,25 +66,21 @@ struct ShardReply {
   /// reply of the batch). The router keeps the latest per shard, which
   /// is what RankShardedEngine::stats() reports.
   EngineStats stats;
-  /// v3: echo of the request envelope's trace id (0 = untraced or v2
-  /// peer) plus the worker-side spans for the batch that scored this
-  /// request — start_ns relative to the worker's batch start; the router
-  /// re-bases them under its wire span when stitching.
-  std::uint64_t trace_id = 0;
-  std::vector<obs::Span> spans;
+  /// kPrediction: the worker-side durations of the batch that scored
+  /// this request (one record shared by every reply of the batch). Zero
+  /// for the other kinds.
+  WorkerTimings timings;
 };
 
 /// Version of the *payload* schema (fields, their order and the kind
-/// bytes), negotiated at handshake. Independent of the frame-codec
-/// version, which covers only the 20-byte header around each payload. v2
-/// added the elastic-fleet fields (ring weight + spawn generation) to the
-/// hello. v3 appended the tracing tail: trace_id on the envelope,
-/// trace_id + spans on the reply. v4 dropped the drain and stats control
-/// kinds, which renumbers kShutdown and kStopped, so a worker built from
-/// an older tree is refused at the handshake. The decoders still accept
-/// v2-length payloads (the tail defaults to "untraced") — pinned by
-/// tests/test_shard_wire.cpp.
-inline constexpr std::uint16_t kShardWireVersion = 4;
+/// bytes), checked once, at the handshake: the decoders speak exactly
+/// this schema and nothing older. Independent of the frame-codec
+/// version, which covers only the 20-byte header around each payload.
+/// History: v2 added the ring weight and spawn generation to the hello;
+/// v3 appended a trace id to the envelope and a span list to the reply;
+/// v4 dropped the drain and stats kinds; v5 drops the trace ids and
+/// sends the reply's worker timings as a fixed record of seven doubles.
+inline constexpr std::uint16_t kShardWireVersion = 5;
 
 /// Worker -> router, first message after connect: identifies which shard
 /// this process serves, what it believes the model shape is, and — since
@@ -105,10 +110,10 @@ struct ShardWelcome {
 };
 
 /// Byte codecs. decode_* treat the payload as untrusted wire input:
-/// unknown kind bytes, truncated payloads, hostile vector lengths (the
-/// byte-budget read_vector overload bounds every allocation to the
-/// payload size), and trailing garbage all throw qkmps::Error — never a
-/// crash or a silently wrong message (tests/test_shard_wire.cpp).
+/// unknown kind bytes, any strict prefix of a message, hostile vector
+/// lengths (the byte-budget read_vector overload bounds every allocation
+/// to the payload size), and trailing garbage all throw qkmps::Error —
+/// never a crash or a silently wrong message (tests/test_shard_wire.cpp).
 std::vector<std::uint8_t> encode_envelope(const ShardEnvelope& envelope);
 ShardEnvelope decode_envelope(const std::vector<std::uint8_t>& payload);
 

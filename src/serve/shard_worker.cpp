@@ -19,38 +19,6 @@ namespace {
 /// on the next tick) instead of blocking forever.
 constexpr std::chrono::microseconds kIdlePoll{100'000};
 
-/// Worker-side spans for one scored batch: the gather wait plus the
-/// engine's stage breakdown, laid end-to-end from the batch's first
-/// envelope (start_ns = 0 on the worker clock; the router re-bases the
-/// whole set under its wire span when stitching — obs/trace.hpp). Every
-/// request in the batch shares the set, mirroring how latency_seconds is
-/// batch-scoped.
-std::vector<obs::Span> batch_spans(double gather_seconds,
-                                   const StageTimings& t) {
-  const auto ns = [](double s) {
-    return s <= 0.0 ? 0ull : static_cast<std::uint64_t>(s * 1e9);
-  };
-  std::vector<obs::Span> spans;
-  std::uint64_t at = 0;
-  const auto push = [&](const char* name, double seconds) {
-    obs::Span span;
-    span.name = name;
-    span.start_ns = at;
-    span.duration_ns = ns(seconds);
-    span.origin = obs::SpanOrigin::kWorker;
-    at += span.duration_ns;
-    spans.push_back(std::move(span));
-  };
-  push("gather_wait", gather_seconds);
-  push("scale", t.scale_seconds);
-  push("memo", t.memo_seconds);
-  push("cache", t.cache_seconds);
-  push("simulate", t.simulate_seconds);
-  push("kernel", t.kernel_seconds);
-  push("score", t.score_seconds);
-  return spans;
-}
-
 }  // namespace
 
 bool run_shard_worker(parallel::SocketTransport& link,
@@ -88,7 +56,6 @@ bool run_shard_worker(parallel::SocketTransport& link,
     // is scored (FIFO: its ack must follow our replies).
     Timer gather_timer;
     std::vector<std::uint64_t> ids{first.id};
-    std::vector<std::uint64_t> trace_ids{first.trace_id};
     std::vector<std::vector<double>> rows;
     rows.push_back(std::move(first.features));
     bool shutdown = false;
@@ -101,26 +68,24 @@ bool run_shard_worker(parallel::SocketTransport& link,
         break;
       }
       ids.push_back(next.id);
-      trace_ids.push_back(next.trace_id);
       rows.push_back(std::move(next.features));
     }
     const double gather_seconds = gather_timer.seconds();
 
     std::vector<ShardReply> replies(ids.size());
     try {
-      // Trusted entry: rows were validated once at submit().
-      StageTimings timings;
+      StageTimings stages;
       const std::vector<Prediction> predictions =
-          engine.predict_batch_trusted(std::move(rows), &timings);
-      const std::vector<obs::Span> spans =
-          batch_spans(gather_seconds, timings);
+          engine.predict_batch(std::move(rows), &stages);
+      const WorkerTimings timings{
+          gather_seconds,          stages.scale_seconds,
+          stages.memo_seconds,     stages.cache_seconds,
+          stages.simulate_seconds, stages.kernel_seconds,
+          stages.score_seconds};
       for (std::size_t i = 0; i < ids.size(); ++i) {
         replies[i].kind = ShardReply::Kind::kPrediction;
         replies[i].prediction = predictions[i];
-        // Trace echo: only traced requests pay the span bytes. An
-        // untraced envelope (trace_id 0 — e.g. from a v2 peer) gets an
-        // empty span set back.
-        if (trace_ids[i] != 0) replies[i].spans = spans;
+        replies[i].timings = timings;
       }
     } catch (const std::exception& e) {
       for (ShardReply& reply : replies) {
@@ -132,7 +97,6 @@ bool run_shard_worker(parallel::SocketTransport& link,
     const EngineStats stats = engine.stats();
     for (std::size_t i = 0; i < ids.size(); ++i) {
       replies[i].id = ids[i];
-      replies[i].trace_id = trace_ids[i];
       replies[i].stats = stats;
       link.send(encode_reply(replies[i]));
     }
@@ -147,6 +111,24 @@ bool run_shard_worker(parallel::SocketTransport& link,
         scored_total >= options.die_after_requests)
       return false;  // simulated crash: no kStopped, the link just closes
   }
+}
+
+void add_worker_spans(obs::TraceContext& trace, std::uint64_t start_ns,
+                      const WorkerTimings& timings) {
+  std::uint64_t at = start_ns;
+  const auto add = [&](const char* name, double seconds) {
+    const std::uint64_t ns =
+        seconds <= 0.0 ? 0ull : static_cast<std::uint64_t>(seconds * 1e9);
+    trace.add_span_ns(name, at, ns, obs::SpanOrigin::kWorker);
+    at += ns;
+  };
+  add("gather_wait", timings.gather_seconds);
+  add("scale", timings.scale_seconds);
+  add("memo", timings.memo_seconds);
+  add("cache", timings.cache_seconds);
+  add("simulate", timings.simulate_seconds);
+  add("kernel", timings.kernel_seconds);
+  add("score", timings.score_seconds);
 }
 
 void shard_handshake_client(parallel::SocketTransport& link,
@@ -178,24 +160,20 @@ ShardHello shard_handshake_server(parallel::SocketTransport& link,
   if (hello.wire_version != kShardWireVersion)
     reason << "wire version skew: worker speaks " << hello.wire_version
            << ", router speaks " << kShardWireVersion;
-  else if (hello.shard_index >= policy.num_shards)
-    reason << "shard index " << hello.shard_index << " out of range (have "
-           << policy.num_shards << " shards)";
   else if (hello.num_features != policy.num_features)
     reason << "model shape mismatch: worker bundle has "
            << hello.num_features << " features, router bundle has "
            << policy.num_features;
-  else if (policy.require_shard && hello.shard_index != *policy.require_shard)
-    reason << "expected a worker for shard " << *policy.require_shard
+  else if (hello.shard_index != policy.require_shard)
+    reason << "expected a worker for shard " << policy.require_shard
            << ", got shard " << hello.shard_index;
-  else if (policy.require_generation &&
-           hello.generation != *policy.require_generation)
+  else if (hello.generation != policy.require_generation)
     reason << "stale worker generation " << hello.generation
            << " for shard " << hello.shard_index << " (current is "
-           << *policy.require_generation << ")";
-  else if (policy.require_weight && hello.weight != *policy.require_weight)
+           << policy.require_generation << ")";
+  else if (hello.weight != policy.require_weight)
     reason << "ring weight mismatch: worker spawned with " << hello.weight
-           << ", router assigned " << *policy.require_weight;
+           << ", router assigned " << policy.require_weight;
 
   ShardWelcome welcome;
   welcome.accepted = reason.str().empty();

@@ -23,14 +23,12 @@ const char* to_string(Relation relation) {
 }
 
 std::uint8_t axis_mask(Relation relation) {
-  // Axis bits: 1 = warm_cache, 2 = post_resize, 4 = post_death,
-  // 8 = wire_v2 (EngineState::bits()).
+  // Axis bits: 1 = warm_cache, 2 = post_resize, 4 = post_death
+  // (EngineState::bits()).
   switch (relation) {
     case Relation::kBitwiseParity:
       // Parity must hold cold and warm, across resizes, and after a
-      // worker death wiped a shard's memo. Wire version is invisible to
-      // the predicted values (codecs carry doubles bit-exactly), so that
-      // axis is projected away.
+      // worker death wiped a shard's memo.
       return 1 | 2 | 4;
     case Relation::kRoutingStability:
       // Routing depends only on topology history; cache warmth can't
@@ -42,9 +40,9 @@ std::uint8_t axis_mask(Relation relation) {
       // holds after a death/respawn cycle.
       return 4;
     case Relation::kWireTorture:
-      // Codec torture cares only about which wire version is on the
-      // cable.
-      return 8;
+      // The codecs are pure functions of their bytes: no engine state
+      // reaches them.
+      return 0;
   }
   return 0;
 }
@@ -64,7 +62,6 @@ std::string to_string(const Cell& cell) {
   axis(1, s.warm_cache, "warm");
   axis(2, s.post_resize, "resized");
   axis(4, s.post_death, "death");
-  axis(8, s.wire_v2, "v2");
   os << "]";
   return os.str();
 }

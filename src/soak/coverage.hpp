@@ -26,8 +26,8 @@ enum class Relation : std::uint8_t {
   /// After add_shard/remove_shard, points whose consistent-hash owner did
   /// not change must keep their shard (cache retention across resize).
   kResizeRetention = 2,
-  /// Envelope/reply codecs must round-trip, reject corruption, and decode
-  /// previous-wire-version payloads.
+  /// The envelope codec must round-trip, and refuse a cut payload and a
+  /// hostile kind byte.
   kWireTorture = 3,
 };
 inline constexpr std::size_t kNumRelations = 4;
@@ -35,30 +35,27 @@ inline constexpr std::size_t kNumRelations = 4;
 const char* to_string(Relation relation);
 
 /// The engine-state axes a relation can be exercised under. Each axis is
-/// binary; a full state is one point in the 2^4 grid.
+/// binary; a full state is one point in the 2^3 grid.
 struct EngineState {
   bool warm_cache = false;   ///< request key seen before (memo/cache warm)
   bool post_resize = false;  ///< fleet resized (add/remove shard) earlier
   bool post_death = false;   ///< a worker was killed and respawned earlier
-  bool wire_v2 = false;      ///< payload travelled as previous wire version
 
   std::uint8_t bits() const {
     return static_cast<std::uint8_t>((warm_cache ? 1 : 0) |
                                      (post_resize ? 2 : 0) |
-                                     (post_death ? 4 : 0) |
-                                     (wire_v2 ? 8 : 0));
+                                     (post_death ? 4 : 0));
   }
   static EngineState from_bits(std::uint8_t b) {
-    return EngineState{(b & 1) != 0, (b & 2) != 0, (b & 4) != 0,
-                       (b & 8) != 0};
+    return EngineState{(b & 1) != 0, (b & 2) != 0, (b & 4) != 0};
   }
 };
-inline constexpr std::size_t kNumStates = 16;
+inline constexpr std::size_t kNumStates = 8;
 
 /// Which axes are meaningful for a relation. Recording projects the
 /// observed state onto the relation's mask, so e.g. kWireTorture — which
-/// only cares about the wire-version axis — occupies 2 canonical cells,
-/// not 16 aliases of the same check.
+/// depends on no engine state — occupies 1 canonical cell, not 8 aliases
+/// of the same check.
 std::uint8_t axis_mask(Relation relation);
 
 /// One cell of the coverage matrix: a relation plus the masked state

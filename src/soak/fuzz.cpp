@@ -262,53 +262,32 @@ CheckResult FuzzLab::check_wire(const FuzzStep& step) {
   env.kind = serve::ShardEnvelope::Kind::kRequest;
   env.id = rng_.next();
   env.features = pool_row(pool_, row);
-  env.trace_id = rng_.next() | 1;  // nonzero: traced
 
-  std::vector<std::uint8_t> bytes = serve::encode_envelope(env);
+  const std::vector<std::uint8_t> bytes = serve::encode_envelope(env);
   const auto fail = [&](const std::string& what) {
     res.detail = what;
     return res;
   };
 
-  if (step.state.wire_v2) {
-    // A v2 peer's envelope is exactly ours minus the 8-byte trace tail;
-    // the decoder must accept it and default to untraced.
-    std::vector<std::uint8_t> v2(bytes.begin(), bytes.end() - 8);
-    serve::ShardEnvelope back;
-    try {
-      back = serve::decode_envelope(v2);
-    } catch (const std::exception& e) {
-      return fail(std::string("v2-shaped envelope refused: ") + e.what());
-    }
-    if (back.trace_id != 0) return fail("v2 envelope decoded as traced");
-    if (back.id != env.id || back.features != env.features)
-      return fail("v2 envelope round-trip mangled the v2 fields");
-  } else {
-    serve::ShardEnvelope back;
-    try {
-      back = serve::decode_envelope(bytes);
-    } catch (const std::exception& e) {
-      return fail(std::string("v3 envelope round-trip threw: ") + e.what());
-    }
-    if (back.id != env.id || back.trace_id != env.trace_id ||
-        back.features != env.features)
-      return fail("v3 envelope round-trip mangled a field");
+  serve::ShardEnvelope back;
+  try {
+    back = serve::decode_envelope(bytes);
+  } catch (const std::exception& e) {
+    return fail(std::string("envelope round-trip threw: ") + e.what());
   }
+  if (back.id != env.id || back.features != env.features)
+    return fail("envelope round-trip mangled a field");
 
-  // Torture proper, both versions: truncation at a random interior cut
-  // and a hostile kind byte must throw, never crash or succeed.
-  if (bytes.size() > 1) {
-    const std::size_t keep =
-        1 + rng_.uniform_int(static_cast<std::uint64_t>(bytes.size() - 8) - 1);
-    std::vector<std::uint8_t> cut(bytes.begin(),
-                                  bytes.begin() + static_cast<long>(keep));
-    if (keep != bytes.size() - 8) {  // the v2 boundary is the one legal cut
-      try {
-        serve::decode_envelope(cut);
-        return fail("truncated envelope decoded without error");
-      } catch (const std::exception&) {
-      }
-    }
+  // Torture proper: a cut anywhere in [1, size - 1] and a hostile kind
+  // byte must throw, never crash or succeed.
+  const std::size_t keep =
+      1 + rng_.uniform_int(static_cast<std::uint64_t>(bytes.size() - 1));
+  const std::vector<std::uint8_t> cut(bytes.begin(),
+                                      bytes.begin() + static_cast<long>(keep));
+  try {
+    serve::decode_envelope(cut);
+    return fail("truncated envelope decoded without error");
+  } catch (const std::exception&) {
   }
   std::vector<std::uint8_t> hostile = bytes;
   hostile[0] = 0xFF;

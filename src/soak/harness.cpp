@@ -1,11 +1,9 @@
 #include "soak/harness.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <deque>
 #include <future>
-#include <thread>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -57,9 +55,6 @@ SoakReport SoakHarness::run(
       SloAccountant::totals(engine.stats());
   const idx num_unique =
       config_.num_unique == 0 ? pool_.rows() : config_.num_unique;
-  std::vector<ShapeConfig> shapes = config_.shapes;
-  if (shapes.empty()) shapes.push_back(sustained(50'000.0));
-  ArrivalProcess arrivals(std::move(shapes));
   Rng rng(config_.seed);
   SloAccountant slo(config_.slo);
   Timer timer;
@@ -75,8 +70,8 @@ SoakReport SoakHarness::run(
 
   std::uint64_t harvested = 0;
 
-  const EngineState base_state{false, config_.post_resize, config_.post_death,
-                               false};
+  const EngineState base_state{false, config_.post_resize,
+                               config_.post_death};
 
   const auto harvest = [&](InFlight item) {
     const std::size_t key = static_cast<std::size_t>(item.row);
@@ -137,15 +132,6 @@ SoakReport SoakHarness::run(
 
   for (std::uint64_t r = 0; r < config_.total_requests; ++r) {
     ++report.attempted;
-    const double arrival_s = arrivals.next_arrival_us() / 1e6;
-    if (config_.pace) {
-      double behind = arrival_s - timer.seconds();
-      while (behind > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::min(behind, 0.01)));
-        behind = arrival_s - timer.seconds();
-      }
-    }
 
     // Priority draw, then the soak-level gate: lower classes yield while
     // the in-flight window is congested.

@@ -7,16 +7,15 @@
 
 #include "kernel/kernel_matrix.hpp"
 #include "serve/rank_sharded_engine.hpp"
-#include "soak/arrival.hpp"
 #include "soak/coverage.hpp"
 #include "soak/slo.hpp"
 
 namespace qkmps::soak {
 
-/// Streaming soak driver configuration. The harness is open-loop in
-/// shape (an ArrivalProcess paces the offered load) and closed-loop in
-/// memory (a bounded in-flight window of futures), which together give
-/// O(max_in_flight) resident cost however many requests the run streams.
+/// Streaming soak driver configuration. The harness is closed-loop: it
+/// submits as fast as a bounded in-flight window of futures allows, which
+/// gives O(max_in_flight) resident cost however many requests the run
+/// streams.
 struct SoakConfig {
   std::uint64_t seed = 42;
   std::uint64_t total_requests = 10'000;
@@ -27,13 +26,6 @@ struct SoakConfig {
   /// (0 = the whole pool). Small values make the soak duplicate-heavy so
   /// the engines' memos absorb most of a million-request run.
   idx num_unique = 0;
-  /// Offered-load composition (see arrival.hpp). Empty = sustained
-  /// 50k rps, i.e. effectively unpaced.
-  std::vector<ShapeConfig> shapes;
-  /// When true the submit loop sleeps until each request's arrival time;
-  /// when false the arrival process only advances the virtual clock and
-  /// the run goes as fast as the in-flight window allows.
-  bool pace = false;
   /// Priority mix: each request is interactive with this probability...
   double interactive_fraction = 0.2;
   /// ...standard with this one, batch with the remainder.

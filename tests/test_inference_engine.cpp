@@ -29,6 +29,12 @@ std::vector<double> raw_row(const kernel::RealMatrix& x, idx i) {
   return std::vector<double>(x.row(i), x.row(i) + x.cols());
 }
 
+std::vector<std::vector<double>> raw_rows(const kernel::RealMatrix& x) {
+  std::vector<std::vector<double>> rows;
+  for (idx i = 0; i < x.rows(); ++i) rows.push_back(raw_row(x, i));
+  return rows;
+}
+
 /// The sequential reference pipeline on the *full* training artifacts:
 /// scale -> simulate_states -> cross kernel against every training state
 /// -> full-model decision values. The engine must reproduce this bitwise
@@ -117,7 +123,7 @@ TEST(InferenceEngine, DuplicatesWithinOneBatchSimulateOnce) {
   kernel::RealMatrix x(6, s.x_test_raw.cols());
   for (idx i = 0; i < 6; ++i)
     for (idx j = 0; j < x.cols(); ++j) x(i, j) = s.x_test_raw(i / 2, j);
-  const auto preds = engine.predict_batch(x);
+  const auto preds = engine.predict_batch(raw_rows(x));
   ASSERT_EQ(preds.size(), 6u);
   for (idx i = 0; i < 6; i += 2) {
     EXPECT_EQ(preds[static_cast<std::size_t>(i)].decision_value,
@@ -132,7 +138,7 @@ TEST(InferenceEngine, PredictBatchMatchesSubmit) {
   cfg.num_threads = 2;
   InferenceEngine engine(s.bundle, cfg);
 
-  const auto batch = engine.predict_batch(s.x_test_raw);
+  const auto batch = engine.predict_batch(raw_rows(s.x_test_raw));
   for (idx i = 0; i < s.x_test_raw.rows(); ++i) {
     const Prediction p = engine.submit(raw_row(s.x_test_raw, i)).get();
     EXPECT_EQ(p.decision_value,
@@ -186,7 +192,7 @@ TEST(InferenceEngine, MemoHitResolvesInsideSubmit) {
   cfg.batch_deadline = std::chrono::seconds(60);
   InferenceEngine engine(s.bundle, cfg);
 
-  const auto batch = engine.predict_batch(s.x_test_raw);
+  const auto batch = engine.predict_batch(raw_rows(s.x_test_raw));
   const EngineStats before = engine.stats();
   const idx n = s.x_test_raw.rows();
   for (idx i = 0; i < n; ++i) {
@@ -270,8 +276,8 @@ TEST(InferenceEngine, MemoEvictionStaysCorrectUnderTinyCapacity) {
   cfg.memo_capacity = 2;  // smaller than the query working set
   InferenceEngine engine(s.bundle, cfg);
 
-  const auto reference = engine.predict_batch(s.x_test_raw);
-  const auto again = engine.predict_batch(s.x_test_raw);
+  const auto reference = engine.predict_batch(raw_rows(s.x_test_raw));
+  const auto again = engine.predict_batch(raw_rows(s.x_test_raw));
   ASSERT_EQ(again.size(), reference.size());
   for (std::size_t i = 0; i < again.size(); ++i)
     EXPECT_EQ(again[i].decision_value, reference[i].decision_value);
@@ -292,7 +298,7 @@ TEST(InferenceEngine, CacheDisabledStillScoresIdentically) {
   cfg.cache_capacity = 0;
   cfg.memo_capacity = 0;
   InferenceEngine engine(s.bundle, cfg);
-  const auto preds = engine.predict_batch(s.x_test_raw);
+  const auto preds = engine.predict_batch(raw_rows(s.x_test_raw));
   ASSERT_EQ(preds.size(), f_seq.size());
   for (std::size_t i = 0; i < preds.size(); ++i) {
     EXPECT_EQ(preds[i].decision_value, f_seq[i]) << "request " << i;
@@ -315,7 +321,7 @@ TEST(InferenceEngine, KernelConcurrencyStaysWithinPoolBudget) {
   InferenceEngine engine(s.bundle, cfg);
 
   linalg::kernel_probe_reset();
-  (void)engine.predict_batch(s.x_test_raw);
+  (void)engine.predict_batch(raw_rows(s.x_test_raw));
   EXPECT_GE(linalg::kernel_probe_peak(), 1);
   EXPECT_LE(linalg::kernel_probe_peak(), 2);
 

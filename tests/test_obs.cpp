@@ -1,5 +1,5 @@
 // src/obs/: the observability subsystem — trace contexts and spans,
-// metrics registry (counters/gauges/log-scale histograms), and the
+// metrics registry (counters/log-scale histograms), and the
 // flight recorder's bounded rings. The serving stack reports through
 // these on its hot paths, so the contracts pinned here (bounded quantile
 // error, ring wrap order, stable handles, 0-as-untraced) are what the
@@ -92,16 +92,11 @@ TEST(Trace, JsonUsesFullWidthHexIds) {
 // ---------------------------------------------------------------------
 // Metrics.
 
-TEST(Metrics, CounterAndGaugeBasics) {
+TEST(Metrics, CounterBasics) {
   Counter c;
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
-  Gauge g;
-  g.set(2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  g.set(-1.0);
-  EXPECT_DOUBLE_EQ(g.value(), -1.0);
 }
 
 TEST(Metrics, HistogramQuantileWithinOneBucketOfExact) {
@@ -175,27 +170,21 @@ TEST(Metrics, RegistryHandlesAreStableAndKindsAreExclusive) {
   EXPECT_EQ(&c1, &c2);  // same name -> same instrument, forever
   c1.add(7);
   EXPECT_EQ(c2.value(), 7u);
-  reg.gauge("a.b.gauge");
   reg.histogram("a.b.hist");
-  EXPECT_THROW(reg.gauge("a.b.count"), Error);
+  EXPECT_THROW(reg.histogram("a.b.count"), Error);
   EXPECT_THROW(reg.counter("a.b.hist"), Error);
-  EXPECT_THROW(reg.histogram("a.b.gauge"), Error);
 }
 
-TEST(Metrics, RegistryRendersTextAndJson) {
+TEST(Metrics, RegistryRendersJson) {
   Registry reg;
   reg.counter("requests").add(3);
-  reg.gauge("fleet_size").set(4.0);
   reg.histogram("latency_seconds").observe(1e-3);
-  const std::string text = reg.render_text();
-  EXPECT_NE(text.find("counter requests 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("gauge fleet_size 4"), std::string::npos);
-  EXPECT_NE(text.find("histogram latency_seconds count=1"), std::string::npos);
   const std::string json = reg.render_json();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"requests\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"latency_seconds\""), std::string::npos);
+  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"p50_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
 }

@@ -731,14 +731,13 @@ TEST_F(RankShardedSocketTest, SocketParityMatchesSequentialPipeline) {
   EXPECT_EQ(engine_requests, st.completed);
 }
 
-/// The tentpole tracing claim over real processes: every served request
-/// comes back with a stitched cross-process trace — a nonzero
-/// router-assigned id, the router-side spans, and at least one
-/// worker-origin span that traveled back inside the ShardReply (wire v3)
-/// and was re-based under the router's wire span. A mixed cached/uncached
-/// stream pins that memo/cache hits are traced exactly like cold
-/// requests (a hit batch records memo/cache spans even when the
-/// simulator never runs).
+/// The tracing claim over real processes: every served request comes
+/// back with a stitched cross-process trace — a nonzero router-assigned
+/// id, the router-side spans, and exactly the seven worker-side spans,
+/// in stage order, laid end to end from the start of the router's wire
+/// span. A mixed cached/uncached stream pins that memo/cache hits are
+/// traced exactly like cold requests (a hit batch records memo/cache
+/// spans even when the simulator never runs).
 TEST_F(RankShardedSocketTest, ServedRequestsCarryStitchedWorkerSpans) {
   const Serving s = qkmps::testing::train_small_serving(63);
   const auto pool = request_pool();
@@ -774,19 +773,25 @@ TEST_F(RankShardedSocketTest, ServedRequestsCarryStitchedWorkerSpans) {
       }
     ASSERT_TRUE(saw_wire) << "request " << r << " has no wire span";
 
-    // ...and every reply shipped worker-side spans back, re-based into
-    // the wire window (stitching coherent without clock agreement).
-    std::size_t worker_spans = 0;
+    // ...and every reply's worker-side timings come back as the seven
+    // worker spans, laid end to end from the start of the wire span and
+    // inside its window (stitching coherent without clock agreement).
+    const char* const stages[] = {"gather_wait", "scale",  "memo", "cache",
+                                  "simulate",    "kernel", "score"};
+    std::vector<obs::Span> worker;
     for (const obs::Span& span : p.trace.spans)
-      if (span.origin == obs::SpanOrigin::kWorker) {
-        ++worker_spans;
-        EXPECT_GE(span.start_ns, wire_start)
-            << "worker span '" << span.name << "' outside the wire window";
-        EXPECT_LE(span.start_ns + span.duration_ns, wire_end)
-            << "worker span '" << span.name << "' outside the wire window";
-      }
-    EXPECT_GT(worker_spans, 0u)
+      if (span.origin == obs::SpanOrigin::kWorker) worker.push_back(span);
+    ASSERT_EQ(worker.size(), 7u)
         << "request " << r << " lost its worker spans on the wire";
+    std::uint64_t at = wire_start;
+    for (std::size_t k = 0; k < worker.size(); ++k) {
+      EXPECT_EQ(worker[k].name, stages[k]) << "request " << r;
+      EXPECT_EQ(worker[k].start_ns, at)
+          << "worker span '" << worker[k].name << "' not end to end";
+      at += worker[k].duration_ns;
+    }
+    EXPECT_LE(at, wire_end) << "request " << r
+                            << ": worker spans overrun the wire window";
   }
 
   // The flight recorder ringed every completed trace plus the two spawn

@@ -1,8 +1,9 @@
 // serve/shard_wire.hpp: the byte serialization of the shard protocol.
 // Round trips must be lossless (bitwise on doubles — the determinism
 // contract rides on this), and decoders must treat payloads as untrusted
-// wire input: unknown kinds, truncation, hostile vector lengths, and
-// trailing garbage all throw qkmps::Error.
+// wire input: unknown kinds, every strict prefix, hostile vector lengths,
+// out-of-range worker timings, and trailing garbage all throw
+// qkmps::Error.
 
 #include "serve/shard_wire.hpp"
 
@@ -13,6 +14,7 @@
 #include <limits>
 #include <vector>
 
+#include "serve/shard_worker.hpp"
 #include "util/error.hpp"
 
 namespace qkmps::serve {
@@ -24,11 +26,9 @@ TEST(ShardWire, EnvelopeRoundTripIsLossless) {
   envelope.id = 0xFEEDFACE12345678ull;
   envelope.features = {1.5, -0.0, std::numeric_limits<double>::denorm_min(),
                        -3.25e-300, 2.0};
-  envelope.trace_id = 0xABCDEF0123456789ull;  // wire v3 tail
   const ShardEnvelope back = decode_envelope(encode_envelope(envelope));
   EXPECT_EQ(back.kind, envelope.kind);
   EXPECT_EQ(back.id, envelope.id);
-  EXPECT_EQ(back.trace_id, envelope.trace_id);
   ASSERT_EQ(back.features.size(), envelope.features.size());
   for (std::size_t i = 0; i < envelope.features.size(); ++i) {
     // Bitwise, not ==: -0.0 must survive as -0.0 (the cache keys by
@@ -61,23 +61,18 @@ TEST(ShardWire, ReplyRoundTripIsLossless) {
   reply.stats.circuits_simulated = 5;
   reply.stats.cache.hits = 4;
   reply.stats.memo.insertions = 2;
-  reply.trace_id = 0x1122334455667788ull;  // wire v3 tail
-  reply.spans = {
-      {"gather_wait", 0, 1500, obs::SpanOrigin::kWorker},
-      {"simulate", 1500, 2'000'000, obs::SpanOrigin::kWorker},
-      {"", 2'001'500, 0, obs::SpanOrigin::kRouter},  // empty name survives
-  };
+  // Seven distinct durations, so a swapped pair cannot round-trip.
+  reply.timings = {1.5e-6, 2e-5, 3e-5, 4e-4, 2e-3, 6e-4, 7e-6};
   const ShardReply back = decode_reply(encode_reply(reply));
   EXPECT_EQ(back.kind, reply.kind);
   EXPECT_EQ(back.id, reply.id);
-  EXPECT_EQ(back.trace_id, reply.trace_id);
-  ASSERT_EQ(back.spans.size(), reply.spans.size());
-  for (std::size_t i = 0; i < reply.spans.size(); ++i) {
-    EXPECT_EQ(back.spans[i].name, reply.spans[i].name);
-    EXPECT_EQ(back.spans[i].start_ns, reply.spans[i].start_ns);
-    EXPECT_EQ(back.spans[i].duration_ns, reply.spans[i].duration_ns);
-    EXPECT_EQ(back.spans[i].origin, reply.spans[i].origin);
-  }
+  EXPECT_EQ(back.timings.gather_seconds, reply.timings.gather_seconds);
+  EXPECT_EQ(back.timings.scale_seconds, reply.timings.scale_seconds);
+  EXPECT_EQ(back.timings.memo_seconds, reply.timings.memo_seconds);
+  EXPECT_EQ(back.timings.cache_seconds, reply.timings.cache_seconds);
+  EXPECT_EQ(back.timings.simulate_seconds, reply.timings.simulate_seconds);
+  EXPECT_EQ(back.timings.kernel_seconds, reply.timings.kernel_seconds);
+  EXPECT_EQ(back.timings.score_seconds, reply.timings.score_seconds);
   EXPECT_EQ(back.prediction.label, reply.prediction.label);
   EXPECT_EQ(back.prediction.decision_value, reply.prediction.decision_value);
   EXPECT_EQ(back.prediction.cache_hit, reply.prediction.cache_hit);
@@ -120,16 +115,20 @@ TEST(ShardWire, HelloDefaultsMatchAnUnpinnedFleet) {
   EXPECT_EQ(back.generation, 0u);
 }
 
-TEST(ShardWire, TruncatedHelloThrows) {
-  // The v2 fields widened the hello; every truncation point — including
-  // a v1-length payload missing just weight/generation — must throw,
-  // never silently default.
-  const std::vector<std::uint8_t> hello = encode_hello(ShardHello{});
-  for (std::size_t keep = 0; keep < hello.size(); ++keep) {
-    const std::vector<std::uint8_t> cut(
-        hello.begin(), hello.begin() + static_cast<long>(keep));
-    EXPECT_THROW(decode_hello(cut), Error) << "hello cut at " << keep;
-  }
+TEST(ShardWire, PayloadSizesArePinned) {
+  // v5 is a fixed schema: an envelope is kind + id + length-prefixed
+  // features, and a reply with an empty error string is 191 bytes —
+  // kind (1), id (8), prediction (22), error length (8), engine stats
+  // (96) and the seven worker timings (56) — whatever its kind.
+  EXPECT_EQ(encode_envelope(ShardEnvelope{ShardEnvelope::Kind::kRequest, 1,
+                                          {1.0, 2.0, 3.0}})
+                .size(),
+            1u + 8 + 8 + 3 * 8);
+  ShardReply scored;
+  scored.kind = ShardReply::Kind::kPrediction;
+  scored.timings.simulate_seconds = 1e-3;
+  EXPECT_EQ(encode_reply(scored).size(), 191u);
+  EXPECT_EQ(encode_reply(ShardReply{}).size(), 191u);
 }
 
 // ---------------------------------------------------------------------
@@ -151,92 +150,55 @@ TEST(ShardWire, UnknownKindBytesThrow) {
   EXPECT_THROW(decode_reply(rep), Error);
 }
 
-TEST(ShardWire, TruncatedPayloadsThrowEverywhere) {
-  // One cut per payload is special: exactly at the v2 boundary the bytes
-  // ARE a complete v2 message, and the v3 decoder accepts it (back
-  // compatibility, pinned by V3DecodersAcceptV2Payloads below). The v3
-  // tails are 8 bytes (envelope trace_id) and 16 bytes (reply trace_id +
-  // span count); every other truncation still throws.
-  const std::vector<std::uint8_t> env = encode_envelope(
-      ShardEnvelope{ShardEnvelope::Kind::kRequest, 1, {1.0, 2.0, 3.0}});
-  const std::size_t env_v2_size = env.size() - 8;
-  for (std::size_t keep = 0; keep < env.size(); ++keep) {
-    const std::vector<std::uint8_t> cut(env.begin(),
-                                        env.begin() + static_cast<long>(keep));
-    if (keep == env_v2_size) {
-      EXPECT_NO_THROW(decode_envelope(cut)) << "v2-shaped envelope";
-      continue;
-    }
-    EXPECT_THROW(decode_envelope(cut), Error) << "envelope cut at " << keep;
-  }
-  const std::vector<std::uint8_t> rep = encode_reply(ShardReply{});
-  const std::size_t rep_v2_size = rep.size() - 16;
-  for (std::size_t keep = 0; keep < rep.size(); ++keep) {
-    const std::vector<std::uint8_t> cut(rep.begin(),
-                                        rep.begin() + static_cast<long>(keep));
-    if (keep == rep_v2_size) {
-      EXPECT_NO_THROW(decode_reply(cut)) << "v2-shaped reply";
-      continue;
-    }
-    EXPECT_THROW(decode_reply(cut), Error) << "reply cut at " << keep;
-  }
-}
-
-TEST(ShardWire, V3DecodersAcceptV2Payloads) {
-  // A v2 peer's bytes are exactly our encoding minus the appended trace
-  // tail. The v3 decoder must accept them, defaulting trace_id = 0
-  // (untraced) and no spans — with every v2 field intact.
-  ShardEnvelope envelope;
-  envelope.kind = ShardEnvelope::Kind::kRequest;
-  envelope.id = 31337;
-  envelope.features = {0.25, -8.0};
-  envelope.trace_id = 0x5555555555555555ull;
-  std::vector<std::uint8_t> env = encode_envelope(envelope);
-  env.resize(env.size() - 8);  // strip the v3 tail -> a v2 envelope
-  const ShardEnvelope eback = decode_envelope(env);
-  EXPECT_EQ(eback.kind, envelope.kind);
-  EXPECT_EQ(eback.id, envelope.id);
-  EXPECT_EQ(eback.features, envelope.features);
-  EXPECT_EQ(eback.trace_id, 0u);
-
+TEST(ShardWire, EveryStrictPrefixIsRefused) {
+  // The handshake is the only version check, so no decoder may read a
+  // shorter payload as some other message: a cut at any byte before the
+  // end throws, for every message type.
   ShardReply reply;
   reply.kind = ShardReply::Kind::kPrediction;
-  reply.id = 31337;
-  reply.prediction.label = 1;
-  reply.prediction.decision_value = 0.75;
-  reply.trace_id = 0x5555555555555555ull;
-  reply.spans = {{"simulate", 0, 99, obs::SpanOrigin::kWorker}};
-  std::vector<std::uint8_t> rep = encode_reply(reply);
-  // The encoded span adds name-length prefix (8) + 8 name bytes + origin
-  // (1) + start (8) + duration (8); the fixed tail is trace_id (8) +
-  // count (8). Strip all of it to recover the v2 shape.
-  rep.resize(rep.size() - (16 + 8 + 8 + 1 + 8 + 8));
-  const ShardReply rback = decode_reply(rep);
-  EXPECT_EQ(rback.kind, reply.kind);
-  EXPECT_EQ(rback.id, reply.id);
-  EXPECT_EQ(rback.prediction.label, reply.prediction.label);
-  EXPECT_EQ(rback.prediction.decision_value, reply.prediction.decision_value);
-  EXPECT_EQ(rback.trace_id, 0u);
-  EXPECT_TRUE(rback.spans.empty());
+  reply.id = 5;
+  reply.prediction.decision_value = 0.5;
+  reply.error = "why";
+  ShardWelcome welcome;
+  welcome.error = "refused";
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+    void (*decode)(const std::vector<std::uint8_t>&);
+  } messages[] = {
+      {"request envelope",
+       encode_envelope(
+           ShardEnvelope{ShardEnvelope::Kind::kRequest, 1, {1.0, 2.0, 3.0}}),
+       [](const std::vector<std::uint8_t>& b) { decode_envelope(b); }},
+      {"shutdown envelope",
+       encode_envelope(ShardEnvelope{ShardEnvelope::Kind::kShutdown, 0, {}}),
+       [](const std::vector<std::uint8_t>& b) { decode_envelope(b); }},
+      {"reply", encode_reply(reply),
+       [](const std::vector<std::uint8_t>& b) { decode_reply(b); }},
+      {"hello", encode_hello(ShardHello{}),
+       [](const std::vector<std::uint8_t>& b) { decode_hello(b); }},
+      {"welcome", encode_welcome(welcome),
+       [](const std::vector<std::uint8_t>& b) { decode_welcome(b); }},
+  };
+  for (const auto& m : messages) {
+    EXPECT_NO_THROW(m.decode(m.bytes)) << m.what;
+    for (std::size_t keep = 0; keep < m.bytes.size(); ++keep) {
+      const std::vector<std::uint8_t> cut(
+          m.bytes.begin(), m.bytes.begin() + static_cast<long>(keep));
+      EXPECT_THROW(m.decode(cut), Error) << m.what << " cut at " << keep;
+    }
+  }
 }
 
-TEST(ShardWire, HostileSpanCountCannotOverAllocate) {
-  // A reply whose span-count word claims 2^56 spans must be rejected by
-  // the byte budget before any allocation — the span guard mirrors the
-  // feature-length guard below.
-  ShardReply reply;
-  reply.trace_id = 1;
-  reply.spans = {{"x", 0, 0, obs::SpanOrigin::kWorker}};
-  std::vector<std::uint8_t> rep = encode_reply(reply);
-  // The count is the 8 bytes right after the 8-byte trace_id, which sit
-  // right after the v2 body; the single span's encoding follows it.
-  const std::size_t span_bytes = 8 + 1 + 1 + 8 + 8;  // len+name+origin+2*u64
-  const std::size_t count_at = rep.size() - span_bytes - 8;
-  const std::uint64_t huge = 1ull << 56;
-  for (int b = 0; b < 8; ++b)
-    rep[count_at + static_cast<std::size_t>(b)] =
-        static_cast<std::uint8_t>((huge >> (8 * b)) & 0xFF);
-  EXPECT_THROW(decode_reply(rep), Error);
+TEST(ShardWire, OutOfRangeWorkerTimingsThrow) {
+  // The router turns each timing into whole nanoseconds; a value that
+  // has no such form is hostile bytes, refused at decode time.
+  for (const double bad : {-1e-9, 1e9, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ShardReply reply;
+    reply.timings.kernel_seconds = bad;
+    EXPECT_THROW(decode_reply(encode_reply(reply)), Error) << bad;
+  }
 }
 
 TEST(ShardWire, HostileFeatureLengthCannotOverAllocate) {
@@ -275,10 +237,11 @@ TEST(ShardWire, HandshakeMagicConfusionThrows) {
 }
 
 TEST(ShardWire, ByteFuzzNeverCrashes) {
-  // Single-byte corruption sweep over a request envelope: every outcome
-  // is either a clean decode (some bytes are don't-care equivalent,
-  // e.g. flips inside a double) or qkmps::Error. Never a crash or an
-  // over-allocation.
+  // Single-byte corruption sweep over a request envelope and a scored
+  // reply: every outcome is either a clean decode (some bytes are
+  // don't-care equivalent, e.g. flips inside a double) or qkmps::Error.
+  // Never a crash, an over-allocation, or (under UBSan) a NaN timing
+  // reaching a float-to-integer conversion.
   const std::vector<std::uint8_t> env = encode_envelope(
       ShardEnvelope{ShardEnvelope::Kind::kRequest, 77, {1.0, -2.0}});
   for (std::size_t pos = 0; pos < env.size(); ++pos) {
@@ -291,6 +254,23 @@ TEST(ShardWire, ByteFuzzNeverCrashes) {
         EXPECT_LE(decoded.features.size(), corrupted.size());
       } catch (const Error&) {
         // loud failure: the desired outcome for structural corruption
+      }
+    }
+  }
+  ShardReply scored;
+  scored.kind = ShardReply::Kind::kPrediction;
+  scored.timings = {1e-4, 1e-5, 1e-5, 1e-4, 1e-3, 1e-3, 1e-5};
+  const std::vector<std::uint8_t> rep = encode_reply(scored);
+  for (std::size_t pos = 0; pos < rep.size(); ++pos) {
+    for (const std::uint8_t flip : {0x01, 0x10, 0xFF}) {
+      std::vector<std::uint8_t> corrupted = rep;
+      corrupted[pos] ^= flip;
+      try {
+        const ShardReply decoded = decode_reply(corrupted);
+        obs::TraceContext trace;
+        add_worker_spans(trace, 0, decoded.timings);
+        EXPECT_EQ(trace.spans.size(), 7u);
+      } catch (const Error&) {
       }
     }
   }

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -9,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "serve/rank_sharded_engine.hpp"
 #include "serve_test_fixture.hpp"
-#include "soak/arrival.hpp"
 #include "soak/coverage.hpp"
 #include "soak/harness.hpp"
 #include "soak/slo.hpp"
@@ -43,56 +41,6 @@ const SoakInputs& shared_inputs() {
     return in;
   }();
   return *inputs;
-}
-
-// ---------------------------------------------------------------------------
-// Arrival shapes
-
-TEST(SoakArrival, SustainedRateIsConstantAndArrivalsMonotone) {
-  ArrivalProcess p({sustained(1000.0)});
-  EXPECT_DOUBLE_EQ(p.rate_at(0.0), 1000.0);
-  EXPECT_DOUBLE_EQ(p.rate_at(123.4), 1000.0);
-  double prev = -1.0;
-  for (int i = 0; i < 100; ++i) {
-    const double at = p.next_arrival_us();
-    EXPECT_GT(at, prev);
-    prev = at;
-  }
-  // 1000 rps => 1ms gaps: the 100th arrival lands at 99ms.
-  EXPECT_NEAR(prev, 99'000.0, 1e-6);
-}
-
-TEST(SoakArrival, DiurnalOscillatesBetweenTroughAndPeak) {
-  const double period = 40.0;
-  ArrivalProcess p({diurnal(2000.0, period, 0.25)});
-  double lo = 1e300, hi = 0.0;
-  for (double t = 0.0; t < period; t += period / 400.0) {
-    const double r = p.rate_at(t);
-    lo = std::min(lo, r);
-    hi = std::max(hi, r);
-  }
-  EXPECT_NEAR(hi, 2000.0, 1.0);         // touches the peak...
-  EXPECT_NEAR(lo, 0.25 * 2000.0, 1.0);  // ...and the trough
-}
-
-TEST(SoakArrival, FlashCrowdFiresMidIntervalAtTheMultiplier) {
-  ArrivalProcess p({flash_crowd(100.0, 10.0, 1.0, 8.0)});
-  EXPECT_DOUBLE_EQ(p.rate_at(0.0), 100.0);    // process start: no crowd
-  EXPECT_DOUBLE_EQ(p.rate_at(5.5), 800.0);    // mid-interval crowd
-  EXPECT_DOUBLE_EQ(p.rate_at(6.5), 100.0);    // crowd over
-  EXPECT_DOUBLE_EQ(p.rate_at(15.5), 800.0);   // periodic
-}
-
-TEST(SoakArrival, ShapesCompose) {
-  ArrivalProcess p({sustained(100.0), sustained(50.0)});
-  EXPECT_DOUBLE_EQ(p.rate_at(1.0), 150.0);
-}
-
-TEST(SoakArrival, RejectsInvalidShapes) {
-  EXPECT_THROW(ArrivalProcess(std::vector<ShapeConfig>{}), Error);
-  EXPECT_THROW(ArrivalProcess({sustained(0.0)}), Error);
-  // A crowd longer than half its interval would overlap the next one.
-  EXPECT_THROW(ArrivalProcess({flash_crowd(100.0, 10.0, 6.0, 2.0)}), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,26 +128,26 @@ TEST(SoakSlo, WindowedRateMetersTrailingWindowOnly) {
 
 TEST(SoakCoverage, TargetCellCountsArePinned) {
   // In-process: parity keeps warm x resize (4), routing keeps resize (2),
-  // retention collapses to one cell, wire keeps v2/v3 (2) => 9.
+  // retention and wire torture collapse to one cell each => 8.
   RelationCoverageMap inproc(/*with_worker_death=*/false);
-  EXPECT_EQ(inproc.target_count(), 9u);
-  // With worker death every relation's death axis doubles its cells:
-  // parity 8, routing 4, retention 2, wire 2 (death projected away) => 16.
+  EXPECT_EQ(inproc.target_count(), 8u);
+  // With worker death the death axis doubles the cells of every relation
+  // that keeps it: parity 8, routing 4, retention 2, wire 1 => 15.
   RelationCoverageMap socket(/*with_worker_death=*/true);
-  EXPECT_EQ(socket.target_count(), 16u);
+  EXPECT_EQ(socket.target_count(), 15u);
   for (const Cell& cell : inproc.target_cells())
     EXPECT_EQ(cell.state_bits & 4, 0) << "death cell in an in-process map";
 }
 
 TEST(SoakCoverage, RecordProjectsThroughTheAxisMask) {
   RelationCoverageMap map(false);
-  // Wire version is invisible to parity: both records land in one cell.
-  EngineState a;          // cold, v3
+  // Cache warmth is invisible to routing: both records land in one cell.
+  EngineState a;          // cold
   EngineState b;
-  b.wire_v2 = true;       // cold, v2
-  map.record(Relation::kBitwiseParity, a);
-  map.record(Relation::kBitwiseParity, b);
-  EXPECT_EQ(map.hits(Relation::kBitwiseParity, a), 2u);
+  b.warm_cache = true;    // warm
+  map.record(Relation::kRoutingStability, a);
+  map.record(Relation::kRoutingStability, b);
+  EXPECT_EQ(map.hits(Relation::kRoutingStability, a), 2u);
   EXPECT_EQ(map.covered_count(), 1u);
   EXPECT_EQ(map.total_pairs(), 2u);
 }
@@ -239,7 +187,7 @@ TEST(SoakCoverage, GuidedBeatsUnguidedOnTheSameSeed) {
   }
   EXPECT_EQ(guided_map.covered_count(), guided_map.target_count());
   EXPECT_LE(unguided_map.covered_count(), guided_map.covered_count());
-  // 16 cells, 16 uniform draws with replacement: P(all distinct) ~ 1e-7,
+  // 15 cells, 15 uniform draws with replacement: P(all distinct) ~ 3e-6,
   // so on this pinned seed the inequality is strict.
   EXPECT_LT(unguided_map.covered_count(), guided_map.covered_count());
 }
@@ -267,7 +215,6 @@ SoakConfig small_soak(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.total_requests = 600;
   cfg.max_in_flight = 64;
-  cfg.shapes = {sustained(50'000.0)};  // effectively unpaced
   return cfg;
 }
 

@@ -16,7 +16,7 @@
 ///                 [--metrics-out=PATH]
 ///
 /// --metrics-out=PATH writes this worker's obs::Registry snapshot (JSON:
-/// counters, gauges, latency histograms — see src/obs/metrics.hpp) to
+/// counters and latency histograms — see src/obs/metrics.hpp) to
 /// PATH when the worker exits cleanly *or* via the --die-after hook, so
 /// a postmortem can read the worker-side numbers even after a simulated
 /// crash. PATH usually embeds the shard index (one file per worker).
