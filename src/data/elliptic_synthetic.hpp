@@ -26,6 +26,14 @@ struct EllipticSyntheticParams {
   std::uint64_t seed = 20240411;
 };
 
+/// Rows per block of work. Both passes of the generator (latents and
+/// scores, then features) run over fixed blocks of this many rows on a
+/// parallel::ThreadPool with one lane per hardware thread. The blocks
+/// split only the work: every block starts from the exact stream state a
+/// serial draw would reach there, so the output is bitwise-identical at
+/// any lane count.
+inline constexpr idx kEllipticBlockRows = 256;
+
 /// Draws the full synthetic pool. Feature columns are ordered by
 /// decreasing informativeness; labels are +1 (illicit) / -1 (licit).
 Dataset generate_elliptic_synthetic(const EllipticSyntheticParams& params);

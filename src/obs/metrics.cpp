@@ -151,9 +151,12 @@ double WindowedRate::rate(double now_seconds, double window_seconds) const {
     if (e >= first_epoch && e <= now_epoch)
       events += slot.count.load(std::memory_order_relaxed);
   }
-  const double span = std::max(
-      slot_seconds_,
-      static_cast<double>(now_epoch - first_epoch + 1) * slot_seconds_);
+  // The counted slots cover [first_epoch * slot, now]: the current slot
+  // only up to `now`, so a run shorter than one slot is not divided by a
+  // whole slot. A zero-length span (now at t = 0) has no rate.
+  const double span =
+      now_seconds - static_cast<double>(first_epoch) * slot_seconds_;
+  if (!(span > 0.0)) return 0.0;
   return static_cast<double>(events) / span;
 }
 

@@ -112,7 +112,9 @@ class WindowedRate {
   /// `now_seconds`. The window is clamped to the ring's retained span,
   /// and the rate counts only slots that fall fully or partially inside
   /// [now - window, now] — a stale slot from a previous ring lap never
-  /// contributes.
+  /// contributes. The divisor is the time those slots cover up to `now`
+  /// (from the first counted slot's start), so 5 events by t = 0.01 s
+  /// read 500/s; at now = 0 the span is empty and the rate is 0.
   double rate(double now_seconds, double window_seconds) const;
 
   /// All events ever recorded (monotonic, survives slot reuse).

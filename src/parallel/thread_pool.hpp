@@ -10,9 +10,11 @@
 
 namespace qkmps::parallel {
 
-/// Fixed-size thread pool. Used by the sequential Gram-matrix builder to
-/// parallelize embarrassingly-parallel loops (circuit simulations, inner
-/// products) without the full rank-runtime machinery.
+/// Fixed-size thread pool for embarrassingly-parallel loops, without the
+/// full rank-runtime machinery. Its users: the serving lanes
+/// (serve::InferenceEngine runs a batch's uncached circuit simulations
+/// and its kernel entries on it) and the synthetic Elliptic pool generator
+/// (data::generate_elliptic_synthetic draws its row blocks on it).
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);

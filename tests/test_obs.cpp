@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -194,8 +195,13 @@ TEST(Metrics, RegistryRendersJson) {
 
 TEST(FlightRecorder, EventRingWrapsOldestFirst) {
   FlightRecorder rec(/*trace_capacity=*/4, /*event_capacity=*/4);
-  for (int i = 0; i < 10; ++i)
-    rec.record_event(EventKind::kShed, i, 0, "e" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) {
+    // Appended, not `"e" + std::to_string(i)`: at -O3 GCC 12 reports a
+    // false -Wrestrict overlap inside the prepending operator+.
+    std::string detail = "e";
+    detail += std::to_string(i);
+    rec.record_event(EventKind::kShed, i, 0, std::move(detail));
+  }
   EXPECT_EQ(rec.events_recorded(), 10u);
   const std::vector<LifecycleEvent> events = rec.events();
   ASSERT_EQ(events.size(), 4u);  // ring kept only the newest 4

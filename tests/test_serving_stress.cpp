@@ -193,8 +193,7 @@ TEST(ServingStress, ShutdownUnderLoadNeverDeadlocksOrDropsFutures) {
 /// must resolve and the counters must stay coherent — while TSan watches
 /// the lifecycle_mu_/topology_mu_/mu_ discipline do its job.
 template <typename MakeEngine>
-void resize_races_submit_and_stats(const Serving& s,
-                                   const kernel::RealMatrix& pool,
+void resize_races_submit_and_stats(const kernel::RealMatrix& pool,
                                    MakeEngine make_engine) {
   RankShardedEngine engine = make_engine();
 
@@ -263,7 +262,7 @@ void resize_races_submit_and_stats(const Serving& s,
 TEST(ServingStress, RankShardedResizeRacesSubmitAndStatsInProcess) {
   const Serving s = qkmps::testing::train_small_serving(44);
   const auto pool = request_pool();
-  resize_races_submit_and_stats(s, pool, [&] {
+  resize_races_submit_and_stats(pool, [&] {
     RankShardedEngineConfig rcfg;
     rcfg.num_shards = 2;
     rcfg.engine.max_batch = 8;
@@ -282,7 +281,7 @@ TEST(ServingStress, RankShardedResizeRacesSubmitAndStatsSocket) {
   const std::string bundle_dir = ::testing::TempDir() +
                                  "/qkmps_stress_bundle_" +
                                  std::to_string(::getpid());
-  resize_races_submit_and_stats(s, pool, [&] {
+  resize_races_submit_and_stats(pool, [&] {
     RankShardedEngineConfig rcfg;
     rcfg.num_shards = 2;
     rcfg.engine.max_batch = 8;

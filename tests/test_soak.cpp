@@ -123,6 +123,16 @@ TEST(SoakSlo, WindowedRateMetersTrailingWindowOnly) {
   EXPECT_DOUBLE_EQ(rate.rate(1000.0, 5.0), 0.0);
 }
 
+TEST(SoakSlo, WindowedRateInsideOneSlotDividesByElapsedTime) {
+  // A run shorter than one slot: the rate divides by the 0.01 s that
+  // passed, not by the 0.25 s slot width (which would read 20/s).
+  obs::WindowedRate rate(0.25, 16);
+  for (int i = 0; i < 5; ++i) rate.record(static_cast<double>(i) * 0.0025);
+  EXPECT_DOUBLE_EQ(rate.rate(0.01, 10.0), 500.0);
+  // Nothing has elapsed at t = 0, so there is no rate to report.
+  EXPECT_DOUBLE_EQ(rate.rate(0.0, 1.0), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Coverage map + guided mutator
 

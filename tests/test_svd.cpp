@@ -233,7 +233,9 @@ void expect_valid_factorization(const Matrix& a, const SvdResult& f,
   for (std::size_t i = 0; i < f.s.size(); ++i) {
     EXPECT_TRUE(std::isfinite(f.s[i])) << what;
     EXPECT_GE(f.s[i], 0.0) << what;
-    if (i > 0) EXPECT_LE(f.s[i], f.s[i - 1]) << what;
+    if (i > 0) {
+      EXPECT_LE(f.s[i], f.s[i - 1]) << what;
+    }
   }
 }
 

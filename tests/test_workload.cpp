@@ -59,8 +59,9 @@ TEST(Workload, DigestIsSensitiveToOrder) {
   Scenario s = make_scenario(cfg, pool);
   const std::uint64_t before = scenario_digest(s);
   std::swap(s.order.front(), s.order.back());
-  if (s.order.front() != s.order.back())
+  if (s.order.front() != s.order.back()) {
     EXPECT_NE(scenario_digest(s), before);
+  }
 }
 
 TEST(Workload, UniquePointsAreDistinctPoolRows) {
