@@ -1,7 +1,7 @@
 #pragma once
 
 /// Shared plumbing for the experiment harness. Every bench binary
-/// regenerates one table or figure of the paper (see DESIGN.md section 4).
+/// regenerates one table or figure of the paper (see DESIGN.md section 7).
 ///
 /// Scaling: benches default to CI-scale parameters so the full suite runs
 /// on a laptop-class 2-core box; set QKMPS_FULL=1 to run the paper-scale

@@ -78,6 +78,20 @@ DistanceResult run_distance(idx m, idx d, idx samples, linalg::ExecPolicy policy
   return out;
 }
 
+/// Smallest d from which the accelerated policy's median beats the
+/// reference median at every larger d of the sweep (every row from there
+/// on prints winner "accel"), or -1 when it does not win at the largest d.
+idx crossover_d(const std::vector<DistanceResult>& ref,
+                const std::vector<DistanceResult>& acc,
+                Summary DistanceResult::*series) {
+  idx crossover = -1;
+  for (std::size_t i = ref.size(); i-- > 0;) {
+    if (!((acc[i].*series).median < (ref[i].*series).median)) break;
+    crossover = ref[i].d;
+  }
+  return crossover;
+}
+
 }  // namespace
 
 int main() {
@@ -128,23 +142,24 @@ int main() {
   }
 
   // Crossover summary (the paper's headline observation for this figure).
-  idx crossover = -1;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (acc[i].ip_time.median < ref[i].ip_time.median) {
-      crossover = ref[i].d;
-      break;
+  const idx crossover_sim = crossover_d(ref, acc, &DistanceResult::sim_time);
+  const idx crossover_ip = crossover_d(ref, acc, &DistanceResult::ip_time);
+  std::printf("\ncrossover: smallest d from which accel wins at every larger d"
+              " (paper: d between 8 and 10 on A100 vs EPYC)\n");
+  auto print_crossover = [](const char* series, idx d) {
+    if (d > 0) {
+      std::printf("  %-15s d=%lld\n", series, static_cast<long long>(d));
+    } else {
+      std::printf("  %-15s none within this sweep (extend QKMPS_DMAX)\n", series);
     }
-  }
-  if (crossover > 0) {
-    std::printf("\ncrossover: accelerated policy wins inner products from d=%lld"
-                " (paper: d between 8 and 10 on A100 vs EPYC)\n",
-                static_cast<long long>(crossover));
-  } else {
-    std::printf("\ncrossover: not reached within this sweep (extend QKMPS_DMAX)\n");
-  }
+  };
+  print_crossover("simulation", crossover_sim);
+  print_crossover("inner products", crossover_ip);
 
   bench::write_artifact("fig5_crossover.json", [&](JsonWriter& w) {
     w.field("qubits", static_cast<long long>(m));
+    w.field("crossover_d_sim", static_cast<long long>(crossover_sim));
+    w.field("crossover_d_ip", static_cast<long long>(crossover_ip));
     w.begin_array("distances");
     for (std::size_t i = 0; i < ref.size(); ++i) {
       w.begin_array_object();

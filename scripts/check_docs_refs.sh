@@ -7,10 +7,16 @@
 # source directories (src/ tests/ bench/ examples/ scripts/ tools/), a
 # backtick-quoted path relative to src/ that starts with a subsystem
 # directory (`linalg/policy.hpp`, `mps/simulator`), or a backtick-quoted
-# top-level *.md file. Runtime artifacts (build/ paths, JSON outputs) and
-# glob-ish names containing <>* are ignored. A bench, example, or tool
-# referenced by its executable name (e.g. `bench/serving_ranked`,
-# `tools/serving_rankd`) resolves if the matching .cpp exists.
+# top-level *.md file. Runtime artifacts (other build/ paths, JSON
+# outputs) and glob-ish names containing <>* are ignored. A bench,
+# example, or tool referenced by its executable name (e.g.
+# `bench/serving_ranked`, `tools/serving_rankd`) resolves if the matching
+# .cpp exists.
+#
+# A command that runs one of those executables from a build tree,
+# `./<dir>/<name>` (from inside build/) or `build/<dir>/<name>` (from the
+# repo root) for <dir> in bench, examples, tools, is a reference too,
+# anywhere in the doc, code blocks included: <dir>/<name>.cpp must exist.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,6 +44,15 @@ for doc in README.md DESIGN.md; do
       continue
     fi
     echo "$doc references missing path: $ref"
+    status=1
+  done
+  exes=$(grep -oE '(^|[^A-Za-z0-9_.-])(\./|build/)(bench|examples|tools)/[A-Za-z0-9_]+' "$doc" |
+         sed -E 's#^.*(\./|build/)##' | sort -u)
+  for exe in $exes; do
+    if [ -e "$exe.cpp" ]; then
+      continue
+    fi
+    echo "$doc runs missing executable: $exe"
     status=1
   done
 done

@@ -18,12 +18,9 @@
 #include "data/preprocess.hpp"       // IWYU pragma: export
 #include "data/splits.hpp"           // IWYU pragma: export
 #include "kernel/distributed_gram.hpp"  // IWYU pragma: export
-#include "kernel/diagnostics.hpp"    // IWYU pragma: export
 #include "kernel/gaussian.hpp"       // IWYU pragma: export
 #include "kernel/gram.hpp"           // IWYU pragma: export
 #include "kernel/kernel_matrix.hpp"  // IWYU pragma: export
-#include "kernel/projected.hpp"      // IWYU pragma: export
-#include "kernel/shot_kernel.hpp"    // IWYU pragma: export
 #include "linalg/bidiag.hpp"         // IWYU pragma: export
 #include "linalg/gemm.hpp"           // IWYU pragma: export
 #include "linalg/householder.hpp"    // IWYU pragma: export
@@ -33,13 +30,11 @@
 #include "linalg/policy.hpp"         // IWYU pragma: export
 #include "linalg/qr.hpp"             // IWYU pragma: export
 #include "linalg/svd.hpp"            // IWYU pragma: export
-#include "linalg/symeig.hpp"         // IWYU pragma: export
 #include "mps/canonical.hpp"         // IWYU pragma: export
 #include "mps/gate_application.hpp"  // IWYU pragma: export
 #include "mps/inner_product.hpp"     // IWYU pragma: export
 #include "mps/memory_tracker.hpp"    // IWYU pragma: export
 #include "mps/mps.hpp"               // IWYU pragma: export
-#include "mps/observables.hpp"       // IWYU pragma: export
 #include "mps/serialization.hpp"     // IWYU pragma: export
 #include "mps/simulator.hpp"         // IWYU pragma: export
 #include "mps/truncation.hpp"        // IWYU pragma: export

@@ -33,9 +33,8 @@ struct SvcModel {
   std::vector<double> decision_values(const kernel::RealMatrix& k_test) const;
 
   /// Single-sample decision value from one kernel row k_row[j] =
-  /// K(sample, train_j) — the one-request scoring primitive (used by the
-  /// per-request serving baseline in bench/serving.cpp; the engine scores
-  /// whole batches through decision_values).
+  /// K(sample, train_j) — the one-request scoring primitive (the engine
+  /// scores whole batches through decision_values).
   double decision_value(const std::vector<double>& k_row) const;
 
   /// Signed predictions in {-1, +1}.

@@ -7,7 +7,7 @@ namespace qkmps {
 
 /// Reads scaling knobs from the environment. The bench harness defaults to
 /// CI-scale parameters; setting QKMPS_FULL=1 switches every bench to the
-/// paper-scale sweep (see DESIGN.md section 6).
+/// paper-scale sweep (see DESIGN.md section 7).
 bool full_scale_requested();
 
 /// Integer environment variable with a default.

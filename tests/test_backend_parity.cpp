@@ -1,12 +1,12 @@
-/// Cross-backend verification harness: every observable quantity the MPS
-/// backend can produce — amplitudes, inner products, Pauli observables,
-/// Gram-matrix entries — is checked against the dense statevector backend
-/// on randomized small circuits (<= 10 qubits), at full bond dimension, to
-/// 1e-10. This is the safety net every performance PR is judged against:
-/// the two backends share no dense kernels beyond linalg, so agreement here
-/// pins down the whole simulation stack. Truncated-bond-dimension runs are
-/// additionally required to degrade *monotonically* toward the exact
-/// answer as the cap is raised.
+/// Cross-backend verification harness: every quantity the MPS backend
+/// produces — amplitudes, inner products, Gram-matrix entries — is checked
+/// against the dense statevector backend on randomized small circuits
+/// (<= 10 qubits), at full bond dimension, to 1e-10. This is the safety
+/// net every performance PR is judged against: the two backends share no
+/// dense kernels beyond linalg, so agreement here pins down the whole
+/// simulation stack. Truncated-bond-dimension runs are additionally
+/// required to degrade *monotonically* toward the exact answer as the cap
+/// is raised.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "circuit/statevector.hpp"
 #include "kernel/gram.hpp"
 #include "mps/inner_product.hpp"
-#include "mps/observables.hpp"
 #include "mps/simulator.hpp"
 #include "test_helpers.hpp"
 
@@ -28,8 +27,6 @@ namespace {
 
 using qkmps::testing::dense_infidelity;
 using qkmps::testing::dense_inner_product;
-using qkmps::testing::dense_pauli_expectation;
-using qkmps::testing::dense_zz_correlation;
 using qkmps::testing::max_amplitude_diff;
 using qkmps::testing::random_circuit;
 using qkmps::testing::random_features;
@@ -104,33 +101,6 @@ TEST_P(BackendParity, InnerProductsMatchStatevector) {
     EXPECT_NEAR(mps::overlap_squared(a, b, GetParam()), std::norm(dense),
                 kParityTol)
         << "m=" << m;
-  }
-}
-
-TEST_P(BackendParity, ObservablesMatchStatevector) {
-  Rng rng(404);
-  const mps::MpsSimulator sim(exact_config(GetParam()));
-  for (const idx m : {2, 5, 8}) {
-    const circuit::Circuit c = random_circuit(m, 5 * m, rng);
-    mps::Mps psi = sim.simulate(c).state;
-    const auto amps = circuit::simulate_statevector(c).amplitudes();
-
-    for (idx q = 0; q < m; ++q) {
-      EXPECT_NEAR(mps::expectation_x(psi, q, GetParam()),
-                  dense_pauli_expectation(amps, m, q, 'X'), kParityTol)
-          << "X q=" << q << " m=" << m;
-      EXPECT_NEAR(mps::expectation_y(psi, q, GetParam()),
-                  dense_pauli_expectation(amps, m, q, 'Y'), kParityTol)
-          << "Y q=" << q << " m=" << m;
-      EXPECT_NEAR(mps::expectation_z(psi, q, GetParam()),
-                  dense_pauli_expectation(amps, m, q, 'Z'), kParityTol)
-          << "Z q=" << q << " m=" << m;
-    }
-    for (idx q = 0; q + 1 < m; ++q) {
-      EXPECT_NEAR(mps::correlation_zz(psi, q, GetParam()),
-                  dense_zz_correlation(amps, m, q), kParityTol)
-          << "ZZ q=" << q << " m=" << m;
-    }
   }
 }
 

@@ -23,6 +23,25 @@ QuantumKernelConfig small_config(idx m, idx d = 1, double gamma = 0.6) {
   return cfg;
 }
 
+/// True when K + shift * I has a Cholesky factor, i.e. every pivot stays
+/// positive: K is positive semidefinite up to `shift`.
+bool shifted_cholesky_succeeds(const RealMatrix& k, double shift) {
+  const idx n = k.rows();
+  RealMatrix l(n, n);
+  for (idx j = 0; j < n; ++j) {
+    double pivot = k(j, j) + shift;
+    for (idx p = 0; p < j; ++p) pivot -= l(j, p) * l(j, p);
+    if (!(pivot > 0.0)) return false;
+    l(j, j) = std::sqrt(pivot);
+    for (idx i = j + 1; i < n; ++i) {
+      double v = k(i, j);
+      for (idx p = 0; p < j; ++p) v -= l(i, p) * l(j, p);
+      l(i, j) = v / l(j, j);
+    }
+  }
+  return true;
+}
+
 TEST(Gram, DiagonalIsOne) {
   const RealMatrix x = random_scaled_data(5, 4, 1);
   const RealMatrix k = gram_matrix(small_config(4), x);
@@ -83,6 +102,40 @@ TEST(Gram, PositiveSemidefiniteQuadraticForms) {
         quad += v[static_cast<std::size_t>(i)] * k(i, j) * v[static_cast<std::size_t>(j)];
     EXPECT_GE(quad, -1e-9);
   }
+}
+
+TEST(Gram, PositiveSemidefiniteByCholesky) {
+  // Fidelity kernels are PSD: K + 1e-9 I factors. The check itself must
+  // refuse an indefinite matrix ([[1, 2], [2, 1]] has eigenvalue -1).
+  const RealMatrix x = random_scaled_data(8, 5, 3);
+  QuantumKernelConfig cfg;
+  cfg.ansatz = {.num_features = 5, .layers = 2, .distance = 2, .gamma = 0.8};
+  EXPECT_TRUE(shifted_cholesky_succeeds(gram_matrix(cfg, x), 1e-9));
+
+  RealMatrix indefinite(2, 2);
+  indefinite(0, 0) = indefinite(1, 1) = 1.0;
+  indefinite(0, 1) = indefinite(1, 0) = 2.0;
+  EXPECT_FALSE(shifted_cholesky_succeeds(indefinite, 1e-9));
+}
+
+TEST(Gram, DeeperAnsatzConcentratesKernel) {
+  // Table III's mechanism as a relation between two runs: eight layers
+  // pull the mean off-diagonal entry below its one-layer value.
+  const RealMatrix x = random_scaled_data(8, 6, 1);
+  auto mean_off_diagonal = [&](idx r) {
+    QuantumKernelConfig cfg;
+    cfg.ansatz = {.num_features = 6, .layers = r, .distance = 1, .gamma = 1.0};
+    const RealMatrix k = gram_matrix(cfg, x);
+    double sum = 0.0;
+    idx count = 0;
+    for (idx i = 0; i < k.rows(); ++i)
+      for (idx j = i + 1; j < k.cols(); ++j) {
+        sum += k(i, j);
+        ++count;
+      }
+    return sum / static_cast<double>(count);
+  };
+  EXPECT_GT(mean_off_diagonal(1), mean_off_diagonal(8));
 }
 
 TEST(Gram, StatsCountsArePredictable) {

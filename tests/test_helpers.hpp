@@ -1,7 +1,5 @@
 #pragma once
 
-#include <gtest/gtest.h>
-
 #include <cmath>
 #include <complex>
 #include <vector>
@@ -97,45 +95,6 @@ inline double max_amplitude_diff(const std::vector<cplx>& a,
 inline double dense_infidelity(const std::vector<cplx>& a,
                                const std::vector<cplx>& b) {
   return 1.0 - std::norm(dense_inner_product(a, b));
-}
-
-/// <P_q> from a dense amplitude vector, qubit 0 = most significant bit
-/// (matching Statevector and Mps::to_statevector). `pauli` is 'X', 'Y',
-/// or 'Z'.
-inline double dense_pauli_expectation(const std::vector<cplx>& amps, idx m,
-                                      idx q, char pauli) {
-  const std::size_t mask = std::size_t{1} << (m - 1 - q);
-  cplx acc = 0.0;
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    const bool one = (i & mask) != 0;
-    switch (pauli) {
-      case 'Z':
-        acc += std::conj(amps[i]) * amps[i] * (one ? -1.0 : 1.0);
-        break;
-      case 'X':
-        acc += std::conj(amps[i]) * amps[i ^ mask];
-        break;
-      case 'Y':
-        acc += std::conj(amps[i]) * amps[i ^ mask] * cplx(0.0, one ? 1.0 : -1.0);
-        break;
-      default:
-        ADD_FAILURE() << "unknown Pauli " << pauli;
-    }
-  }
-  return acc.real();
-}
-
-/// <Z_q Z_{q+1}> from a dense amplitude vector.
-inline double dense_zz_correlation(const std::vector<cplx>& amps, idx m, idx q) {
-  const std::size_t mask0 = std::size_t{1} << (m - 1 - q);
-  const std::size_t mask1 = std::size_t{1} << (m - 2 - q);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    const double sign =
-        (((i & mask0) != 0) != ((i & mask1) != 0)) ? -1.0 : 1.0;
-    acc += std::norm(amps[i]) * sign;
-  }
-  return acc;
 }
 
 }  // namespace qkmps::testing
