@@ -244,15 +244,25 @@ std::vector<Prediction> InferenceEngine::score(
   Timer stage;
 
   // Hits replay their memoized bits; misses stay "active" through the
-  // rest of the pipeline.
+  // rest of the pipeline. A row that missed at admission asks the memo
+  // again, inside the cache stage: a duplicate admitted while its first
+  // occurrence was still queued or running finds that answer now. The
+  // late lookup leaves EngineStats::memo alone (one lookup per request).
+  static obs::Counter& late_hits =
+      obs::Registry::global().counter("serve.memo.late_hits");
   std::vector<Prediction> out(static_cast<std::size_t>(b));
   std::vector<std::size_t> active;
   active.reserve(static_cast<std::size_t>(b));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     t.scale_seconds += rows[i].scale_seconds;
     t.memo_seconds += rows[i].memo_seconds;
-    if (rows[i].memoized)
-      out[i] = replay(*rows[i].memoized);
+    std::optional<MemoizedPrediction> memoized = rows[i].memoized;
+    if (!memoized) {
+      memoized = memo_.find_uncounted(rows[i].key, rows[i].hash);
+      if (memoized) late_hits.add();
+    }
+    if (memoized)
+      out[i] = replay(*memoized);
     else
       active.push_back(i);
   }

@@ -27,13 +27,20 @@ struct EngineConfig {
   /// Pool lanes; 0 = hardware. Uncached circuits simulate one per lane,
   /// each lane's kernels on one thread; kernel rows spread over the lanes.
   std::size_t num_threads = 0;
-  std::size_t cache_capacity = 4096;  ///< StateCache entries; 0 disables
-  /// Decision-value memo entries; 0 disables. The memo is asked at
-  /// admission: an exact-repeat request (identical scaled feature bits)
-  /// replays the identical prediction bits with no simulation, no kernel
-  /// row and no SVC pass, and a submit() hit resolves before submit()
-  /// returns, without waiting out batch_deadline.
-  std::size_t memo_capacity = 1024;
+  /// StateCache entries; 0 (the default) disables it. A resident state
+  /// costs ~30 KiB of heap at 165 qubits and chi~2, ~43 KiB at chi~29,
+  /// and saves one simulation only for a key the memo no longer holds.
+  std::size_t cache_capacity = 0;
+  /// Decision-value memo entries (~1.5 KB each at 165 features); 0
+  /// disables. The memo is the engine's cross-request cache. It is asked
+  /// at admission: an exact-repeat request (identical scaled feature
+  /// bits) replays the identical prediction bits with no simulation, no
+  /// kernel row and no SVC pass, and a submit() hit resolves before
+  /// submit() returns, without waiting out batch_deadline. A row that
+  /// missed asks again when its batch is scored, so a duplicate admitted
+  /// while its first occurrence was still queued or running replays that
+  /// answer too.
+  std::size_t memo_capacity = 4096;
 };
 
 /// One scored request.
@@ -44,9 +51,10 @@ struct Prediction {
   /// point also skip simulation (they alias the first occurrence) but
   /// report false; EngineStats::circuits_simulated is the exact count.
   bool cache_hit = false;
-  /// Whole prediction came from the decision-value memo: the request
-  /// skipped simulation, the StateCache, and the kernel entirely (so
-  /// cache_hit is false for a memo hit — the StateCache was never asked).
+  /// Whole prediction came from the decision-value memo, at admission or
+  /// on the late lookup when its batch was scored: the request skipped
+  /// simulation, the StateCache, and the kernel entirely (so cache_hit is
+  /// false for a memo hit — the StateCache was never asked).
   bool memo_hit = false;
   /// submit() -> promise fulfilment for async requests (for a memo hit,
   /// the time spent inside submit()); the batch's wall time for every row
@@ -68,7 +76,9 @@ struct StageTimings {
   /// submit(), so for it these are the sums of their admission times.
   double scale_seconds = 0.0;
   double memo_seconds = 0.0;
-  double cache_seconds = 0.0;     ///< StateCache pass + in-batch dedup
+  /// Late memo lookup of admission misses, StateCache pass, in-batch
+  /// dedup.
+  double cache_seconds = 0.0;
   double simulate_seconds = 0.0;  ///< parallel MPS simulation of misses
   double kernel_seconds = 0.0;    ///< SV kernel rows + decision values
   double score_seconds = 0.0;     ///< label assignment + memo insert
@@ -84,18 +94,24 @@ struct EngineStats {
   /// Batches run: async batches of queued memo misses and predict_batch
   /// calls. A memo hit answered inside submit() belongs to no batch.
   std::uint64_t batches = 0;
-  std::uint64_t circuits_simulated = 0;  ///< after cache and in-batch dedup
-  std::uint64_t max_batch_seen = 0;      ///< largest batch run
-  CacheStats cache;  ///< asked only by memo misses
-  MemoStats memo;    ///< one lookup per request, at admission
+  /// After the late memo lookup, the StateCache and in-batch dedup.
+  std::uint64_t circuits_simulated = 0;
+  std::uint64_t max_batch_seen = 0;  ///< largest batch run
+  /// Asked only by rows that missed the memo twice; off by default.
+  CacheStats cache;
+  /// One lookup per request, at admission. The late lookup at scoring is
+  /// counted only on the registry's serve.memo.late_hits.
+  MemoStats memo;
 };
 
 /// Asynchronous micro-batched inference over a ModelBundle. Every request
 /// goes through two steps:
 ///  - admission: scale through the bundle scaler, key the scaled bits,
 ///    hash the key and ask the PredictionMemo;
-///  - scoring (memo misses only): StateCache and in-batch dedup, parallel
-///    simulation of uncached feature-map circuits on a
+///  - scoring (admission misses only): a second memo lookup, which
+///    answers a duplicate of a request that was still queued or running
+///    at its admission; then the opt-in StateCache and in-batch dedup,
+///    parallel simulation of uncached feature-map circuits on a
 ///    parallel::ThreadPool, the rectangular kernel against the bundle's
 ///    support-vector states only, the compacted SVC, the memo insert.
 /// submit() admits on the caller's thread. A memo hit resolves its future
@@ -169,12 +185,14 @@ class InferenceEngine {
   };
 
   /// Admission: scales one request (its buffer becomes the key), hashes
-  /// the key and asks the memo. The only memo lookup a request gets, so
-  /// it is also where serve.memo.hits/misses are counted.
+  /// the key and asks the memo. The counted memo lookup: EngineStats::memo
+  /// and serve.memo.hits/misses see this one only.
   Admission admit(std::vector<double> features);
-  /// Scoring: one Prediction per admitted row, in order. Hits replay
-  /// their memoized bits; misses go through the StateCache (with in-batch
-  /// dedup), simulation, SV kernels and the SVC, and are memoized. Stage
+  /// Scoring: one Prediction per admitted row, in order. Admission hits
+  /// replay their memoized bits; each miss asks the memo once more
+  /// (uncounted but for serve.memo.late_hits) and replays a late hit the
+  /// same way. The rest go through the StateCache (with in-batch dedup),
+  /// simulation, SV kernels and the SVC, and are memoized. Stage
   /// wall times land in `timings` when non-null and in the global
   /// registry histograms always.
   std::vector<Prediction> score(const std::vector<Admission>& rows,

@@ -40,11 +40,12 @@ struct LruStats {
 /// states; PredictionMemo with final decision values.
 ///
 /// Thread safety: every member is safe to call concurrently from any
-/// number of threads. find/insert/size/clear serialize on one internal
-/// mutex; stats() reads only atomics and never contends with the lookup
-/// hot path. Values are returned by copy (for the serving layer,
-/// shared_ptr or a small PODs), so a caller never holds a reference into
-/// the map and eviction can never invalidate a handed-out value.
+/// number of threads. The lookups, insert, size and clear serialize on
+/// one internal mutex; stats() reads only atomics and never contends
+/// with the lookup hot path. Values are returned by copy (for the serving
+/// layer, shared_ptr or a small PODs), so a caller never holds a
+/// reference into the map and eviction can never invalidate a handed-out
+/// value.
 ///
 /// Invariants: lru_ and index_ always hold exactly the same entries
 /// (checked on eviction); size() <= capacity() after every insert; an
@@ -53,7 +54,8 @@ struct LruStats {
 /// same miss agree on the value both end up using.
 ///
 /// capacity == 0 disables the map: find() always misses (counted, but
-/// without taking the lock) and insert() stores nothing.
+/// without taking the lock), find_uncounted() always misses, and insert()
+/// stores nothing.
 template <typename Value>
 class LruMap {
  public:
@@ -67,18 +69,21 @@ class LruMap {
   /// hash once and reuse it across maps.
   std::optional<Value> find(const std::vector<double>& key,
                             std::uint64_t hash) {
-    if (capacity_ == 0) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    std::optional<Value> value = find_uncounted(key, hash);
+    (value ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    return value;
+  }
+
+  /// find() that leaves the hit/miss counters alone (a hit still marks
+  /// the entry most-recently-used): a second lookup for a request whose
+  /// first lookup was already counted.
+  std::optional<Value> find_uncounted(const std::vector<double>& key,
+                                      std::uint64_t hash) {
+    if (capacity_ == 0) return std::nullopt;
     util::MutexLock lock(mu_);
     const auto entry = locate(hash, key);
-    if (entry == lru_.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if (entry == lru_.end()) return std::nullopt;
     lru_.splice(lru_.begin(), lru_, entry);  // iterators stay valid
-    hits_.fetch_add(1, std::memory_order_relaxed);
     return entry->value;
   }
 

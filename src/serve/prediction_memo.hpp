@@ -17,18 +17,22 @@ struct MemoizedPrediction {
 };
 
 /// Tiny thread-safe LRU of *final* decision values, keyed by the bit
-/// pattern of the scaled feature vector — the ROADMAP's decision-value
-/// memoization, an LruMap instance (see lru_map.hpp). Sits in front of
-/// the whole simulation path and is asked once per request, at
-/// admission (InferenceEngine::submit, or predict_batch): an exact repeat
-/// of a previously scored request skips scaling-downstream work entirely
-/// (no batch window, no circuit simulation, no StateCache traffic, no SV
+/// pattern of the scaled feature vector — an LruMap instance (see
+/// lru_map.hpp), and the engine's default cross-request cache: an entry
+/// is its key plus ~130 B, where a StateCache entry is a whole MPS. Sits
+/// in front of the whole simulation path and is asked at admission
+/// (InferenceEngine::submit, or predict_batch): an exact repeat of a
+/// previously scored request skips scaling-downstream work entirely (no
+/// batch window, no circuit simulation, no StateCache traffic, no SV
 /// kernel row, no SVC accumulation), returning the identical bits it
-/// returned the first time. Where the StateCache amortizes the
+/// returned the first time. A row that missed is asked about again,
+/// uncounted (find_uncounted), when its batch is scored: a duplicate
+/// admitted while its first occurrence was still queued or running then
+/// replays that answer the same way. Where the StateCache amortizes the
 /// simulation of a repeated *point*, the memo amortizes the entire
 /// request.
 ///
-/// capacity == 0 disables memoization: find() always misses and insert()
+/// capacity == 0 disables memoization: every lookup misses and insert()
 /// stores nothing.
 using PredictionMemo = LruMap<MemoizedPrediction>;
 

@@ -1,6 +1,7 @@
 #include "soak/harness.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <future>
@@ -142,6 +143,20 @@ SoakReport SoakHarness::run(
     } else if (u < config_.interactive_fraction + config_.standard_fraction) {
       priority = Priority::kStandard;
     }
+    // Harvest whatever has already resolved, so `fullness` is the share
+    // of the window still unresolved: the gate measures congestion, not
+    // how long ago the full window was last drained.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      if (window[i].future.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        harvest(std::move(window[i]));
+      } else {
+        if (kept != i) window[kept] = std::move(window[i]);
+        ++kept;
+      }
+    }
+    window.resize(kept);
     const double fullness = static_cast<double>(window.size()) /
                             static_cast<double>(config_.max_in_flight);
     const bool gate =

@@ -30,9 +30,10 @@ struct SoakConfig {
   double interactive_fraction = 0.2;
   /// ...standard with this one, batch with the remainder.
   double standard_fraction = 0.5;
-  /// Soak-level admission gate: a class is refused while the in-flight
-  /// window is fuller than its gate fraction. Interactive is never
-  /// gated; batch gives way first, then standard — strict priority
+  /// Soak-level admission gate: a class is refused while at least its
+  /// gate fraction of the in-flight window is unresolved (resolved
+  /// futures are harvested before every gate decision). Interactive is
+  /// never gated; batch gives way first, then standard — strict priority
   /// ordering requires batch_gate <= standard_gate.
   double standard_gate_fraction = 0.95;
   double batch_gate_fraction = 0.80;

@@ -154,16 +154,6 @@ std::vector<double> SvcModel::decision_values(
   return f;
 }
 
-double SvcModel::decision_value(const std::vector<double>& k_row) const {
-  QKMPS_CHECK(k_row.size() == alpha.size());
-  double acc = 0.0;
-  for (std::size_t j = 0; j < alpha.size(); ++j) {
-    if (alpha[j] == 0.0) continue;
-    acc += alpha[j] * static_cast<double>(y[j]) * k_row[j];
-  }
-  return acc + bias;
-}
-
 std::vector<int> SvcModel::predict(const kernel::RealMatrix& k_test) const {
   const std::vector<double> f = decision_values(k_test);
   std::vector<int> out(f.size());

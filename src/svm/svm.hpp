@@ -32,11 +32,6 @@ struct SvcModel {
   /// vectors (alpha_j > 0), so a compacted model pays O(#SV) per row.
   std::vector<double> decision_values(const kernel::RealMatrix& k_test) const;
 
-  /// Single-sample decision value from one kernel row k_row[j] =
-  /// K(sample, train_j) — the one-request scoring primitive (the engine
-  /// scores whole batches through decision_values).
-  double decision_value(const std::vector<double>& k_row) const;
-
   /// Signed predictions in {-1, +1}.
   std::vector<int> predict(const kernel::RealMatrix& k_test) const;
 

@@ -86,6 +86,7 @@ TEST(InferenceEngine, RepeatedQueriesHitCacheAndScoreIdentically) {
   EngineConfig cfg;
   cfg.max_batch = 8;
   cfg.num_threads = 2;
+  cfg.cache_capacity = 4096;  // the StateCache is opt-in
   cfg.memo_capacity = 0;  // isolate the StateCache path from the memo
   InferenceEngine engine(s.bundle, cfg);
 
@@ -130,6 +131,91 @@ TEST(InferenceEngine, DuplicatesWithinOneBatchSimulateOnce) {
               preds[static_cast<std::size_t>(i + 1)].decision_value);
   }
   EXPECT_EQ(engine.stats().circuits_simulated, 3u);
+}
+
+TEST(InferenceEngine, LateMemoCheckAnswersARowScoredWhileItWasQueued) {
+  // The order is forced. A lone submit() waits in the queue for a second
+  // request (max_batch 2, a window far longer than the test); meanwhile
+  // predict_batch scores the same row, which misses the memo at
+  // admission because the queued copy has not run. When a second submit
+  // fills the batch, the queued copy asks the memo again and replays
+  // those bits: with the StateCache off, its key costs one circuit.
+  const Serving s = make_serving(15);
+  EngineConfig cfg;
+  cfg.max_batch = 2;
+  cfg.batch_deadline = std::chrono::seconds(60);
+  cfg.num_threads = 2;
+  cfg.cache_capacity = 0;
+  InferenceEngine engine(s.bundle, cfg);
+  obs::Counter& late_hits =
+      obs::Registry::global().counter("serve.memo.late_hits");
+  const std::uint64_t late0 = late_hits.value();
+
+  std::future<Prediction> queued = engine.submit(raw_row(s.x_test_raw, 0));
+  const std::vector<Prediction> scored =
+      engine.predict_batch({raw_row(s.x_test_raw, 0)});
+  std::future<Prediction> partner = engine.submit(raw_row(s.x_test_raw, 1));
+  const Prediction p = queued.get();
+  EXPECT_FALSE(partner.get().memo_hit);
+
+  EXPECT_TRUE(p.memo_hit);
+  EXPECT_FALSE(p.cache_hit);
+  EXPECT_EQ(p.decision_value, scored[0].decision_value);
+  EXPECT_EQ(p.label, scored[0].label);
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.circuits_simulated, 2u);  // row 0 once, row 1 once
+  // The late lookup is not an admission lookup: all three missed there.
+  EXPECT_EQ(st.memo.hits, 0u);
+  EXPECT_EQ(st.memo.misses, 3u);
+  EXPECT_EQ(late_hits.value() - late0, 1u);
+}
+
+TEST(InferenceEngine, DuplicateOfARunningRequestSimulatesOnce) {
+  // One request per batch, so the duplicate cannot join its original's
+  // batch. It is submitted right after the original, almost always while
+  // that batch still runs; then it misses at admission and hits on the
+  // late lookup. If the original has already finished, the duplicate
+  // hits at admission instead. Both orders replay the same bits and
+  // simulate the key once, with the StateCache off.
+  const Serving s = make_serving(16);
+  EngineConfig cfg;
+  cfg.max_batch = 1;
+  cfg.num_threads = 2;
+  cfg.cache_capacity = 0;
+  InferenceEngine engine(s.bundle, cfg);
+  obs::Counter& late_hits =
+      obs::Registry::global().counter("serve.memo.late_hits");
+  const std::uint64_t late0 = late_hits.value();
+
+  std::future<Prediction> first = engine.submit(raw_row(s.x_test_raw, 0));
+  std::future<Prediction> duplicate = engine.submit(raw_row(s.x_test_raw, 0));
+  const Prediction a = first.get();
+  const Prediction b = duplicate.get();
+  EXPECT_FALSE(a.memo_hit);
+  EXPECT_TRUE(b.memo_hit);
+  EXPECT_EQ(b.decision_value, a.decision_value);
+  EXPECT_EQ(b.label, a.label);
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.circuits_simulated, 1u);
+  EXPECT_EQ(st.memo.hits + (late_hits.value() - late0), 1u);
+}
+
+TEST(InferenceEngine, DefaultConfigRetainsNoState) {
+  // The memo is the default cross-request cache; the StateCache is
+  // opt-in, so serving N distinct rows keeps no simulated MPS.
+  const Serving s = make_serving(17);
+  InferenceEngine engine(s.bundle, {.num_threads = 2});
+  constexpr std::size_t kRows = 8;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    std::vector<double> x =
+        raw_row(s.x_test_raw, static_cast<idx>(r) % s.x_test_raw.rows());
+    x[0] += 0.01 * static_cast<double>(r);  // distinct rows
+    (void)engine.submit(std::move(x)).get();
+  }
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.circuits_simulated, kRows);
+  EXPECT_EQ(st.cache.insertions, 0u);
+  EXPECT_EQ(st.memo.insertions, kRows);
 }
 
 TEST(InferenceEngine, PredictBatchMatchesSubmit) {

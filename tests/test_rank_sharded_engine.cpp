@@ -336,6 +336,7 @@ TEST(RankShardedEngine, PerShardStatsExposeEngineAndQueueCounters) {
   const auto pool = request_pool();
   RankShardedEngineConfig rcfg;
   rcfg.num_shards = 2;
+  rcfg.engine.cache_capacity = 4096;  // the StateCache is opt-in
   rcfg.engine.memo_capacity = 0;
   RankShardedEngine engine(s.bundle, rcfg);
 
@@ -508,6 +509,7 @@ TEST(RankShardedEngine, ConsistentHashResizeRetainsCaches) {
     rcfg.router = RouterConfig{kind, 128};
     // The memo would short-circuit repeats before they reach the
     // StateCache; disable it so cache retention is what gets measured.
+    rcfg.engine.cache_capacity = 4096;  // the StateCache is opt-in
     rcfg.engine.memo_capacity = 0;
     RankShardedEngine engine(s.bundle, rcfg);
 

@@ -229,15 +229,6 @@ TEST(SvmCompaction, DecisionValuesBitwiseMatchFullModel) {
   EXPECT_EQ(p.model.predict(p.k), compact.model.predict(k_sv));
 }
 
-TEST(SvmCompaction, SingleRowDecisionValueMatchesBatch) {
-  const TrainedProblem p = gaussian_problem(12, 1.3);
-  const auto f = p.model.decision_values(p.k);
-  for (idx i = 0; i < p.k.rows(); ++i) {
-    const std::vector<double> row(p.k.row(i), p.k.row(i) + p.k.cols());
-    EXPECT_EQ(p.model.decision_value(row), f[static_cast<std::size_t>(i)]);
-  }
-}
-
 TEST(SvmCompaction, StateGatherOverloadSelectsSvSubset) {
   const TrainedProblem p = gaussian_problem(13, 1.0);
   // Stand-in "states": the original training index, so the gather is

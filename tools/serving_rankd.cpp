@@ -28,7 +28,9 @@
 ///
 /// --gather bounds the worker loop's opportunistic batch (the router's
 /// engine.max_batch; default 32). --threads, --cache and --memo size the
-/// worker's engine.
+/// worker's engine, and default to serve::EngineConfig's: hardware lanes,
+/// no StateCache (--cache=0; it is opt-in) and a 4096-entry memo. The
+/// router passes all three from its RankShardedEngineConfig::engine.
 ///
 /// ADDR is a parallel::SocketListener address ("unix:<path>" or
 /// "tcp:<ip>:<port>"). --die-after=N is a test hook: exit abruptly (no
