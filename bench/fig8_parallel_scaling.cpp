@@ -9,6 +9,10 @@
 /// Thread-backed ranks share this machine's cores, so we report the
 /// *modelled* k-processor wall clock: per-phase totals divided by the rank
 /// count (each rank's work is balanced by construction; see DESIGN.md).
+/// Next to the seconds, bytes/proc is what crossed the ring's socketpair
+/// links per rank (save_mps frames with their headers), read from the
+/// parallel.socket.bytes_sent counter around each call; it is
+/// informational, not gated.
 ///
 /// Knobs: QKMPS_FULL=1 (165 features, N up to 6400, ranks up to 32),
 ///        QKMPS_FEATURES, QKMPS_STEPS.
@@ -17,6 +21,7 @@
 
 #include "bench_common.hpp"
 #include "kernel/distributed_gram.hpp"
+#include "obs/metrics.hpp"
 
 using namespace qkmps;
 
@@ -33,10 +38,13 @@ int main() {
 
   std::printf("features m=%lld, d=1, r=2, gamma=0.1 (the Fig. 8/9/10 ansatz)\n\n",
               static_cast<long long>(m));
-  std::printf("%8s %7s %16s %16s %16s %12s\n", "N", "ranks", "sim/proc (s)",
-              "ip/proc (s)", "comm/proc (s)", "entries");
+  std::printf("%8s %7s %16s %16s %16s %14s %12s\n", "N", "ranks",
+              "sim/proc (s)", "ip/proc (s)", "comm/proc (s)", "bytes/proc",
+              "entries");
 
-  std::vector<double> sim_per_proc, ip_per_proc;
+  const obs::Counter& bytes_sent =
+      obs::Registry::global().counter("parallel.socket.bytes_sent");
+  std::vector<double> sim_per_proc, ip_per_proc, bytes_per_proc;
   for (idx s = 0; s < steps; ++s) {
     const idx n = base_n << s;
     const int ranks = base_ranks << s;
@@ -44,16 +52,20 @@ int main() {
         bench::scaled_features(n, m, 41 + static_cast<std::uint64_t>(s));
 
     kernel::GramStats stats;
+    const std::uint64_t bytes_before = bytes_sent.value();
     (void)kernel::distributed_gram_matrix(
         cfg, x, ranks, kernel::DistributionStrategy::RoundRobin, &stats);
+    const double bytes =
+        static_cast<double>(bytes_sent.value() - bytes_before) / ranks;
 
     const double sim = stats.simulation_seconds / ranks;
     const double ip = stats.inner_product_seconds / ranks;
     const double comm = stats.communication_seconds / ranks;
     sim_per_proc.push_back(sim);
     ip_per_proc.push_back(ip);
-    std::printf("%8lld %7d %16.3f %16.3f %16.4f %12lld\n",
-                static_cast<long long>(n), ranks, sim, ip, comm,
+    bytes_per_proc.push_back(bytes);
+    std::printf("%8lld %7d %16.3f %16.3f %16.4f %14.0f %12lld\n",
+                static_cast<long long>(n), ranks, sim, ip, comm, bytes,
                 static_cast<long long>(stats.inner_products));
   }
 
@@ -77,6 +89,7 @@ int main() {
     w.field("features", static_cast<long long>(m));
     w.field("sim_per_proc", sim_per_proc);
     w.field("ip_per_proc", ip_per_proc);
+    w.field("bytes_per_proc", bytes_per_proc);
   });
   return 0;
 }

@@ -234,12 +234,13 @@ int main(int argc, char** argv) {
     soak::SoakConfig cfg;
     cfg.seed = 2027;
     cfg.total_requests = requests / 2;
-    // The window outruns the queues, so the engine sheds. A shed future
-    // resolves at once and is harvested before the next gate decision,
-    // so the unresolved share rarely reaches these gates.
+    // The window outruns the queues, so the engine sheds; this section
+    // gates ledger reconciliation under shedding. A shed future resolves
+    // at once and is harvested before the next gate decision, so the
+    // unresolved share stays below the priority gate and it refuses
+    // nothing here (SoakHarnessEngine.PriorityGateShedsLowClassesFirst in
+    // tests/test_soak.cpp covers that gate).
     cfg.max_in_flight = 512;
-    cfg.batch_gate_fraction = 0.50;
-    cfg.standard_gate_fraction = 0.75;
     cfg.num_unique = pool_rows;       // duplicate-light: real queue pressure
     soak::SoakHarness harness(setup.pool, setup.reference, cfg);
     overload = harness.run(engine);

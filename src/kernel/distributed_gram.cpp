@@ -1,11 +1,18 @@
 #include "kernel/distributed_gram.hpp"
 
-#include <cmath>
+#include <chrono>
+#include <exception>
+#include <future>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "mps/inner_product.hpp"
+#include "mps/serialization.hpp"
 #include "parallel/partition.hpp"
-#include "parallel/rank_runtime.hpp"
+#include "parallel/socket_transport.hpp"
 #include "util/error.hpp"
 #include "util/sync.hpp"
 #include "util/timer.hpp"
@@ -14,11 +21,111 @@ namespace qkmps::kernel {
 
 namespace {
 
-using parallel::Comm;
 using parallel::Range;
-using parallel::RankRuntime;
+using parallel::SocketTransport;
 
-/// One computed tile travelling to the gather rank.
+/// Runs body(p, own[p]) for every rank p on a thread of its own, joins
+/// them all, and rethrows the first rank failure. Each rank's thread owns
+/// own[p], so what a rank holds, such as its ring ends, is released when
+/// the rank ends, whether it returns or throws.
+template <typename Own, typename Body>
+void run_ranks(std::vector<Own> own, const Body& body) {
+  std::vector<std::exception_ptr> errors(own.size());
+  std::vector<std::thread> threads;
+  threads.reserve(own.size());
+  try {
+    for (std::size_t p = 0; p < own.size(); ++p)
+      threads.emplace_back(
+          [&body, &errors, p, mine = std::move(own[p])]() mutable {
+            try {
+              body(static_cast<int>(p), mine);
+            } catch (...) {
+              errors[p] = std::current_exception();
+            }
+          });
+  } catch (...) {
+    // A rank that never started must not keep its ring ends open: the
+    // started ranks would wait on them forever.
+    own.clear();
+    for (auto& t : threads) t.join();
+    throw;
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+}
+
+/// One rank's ends of the ring: travelling states leave through `left`
+/// (to rank p-1) and arrive through `right` (from rank p+1). A rank that
+/// throws closes both, so its neighbours fail on the dead link instead of
+/// waiting in recv.
+struct RingEnds {
+  std::unique_ptr<SocketTransport> left, right;
+};
+
+/// The ends of a ring of k SocketTransport::pair() links, link p joining
+/// rank p to rank p+1 (mod k).
+std::vector<RingEnds> make_ring(int k) {
+  std::vector<RingEnds> ring(static_cast<std::size_t>(k));
+  for (int p = 0; p < k; ++p) {
+    auto link = SocketTransport::pair();
+    ring[static_cast<std::size_t>(p)].right = std::move(link.first);
+    ring[static_cast<std::size_t>((p + 1) % k)].left = std::move(link.second);
+  }
+  return ring;
+}
+
+std::vector<std::uint8_t> encode_state(const mps::Mps& psi) {
+  std::ostringstream os;
+  mps::save_mps(psi, os);
+  const std::string bytes = os.str();
+  return {bytes.begin(), bytes.end()};
+}
+
+/// load_mps's checks bound every allocation by the frame's size; a frame
+/// that holds more than one state is refused too.
+mps::Mps decode_state(const std::vector<std::uint8_t>& frame) {
+  std::istringstream is(std::string(frame.begin(), frame.end()));
+  mps::Mps psi = mps::load_mps(is);
+  QKMPS_CHECK_MSG(is.peek() == std::istringstream::traits_type::eof(),
+                  "state frame carries bytes past its MPS");
+  return psi;
+}
+
+/// Waits for the next frame from a live neighbour; a dead one reads as
+/// EOF and throws.
+std::vector<std::uint8_t> recv_frame(SocketTransport& link) {
+  for (;;)
+    if (auto frame = link.recv_for(std::chrono::seconds(60)))
+      return std::move(*frame);
+}
+
+/// MPI_Sendrecv on the ring: sends `out` to rank p-1, one save_mps frame
+/// per state, while receiving `count` states from rank p+1 (the caller
+/// knows which block arrives from the step, so no block header travels).
+/// The send runs on a second thread: if every rank sent first, a block
+/// larger than the socket buffer would leave each rank stalled on a
+/// neighbour that is itself still sending. And it starts only once rank
+/// p-1 has said, with an empty frame, that it is receiving, as MPI's
+/// rendezvous protocol does, so it never waits on a neighbour that is
+/// still computing (send_all fails a send that makes no progress for 30 s).
+std::vector<mps::Mps> sendrecv(RingEnds& ends,
+                               const std::vector<mps::Mps>& out, idx count) {
+  ends.right->send({});
+  auto sent = std::async(std::launch::async, [&] {
+    QKMPS_CHECK_MSG(recv_frame(*ends.left).empty(),
+                    "ring ready frame carries a payload");
+    for (const mps::Mps& psi : out) ends.left->send(encode_state(psi));
+  });
+  std::vector<mps::Mps> in;
+  in.reserve(static_cast<std::size_t>(count));
+  while (static_cast<idx>(in.size()) < count)
+    in.push_back(decode_state(recv_frame(*ends.right)));
+  sent.get();
+  return in;
+}
+
+/// One computed tile, assembled into the result under the merge lock.
 struct TileResult {
   idx r0 = 0, r1 = 0, c0 = 0, c1 = 0;
   std::vector<double> values;  ///< row-major (r1-r0) x (c1-c0)
@@ -46,6 +153,7 @@ void accumulate(GramStats& into, const GramStats& from) {
   into.communication_seconds += from.communication_seconds;
   into.circuits_simulated += from.circuits_simulated;
   into.inner_products += from.inner_products;
+  into.total_discarded_weight += from.total_discarded_weight;
 }
 
 TileResult compute_tile(const std::vector<mps::Mps>& rows, Range rr,
@@ -118,11 +226,10 @@ RealMatrix no_messaging_gram(const QuantumKernelConfig& config,
   util::Mutex merge_mu;
   GramStats merged;
 
-  RankRuntime rt(num_ranks);
-  rt.run([&](Comm& comm) {
+  run_ranks(std::move(owned), [&](int, const std::vector<TileCoord>& tiles) {
     GramStats local;
     std::vector<TileResult> results;
-    for (const TileCoord tc : owned[static_cast<std::size_t>(comm.rank())]) {
+    for (const TileCoord tc : tiles) {
       const Range rr = ranges[static_cast<std::size_t>(tc.r)];
       const Range cr = ranges[static_cast<std::size_t>(tc.c)];
       if (rr.size() == 0 || cr.size() == 0) continue;
@@ -161,14 +268,12 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
   util::Mutex merge_mu;
   GramStats merged;
 
-  RankRuntime rt(num_ranks);
-  rt.run([&](Comm& comm) {
-    const int p = comm.rank();
+  run_ranks(make_ring(k), [&](int p, RingEnds& ends) {
     GramStats local;
     const Range my_range = blocks[static_cast<std::size_t>(p)];
 
     // Phase 1: each circuit simulated exactly once (Fig. 4b, step 1).
-    std::vector<mps::Mps> resident =
+    const std::vector<mps::Mps> resident =
         simulate_block(config, x, my_range, local);
 
     std::vector<TileResult> results;
@@ -179,20 +284,14 @@ RealMatrix round_robin_gram(const QuantumKernelConfig& config,
     // Ring steps: the travelling block moves to the left neighbour; after
     // step s, rank p holds block (p+s) mod k. Symmetry lets the ring stop
     // after floor(k/2) steps (the paper's "send half of its states" trade).
-    std::vector<mps::Mps> travelling = resident;
-    Range trav_range = my_range;
+    std::vector<mps::Mps> travelling;
     const int steps = k / 2;
     for (int s = 1; s <= steps; ++s) {
-      const int dst = (p - 1 + k) % k;
-      const int src = (p + 1) % k;
+      const Range trav_range = blocks[static_cast<std::size_t>((p + s) % k)];
       Timer comm_timer;
-      comm.send(dst, std::pair<std::pair<idx, idx>, std::vector<mps::Mps>>(
-                         {trav_range.begin, trav_range.end}, std::move(travelling)));
-      auto msg =
-          comm.recv<std::pair<std::pair<idx, idx>, std::vector<mps::Mps>>>(src);
+      travelling = sendrecv(ends, s == 1 ? resident : travelling,
+                            trav_range.size());
       local.communication_seconds += comm_timer.seconds();
-      trav_range = Range{msg.first.first, msg.first.second};
-      travelling = std::move(msg.second);
 
       // For even k the final step pairs each block with its antipode; only
       // the lower-index rank of each pair computes it.
@@ -248,37 +347,31 @@ RealMatrix distributed_cross_kernel(const QuantumKernelConfig& config,
   util::Mutex merge_mu;
   GramStats merged;
 
-  RankRuntime rt(num_ranks);
-  rt.run([&](Comm& comm) {
-    const int p = comm.rank();
+  run_ranks(make_ring(k), [&](int p, RingEnds& ends) {
     GramStats local;
     const Range my_rows = test_blocks[static_cast<std::size_t>(p)];
-    const Range my_cols = train_blocks[static_cast<std::size_t>(p)];
 
-    std::vector<mps::Mps> test_states =
+    const std::vector<mps::Mps> test_states =
         simulate_block(config, x_test, my_rows, local);
+    // After step s, rank p holds train block (p+s) mod k.
+    const auto train_block = [&](int s) {
+      return train_blocks[static_cast<std::size_t>((p + s) % k)];
+    };
     std::vector<mps::Mps> travelling =
-        simulate_block(config, x_train, my_cols, local);
-    Range trav_range = my_cols;
+        simulate_block(config, x_train, train_block(0), local);
 
     std::vector<TileResult> results;
     for (int s = 0; s < k; ++s) {
+      const Range trav_range = train_block(s);
       if (my_rows.size() > 0 && trav_range.size() > 0) {
         results.push_back(compute_tile(test_states, my_rows, travelling,
                                        trav_range, false, config.sim.policy,
                                        local));
       }
       if (s + 1 == k) break;
-      const int dst = (p - 1 + k) % k;
-      const int src = (p + 1) % k;
       Timer comm_timer;
-      comm.send(dst, std::pair<std::pair<idx, idx>, std::vector<mps::Mps>>(
-                         {trav_range.begin, trav_range.end}, std::move(travelling)));
-      auto msg =
-          comm.recv<std::pair<std::pair<idx, idx>, std::vector<mps::Mps>>>(src);
+      travelling = sendrecv(ends, travelling, train_block(s + 1).size());
       local.communication_seconds += comm_timer.seconds();
-      trav_range = Range{msg.first.first, msg.first.second};
-      travelling = std::move(msg.second);
     }
 
     {

@@ -18,10 +18,13 @@ enum class DistributionStrategy {
 };
 
 /// Distributed computation of the symmetric training Gram matrix on
-/// `num_ranks` thread-backed ranks. Produces bitwise the same matrix as
-/// kernel::gram_matrix (up to floating-point reduction order, which is
-/// identical here since every entry is computed independently).
-/// Per-rank phase timings are merged into `stats` if provided.
+/// `num_ranks` ranks, one thread each. Round-robin ranks pass their state
+/// blocks around a ring of parallel::SocketTransport::pair() links, one
+/// mps::save_mps frame per state, decoded by mps::load_mps. Produces
+/// bitwise the same matrix as kernel::gram_matrix (up to floating-point
+/// reduction order, which is identical here since every entry is computed
+/// independently). A rank that throws fails the call with its error.
+/// Per-rank phase times and counts are merged into `stats` if provided.
 RealMatrix distributed_gram_matrix(const QuantumKernelConfig& config,
                                    const RealMatrix& x, int num_ranks,
                                    DistributionStrategy strategy,

@@ -20,7 +20,10 @@ struct QuantumKernelConfig {
 struct GramStats {
   double simulation_seconds = 0.0;     ///< feature-map circuit simulation
   double inner_product_seconds = 0.0;  ///< overlaps into kernel entries
-  double communication_seconds = 0.0;  ///< state exchange between ranks
+  /// Wall time of the round-robin ring exchanges: encoding, socket
+  /// transfer and decoding of the travelling states, and waiting for the
+  /// neighbour ranks.
+  double communication_seconds = 0.0;
   idx circuits_simulated = 0;
   idx inner_products = 0;
   double avg_max_bond = 0.0;          ///< Table I column

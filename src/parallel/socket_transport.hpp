@@ -15,11 +15,13 @@ namespace qkmps::parallel {
 /// socketpair), with each message carried as one length-prefixed,
 /// version-tagged, checksummed frame. Message boundaries are preserved:
 /// one send() arrives as exactly one recv, in FIFO order — the property
-/// the serving shutdown barrier relies on. This is the only carrier of
-/// serve::RankShardedEngine's shard protocol, whether a shard worker is
-/// a spawned process or a thread of the engine's own process (DESIGN.md
-/// §1, "From ranks to processes"); correctness of the framing is
-/// load-bearing, so every malformed input — truncated header,
+/// the serving shutdown barrier relies on. This is the project's one
+/// message layer: it carries serve::RankShardedEngine's shard protocol,
+/// whether a shard worker is a spawned process or a thread of the
+/// engine's own process (DESIGN.md §1, "From ranks to processes"), and
+/// the Fig. 4 round-robin ring of kernel/distributed_gram.cpp, whose rank
+/// threads pass mps::save_mps frames over pair() links. Correctness of
+/// the framing is load-bearing, so every malformed input — truncated header,
 /// truncated payload, wrong magic, future version, oversized or hostile
 /// length, corrupted bytes — must surface as qkmps::Error, never as a
 /// crash, a hang, or a silently wrong message
@@ -45,8 +47,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x52464B51u;  // "QKFR"
 inline constexpr std::uint16_t kFrameVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Default hard bound on one frame's payload. Generous against real
-/// envelopes (a request is ~tens of doubles) while keeping the worst
-/// hostile allocation far below memory-exhaustion territory.
+/// messages (a request is ~tens of doubles, a travelling MPS tens of KiB)
+/// while keeping the worst hostile allocation far below
+/// memory-exhaustion territory.
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 26;  // 64 MiB
 
 /// FNV-1a over `n` bytes, folded to 32 bits — cheap, dependency-free,

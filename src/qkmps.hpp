@@ -39,7 +39,6 @@
 #include "mps/simulator.hpp"         // IWYU pragma: export
 #include "mps/truncation.hpp"        // IWYU pragma: export
 #include "parallel/partition.hpp"    // IWYU pragma: export
-#include "parallel/rank_runtime.hpp" // IWYU pragma: export
 #include "parallel/thread_pool.hpp"  // IWYU pragma: export
 #include "serve/feature_key.hpp"     // IWYU pragma: export
 #include "serve/inference_engine.hpp"  // IWYU pragma: export

@@ -24,7 +24,7 @@ class Timer {
 /// Per-thread CPU-time stopwatch. Unlike Timer it does not advance while
 /// the calling thread is descheduled, so per-rank compute phases measured
 /// with it stay meaningful when more ranks than cores timeshare a machine
-/// (the situation of the thread-backed rank runtime; see
+/// (the situation of the Fig. 4 rank threads; see
 /// kernel/distributed_gram.cpp).
 class ThreadCpuTimer {
  public:

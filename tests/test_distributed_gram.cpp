@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "kernel/distributed_gram.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace qkmps::kernel {
@@ -94,6 +97,64 @@ TEST(DistributedGram, ResultIsSymmetric) {
     const RealMatrix k = distributed_gram_matrix(cfg4(), x, 3, strategy);
     EXPECT_EQ(symmetry_defect(k), 0.0);
   }
+}
+
+TEST(DistributedGram, DiscardedWeightIsMergedAcrossRanks) {
+  // A binding bond cap, so every circuit discards weight.
+  QuantumKernelConfig cfg;
+  cfg.ansatz = {.num_features = 6, .layers = 2, .distance = 2, .gamma = 0.7};
+  cfg.sim.truncation.max_bond = 2;
+  const RealMatrix x = random_scaled_data(12, 6, 1000);
+  GramStats seq, rr, nm;
+  gram_matrix(cfg, x, &seq);
+  distributed_gram_matrix(cfg, x, 3, DistributionStrategy::RoundRobin, &rr);
+  distributed_gram_matrix(cfg, x, 3, DistributionStrategy::NoMessaging, &nm);
+  ASSERT_GT(seq.total_discarded_weight, 0.0);
+  // Round-robin simulates each circuit once, as gram_matrix does; only the
+  // summation order differs.
+  const double tol = 1e-12 * seq.total_discarded_weight;
+  EXPECT_NEAR(rr.total_discarded_weight, seq.total_discarded_weight, tol);
+  // No-messaging re-simulates circuits, so it discards at least as much.
+  EXPECT_GE(nm.total_discarded_weight, seq.total_discarded_weight - tol);
+}
+
+TEST(DistributedGram, BlocksLargerThanTheSocketBufferCrossTheRing) {
+  // 165-feature d=1 states are ~23 KiB as save_mps frames, so 16 of them
+  // are a block larger than an AF_UNIX socket buffer (208 KiB by default
+  // on Linux). A ring whose ranks all send before they receive stalls on
+  // such a block; the exchange must send and receive at once.
+  QuantumKernelConfig cfg;
+  cfg.ansatz = {.num_features = 165, .layers = 2, .distance = 1, .gamma = 0.1};
+  const RealMatrix x = random_scaled_data(32, 165, 1100);
+  const RealMatrix xtest = random_scaled_data(3, 165, 1200);
+  const int ranks = 2;
+
+  obs::Counter& sent =
+      obs::Registry::global().counter("parallel.socket.bytes_sent");
+  const std::uint64_t before = sent.value();
+  const RealMatrix got =
+      distributed_gram_matrix(cfg, x, ranks, DistributionStrategy::RoundRobin);
+  const std::uint64_t per_rank = (sent.value() - before) / ranks;
+  EXPECT_GT(per_rank, 256u * 1024u) << "blocks no longer exceed the buffer";
+  EXPECT_EQ(max_abs_diff(got, gram_matrix(cfg, x)), 0.0);
+
+  const RealMatrix cross = distributed_cross_kernel(cfg, xtest, x, ranks);
+  EXPECT_EQ(max_abs_diff(cross, cross_kernel(cfg, xtest, x)), 0.0);
+}
+
+TEST(DistributedGram, WrongColumnCountThrowsFromEveryEntryPoint) {
+  // Every rank fails its simulation; the call must rethrow, not hang with
+  // neighbours waiting on the ring.
+  const RealMatrix bad = random_scaled_data(9, 5, 1300);
+  const RealMatrix good = random_scaled_data(9, 4, 1400);
+  EXPECT_THROW(distributed_gram_matrix(cfg4(), bad, 3,
+                                       DistributionStrategy::RoundRobin),
+               Error);
+  EXPECT_THROW(distributed_gram_matrix(cfg4(), bad, 3,
+                                       DistributionStrategy::NoMessaging),
+               Error);
+  EXPECT_THROW(distributed_cross_kernel(cfg4(), good, bad, 3), Error);
+  EXPECT_THROW(distributed_cross_kernel(cfg4(), bad, good, 3), Error);
 }
 
 }  // namespace
