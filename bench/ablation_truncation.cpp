@@ -45,7 +45,7 @@ int main() {
     const auto sweep = svm::sweep_regularization(k_train, s.y_train, k_test,
                                                  s.y_test, svm::default_c_grid());
     return std::tuple{k_train, secs, stats.total_discarded_weight,
-                      svm::best_by_test_auc(sweep).test.auc, stats.avg_max_bond};
+                      svm::best_by_test_auc(sweep).test.auc, stats.avg_max_bond()};
   };
 
   const auto [k_exact, t_exact, w_exact, auc_exact, chi_exact] = run_with_cap(0);

@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
   std::printf("\nresource use: %lld circuits, %lld overlaps, avg chi %.1f, "
               "%.1f KiB per MPS\n",
               static_cast<long long>(stats.circuits_simulated),
-              static_cast<long long>(stats.inner_products), stats.avg_max_bond,
-              static_cast<double>(stats.avg_mps_bytes) / 1024.0);
+              static_cast<long long>(stats.inner_products), stats.avg_max_bond(),
+              stats.avg_mps_bytes() / 1024.0);
 
   // --- Production-style serving loop. The winning model becomes a
   //     ModelBundle (support vectors only) behind a 2-shard frontend with

@@ -50,7 +50,7 @@ int main() {
   std::printf("simulated %lld circuits, %lld inner products "
               "(avg max bond dimension %.1f)\n",
               static_cast<long long>(stats.circuits_simulated),
-              static_cast<long long>(stats.inner_products), stats.avg_max_bond);
+              static_cast<long long>(stats.inner_products), stats.avg_max_bond());
 
   // 4. SVM with a regularization sweep; report the best test-AUC model.
   const auto sweep = svm::sweep_regularization(k_train, split.train.y, k_test,

@@ -23,10 +23,13 @@ express, so they are CI gates instead of review folklore:
                     make_unique/make_shared/containers. The deliberate
                     leaked-singleton idiom in tests carries an explicit
                     `lint: allow(naked-new)` waiver.
-  byte-budget       Untrusted stream decoders (the shard wire codec) must
-                    call the budgeted io::read_vector overload — a hostile
-                    length prefix is bounded by remaining payload bytes,
-                    not by how much the allocator will give it.
+  byte-budget       The byte decoders (mps/serialization.cpp,
+                    serve/model_bundle.cpp, serve/shard_wire.cpp,
+                    kernel/distributed_gram.cpp) name no istream, ifstream
+                    or stringstream: they decode bytes in hand through
+                    io::Reader, whose every read is bounded by the bytes
+                    left, so a hostile length or shape fails before any
+                    allocation sized from it.
   tsa-escape        Every QKMPS_NO_THREAD_SAFETY_ANALYSIS carries an
                     adjacent comment naming the discipline that replaces
                     the static check.
@@ -52,7 +55,12 @@ EXTENSIONS = {".cpp", ".hpp", ".h", ".cc"}
 SYNC_HEADER = pathlib.Path("src/util/sync.hpp")
 TIMER_FILES = {pathlib.Path("src/util/timer.hpp"), pathlib.Path("src/util/timer.cpp")}
 SOCKET_FILE = pathlib.Path("src/parallel/socket_transport.cpp")
-UNTRUSTED_DECODERS = {pathlib.Path("src/serve/shard_wire.cpp")}
+BYTE_DECODERS = {
+    pathlib.Path("src/mps/serialization.cpp"),
+    pathlib.Path("src/serve/model_bundle.cpp"),
+    pathlib.Path("src/serve/shard_wire.cpp"),
+    pathlib.Path("src/kernel/distributed_gram.cpp"),
+}
 
 RAW_SYNC = re.compile(
     r"std::(mutex|condition_variable\w*|lock_guard|unique_lock|scoped_lock|"
@@ -61,7 +69,7 @@ RAW_SYNC = re.compile(
 WALL_CLOCK = re.compile(r"\bsystem_clock\b")
 RAW_SOCKET = re.compile(r"::\s*(socket|socketpair|accept4?)\s*\(")
 NAKED_NEW = re.compile(r"\bnew\b\s*(\(|[A-Za-z_:][\w:<]*)")
-SINGLE_ARG_READ_VECTOR = re.compile(r"\bread_vector\s*<[^>]*>\s*\(\s*[\w.]+\s*\)")
+STREAM = re.compile(r"\b(istream|ifstream|fstream|[io]?stringstream)\b")
 TSA_ESCAPE = re.compile(r"\bQKMPS_NO_THREAD_SAFETY_ANALYSIS\b")
 FUNC_DEF = re.compile(r"^\w[\w:<>*&\s]*\b(\w+)\s*\([^;]*$|^\w[\w:<>*&\s]*\b(\w+)\s*\(.*\)\s*\{")
 ALLOW = re.compile(r"lint:\s*allow\(([\w-]+)\)")
@@ -98,7 +106,13 @@ def strip_code(text: str) -> list[str]:
                 i += 1
                 continue
             if c == "'":
-                state = "char"
+                # A quote inside a numeric literal is a C++14 digit
+                # separator (0x51'4B'42'4C, 100'000), not a char literal.
+                token = re.search(r"[\w.']*$", "".join(cur)).group()
+                if re.match(r"\.?\d", token):
+                    cur.append(c)
+                else:
+                    state = "char"
                 i += 1
                 continue
             cur.append(c)
@@ -180,10 +194,11 @@ def lint_file(root: pathlib.Path, rel: pathlib.Path, report: Report) -> None:
                        "naked `new` — use make_unique/make_shared or add an "
                        "explicit waiver", raw_lines)
 
-        if rel in UNTRUSTED_DECODERS and SINGLE_ARG_READ_VECTOR.search(code):
+        m = STREAM.search(code)
+        if rel in BYTE_DECODERS and m:
             report.add(rel, lineno, "byte-budget",
-                       "unbudgeted read_vector in an untrusted decoder — "
-                       "pass the remaining-bytes budget", raw_lines)
+                       f"{m.group(1)} in a byte decoder — decode the bytes "
+                       "in hand with io::Reader", raw_lines)
 
         if TSA_ESCAPE.search(code) and "#define" not in code:
             window = raw_lines[max(0, lineno - 4):lineno]

@@ -33,11 +33,6 @@ struct Gate {
   /// basis |q0 q1> with q0 the more significant bit.
   linalg::Matrix matrix() const;
 
-  /// Gates of the same kind acting on disjoint qubits always commute; RXX
-  /// gates commute with each other even on overlapping qubits (they share
-  /// the XX eigenbasis) — the property exploited by the depth scheduler.
-  static bool rxx_commute() { return true; }
-
   std::string name() const;
 };
 

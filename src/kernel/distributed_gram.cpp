@@ -4,8 +4,6 @@
 #include <exception>
 #include <future>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,23 +73,6 @@ std::vector<RingEnds> make_ring(int k) {
   return ring;
 }
 
-std::vector<std::uint8_t> encode_state(const mps::Mps& psi) {
-  std::ostringstream os;
-  mps::save_mps(psi, os);
-  const std::string bytes = os.str();
-  return {bytes.begin(), bytes.end()};
-}
-
-/// load_mps's checks bound every allocation by the frame's size; a frame
-/// that holds more than one state is refused too.
-mps::Mps decode_state(const std::vector<std::uint8_t>& frame) {
-  std::istringstream is(std::string(frame.begin(), frame.end()));
-  mps::Mps psi = mps::load_mps(is);
-  QKMPS_CHECK_MSG(is.peek() == std::istringstream::traits_type::eof(),
-                  "state frame carries bytes past its MPS");
-  return psi;
-}
-
 /// Waits for the next frame from a live neighbour; a dead one reads as
 /// EOF and throws.
 std::vector<std::uint8_t> recv_frame(SocketTransport& link) {
@@ -103,6 +84,8 @@ std::vector<std::uint8_t> recv_frame(SocketTransport& link) {
 /// MPI_Sendrecv on the ring: sends `out` to rank p-1, one save_mps frame
 /// per state, while receiving `count` states from rank p+1 (the caller
 /// knows which block arrives from the step, so no block header travels).
+/// load_mps bounds every allocation by the frame's bytes and refuses a
+/// frame that holds more than one state.
 /// The send runs on a second thread: if every rank sent first, a block
 /// larger than the socket buffer would leave each rank stalled on a
 /// neighbour that is itself still sending. And it starts only once rank
@@ -115,12 +98,12 @@ std::vector<mps::Mps> sendrecv(RingEnds& ends,
   auto sent = std::async(std::launch::async, [&] {
     QKMPS_CHECK_MSG(recv_frame(*ends.left).empty(),
                     "ring ready frame carries a payload");
-    for (const mps::Mps& psi : out) ends.left->send(encode_state(psi));
+    for (const mps::Mps& psi : out) ends.left->send(mps::save_mps(psi));
   });
   std::vector<mps::Mps> in;
   in.reserve(static_cast<std::size_t>(count));
   while (static_cast<idx>(in.size()) < count)
-    in.push_back(decode_state(recv_frame(*ends.right)));
+    in.push_back(mps::load_mps(recv_frame(*ends.right)));
   sent.get();
   return in;
 }
@@ -153,6 +136,8 @@ void accumulate(GramStats& into, const GramStats& from) {
   into.communication_seconds += from.communication_seconds;
   into.circuits_simulated += from.circuits_simulated;
   into.inner_products += from.inner_products;
+  into.max_bond_sum += from.max_bond_sum;
+  into.mps_bytes_sum += from.mps_bytes_sum;
   into.total_discarded_weight += from.total_discarded_weight;
 }
 

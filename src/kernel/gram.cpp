@@ -49,7 +49,7 @@ std::vector<mps::Mps> simulate_states(const QuantumKernelConfig& config,
   states.reserve(static_cast<std::size_t>(x.rows()));
 
   ThreadCpuTimer timer;
-  double bond_sum = 0.0;
+  idx bond_sum = 0;
   std::size_t bytes_sum = 0;
   double discarded = 0.0;
   for (idx i = 0; i < x.rows(); ++i) {
@@ -58,7 +58,7 @@ std::vector<mps::Mps> simulate_states(const QuantumKernelConfig& config,
     // feature_map_circuit already contains the Hadamard preparation layer
     // (Eq. 2), so simulation starts from |0...0>.
     mps::SimulationResult r = sim.simulate(c);
-    bond_sum += static_cast<double>(r.state.max_bond());
+    bond_sum += r.state.max_bond();
     bytes_sum += r.state.memory_bytes();
     discarded += r.truncation.total_discarded_weight;
     states.push_back(std::move(r.state));
@@ -66,8 +66,8 @@ std::vector<mps::Mps> simulate_states(const QuantumKernelConfig& config,
   if (stats != nullptr) {
     stats->simulation_seconds += timer.seconds();
     stats->circuits_simulated += x.rows();
-    stats->avg_max_bond = bond_sum / static_cast<double>(std::max<idx>(x.rows(), 1));
-    stats->avg_mps_bytes = bytes_sum / static_cast<std::size_t>(std::max<idx>(x.rows(), 1));
+    stats->max_bond_sum += bond_sum;
+    stats->mps_bytes_sum += bytes_sum;
     stats->total_discarded_weight += discarded;
   }
   return states;

@@ -26,9 +26,23 @@ struct GramStats {
   double communication_seconds = 0.0;
   idx circuits_simulated = 0;
   idx inner_products = 0;
-  double avg_max_bond = 0.0;          ///< Table I column
-  std::size_t avg_mps_bytes = 0;      ///< Table I column
+  /// Over every circuit simulated: the sum of its MPS's largest bond and
+  /// of its MPS's bytes. Summed, not averaged, so records merge by +=.
+  idx max_bond_sum = 0;
+  std::size_t mps_bytes_sum = 0;
   double total_discarded_weight = 0.0;
+
+  /// Table I columns: averages over the circuits simulated, 0 if none.
+  double avg_max_bond() const {
+    return circuits_simulated == 0 ? 0.0
+                                   : static_cast<double>(max_bond_sum) /
+                                         static_cast<double>(circuits_simulated);
+  }
+  double avg_mps_bytes() const {
+    return circuits_simulated == 0 ? 0.0
+                                   : static_cast<double>(mps_bytes_sum) /
+                                         static_cast<double>(circuits_simulated);
+  }
 };
 
 /// Simulates the feature-map circuit for each row of X (features on

@@ -102,16 +102,4 @@ Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy, Op op_a,
   return gemm_blocked(am, bm, parallel);
 }
 
-Matrix gemv(const Matrix& a, const Matrix& x) {
-  QKMPS_CHECK(x.cols() == 1 && a.cols() == x.rows());
-  Matrix y(a.rows(), 1);
-  for (idx i = 0; i < a.rows(); ++i) {
-    cplx acc = 0.0;
-    const cplx* ai = a.row(i);
-    for (idx j = 0; j < a.cols(); ++j) acc += ai[j] * x(j, 0);
-    y(i, 0) = acc;
-  }
-  return y;
-}
-
 }  // namespace qkmps::linalg

@@ -25,9 +25,6 @@ Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy,
 /// identical to gemm(): the two entry points are bitwise-interchangeable.
 void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ExecPolicy policy);
 
-/// y = A * x for a dense vector stored as an n x 1 Matrix column; serial.
-Matrix gemv(const Matrix& a, const Matrix& x);
-
 /// Kernels exposed for tests/ablation benches.
 Matrix gemm_reference(const Matrix& a, const Matrix& b);
 Matrix gemm_blocked(const Matrix& a, const Matrix& b, bool parallel);

@@ -120,7 +120,6 @@ class WindowedRate {
   /// All events ever recorded (monotonic, survives slot reuse).
   std::uint64_t total() const { return total_.load(std::memory_order_relaxed); }
 
-  double slot_seconds() const { return slot_seconds_; }
   std::size_t slots() const { return ring_.size(); }
 
  private:

@@ -1,7 +1,5 @@
 #include "parallel/partition.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace qkmps::parallel {
@@ -27,26 +25,6 @@ std::vector<idx> split_sizes(idx n, idx parts) {
   sizes.reserve(ranges.size());
   for (const Range& r : ranges) sizes.push_back(r.size());
   return sizes;
-}
-
-std::vector<Tile> make_tiles(idx n_rows, idx n_cols, idx grid_rows,
-                             idx grid_cols) {
-  const auto row_ranges = split_evenly(n_rows, grid_rows);
-  const auto col_ranges = split_evenly(n_cols, grid_cols);
-  std::vector<Tile> tiles;
-  tiles.reserve(static_cast<std::size_t>(grid_rows * grid_cols));
-  for (idx r = 0; r < grid_rows; ++r)
-    for (idx c = 0; c < grid_cols; ++c)
-      tiles.push_back({row_ranges[static_cast<std::size_t>(r)],
-                       col_ranges[static_cast<std::size_t>(c)], r, c});
-  return tiles;
-}
-
-std::pair<idx, idx> square_tile_grid(idx parts) {
-  QKMPS_CHECK(parts >= 1);
-  idx rows = static_cast<idx>(std::floor(std::sqrt(static_cast<double>(parts))));
-  while (rows > 1 && parts % rows != 0) --rows;
-  return {rows, parts / rows};
 }
 
 }  // namespace qkmps::parallel

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "util/types.hpp"
@@ -24,22 +23,5 @@ std::vector<Range> split_evenly(idx n, idx parts);
 /// engine shards, rows across ranks) must be divided without dropping
 /// the remainder the way a plain n / parts would.
 std::vector<idx> split_sizes(idx n, idx parts);
-
-/// Tile of a matrix: a row range x column range. The Gram matrix is tiled
-/// into near-square tiles (Sec. II-D: "square tiles are favoured").
-struct Tile {
-  Range rows;
-  Range cols;
-  idx index_row = 0;  ///< tile coordinates in the tile grid
-  idx index_col = 0;
-};
-
-/// Tiles an n_rows x n_cols matrix into a grid_rows x grid_cols grid.
-std::vector<Tile> make_tiles(idx n_rows, idx n_cols, idx grid_rows,
-                             idx grid_cols);
-
-/// Picks a near-square tile grid with (at least) `parts` tiles for an
-/// n x n symmetric matrix; returns {grid_rows, grid_cols}.
-std::pair<idx, idx> square_tile_grid(idx parts);
 
 }  // namespace qkmps::parallel

@@ -27,8 +27,9 @@ namespace qkmps::parallel {
 /// crash, a hang, or a silently wrong message
 /// (tests/test_socket_transport.cpp tortures exactly that).
 ///
-/// Frame layout (20-byte header, fields written with io::write_pod — so
-/// native little-endian, inheriting binary_io.hpp's endianness caveat):
+/// Frame layout (20-byte header, each field copied with memcpy in native
+/// byte order, little-endian on every supported target, so like the
+/// util/binary_io.hpp payloads it is not portable to big-endian hosts):
 ///
 ///   offset  size  field
 ///        0     4  magic     0x52464B51 ("QKFR" as LE bytes)

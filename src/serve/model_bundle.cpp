@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 
 #include "mps/serialization.hpp"
 #include "util/binary_io.hpp"
@@ -12,11 +11,6 @@
 namespace qkmps::serve {
 
 namespace {
-
-using io::read_pod;
-using io::read_vector;
-using io::write_pod;
-using io::write_vector;
 
 constexpr std::uint32_t kBundleMagic = 0x51'4B'42'4C;  // "QKBL"
 constexpr std::uint32_t kBundleVersion = 1;
@@ -68,102 +62,101 @@ void save_bundle(const ModelBundle& bundle, const std::string& dir) {
   for (std::size_t i = 0; i < n_sv; ++i)
     mps::save_mps(bundle.sv_states[i], state_path(tmp, i));
 
-  std::ofstream os(manifest_path(tmp), std::ios::binary);
-  QKMPS_CHECK_MSG(os.good(), "cannot open " << manifest_path(tmp));
-  write_pod(os, kBundleMagic);
-  write_pod(os, kBundleVersion);
+  io::Writer w;
+  w.pod(kBundleMagic);
+  w.pod(kBundleVersion);
 
   // Feature-map ansatz + simulator configuration.
   const circuit::AnsatzParams& a = bundle.config.ansatz;
-  write_pod(os, static_cast<std::int64_t>(a.num_features));
-  write_pod(os, static_cast<std::int64_t>(a.layers));
-  write_pod(os, static_cast<std::int64_t>(a.distance));
-  write_pod(os, a.gamma);
+  w.pod(static_cast<std::int64_t>(a.num_features));
+  w.pod(static_cast<std::int64_t>(a.layers));
+  w.pod(static_cast<std::int64_t>(a.distance));
+  w.pod(a.gamma);
   const mps::SimulatorConfig& sim = bundle.config.sim;
-  write_pod(os, static_cast<std::int32_t>(sim.policy));
-  write_pod(os, sim.truncation.max_discarded_weight);
-  write_pod(os, static_cast<std::int64_t>(sim.truncation.max_bond));
+  w.pod(static_cast<std::int32_t>(sim.policy));
+  w.pod(sim.truncation.max_discarded_weight);
+  w.pod(static_cast<std::int64_t>(sim.truncation.max_bond));
 
   // Fitted scaler statistics.
-  write_pod(os, bundle.scaler.lo());
-  write_pod(os, bundle.scaler.hi());
-  write_vector(os, bundle.scaler.mean());
-  write_vector(os, bundle.scaler.stddev());
-  write_vector(os, bundle.scaler.min_z());
-  write_vector(os, bundle.scaler.max_z());
+  w.pod(bundle.scaler.lo());
+  w.pod(bundle.scaler.hi());
+  w.vec(bundle.scaler.mean());
+  w.vec(bundle.scaler.stddev());
+  w.vec(bundle.scaler.min_z());
+  w.vec(bundle.scaler.max_z());
 
   // Compacted SVC.
-  write_vector(os, bundle.model.alpha);
+  w.vec(bundle.model.alpha);
   std::vector<std::int32_t> y32(bundle.model.y.begin(), bundle.model.y.end());
-  write_vector(os, y32);
-  write_pod(os, bundle.model.bias);
-  write_pod(os, static_cast<std::int64_t>(bundle.model.iterations));
-  write_pod(os, static_cast<std::uint8_t>(bundle.model.converged ? 1 : 0));
+  w.vec(y32);
+  w.pod(bundle.model.bias);
+  w.pod(static_cast<std::int64_t>(bundle.model.iterations));
+  w.pod(static_cast<std::uint8_t>(bundle.model.converged ? 1 : 0));
   std::vector<std::int64_t> sv64(bundle.sv_indices.begin(),
                                  bundle.sv_indices.end());
-  write_vector(os, sv64);
+  w.vec(sv64);
 
-  write_pod(os, static_cast<std::int64_t>(n_sv));
-  os.close();  // flush before the swap; close() sets failbit on error
-  QKMPS_CHECK_MSG(os.good(), "bundle manifest write failure");
+  w.pod(static_cast<std::int64_t>(n_sv));
+  io::write_file(manifest_path(tmp), w.take());
 
   std::filesystem::remove_all(dir);
   std::filesystem::rename(tmp, dir);
 }
 
 ModelBundle load_bundle(const std::string& dir) {
-  std::ifstream is(manifest_path(dir), std::ios::binary);
-  QKMPS_CHECK_MSG(is.good(), "cannot open " << manifest_path(dir));
-  QKMPS_CHECK_MSG(read_pod<std::uint32_t>(is) == kBundleMagic,
+  const std::vector<std::uint8_t> bytes = io::read_file(manifest_path(dir));
+  io::Reader r(bytes);
+  QKMPS_CHECK_MSG(r.pod<std::uint32_t>() == kBundleMagic,
                   "not a model bundle manifest");
-  QKMPS_CHECK_MSG(read_pod<std::uint32_t>(is) == kBundleVersion,
+  QKMPS_CHECK_MSG(r.pod<std::uint32_t>() == kBundleVersion,
                   "unsupported bundle version");
 
   ModelBundle bundle;
   circuit::AnsatzParams& a = bundle.config.ansatz;
-  a.num_features = static_cast<idx>(read_pod<std::int64_t>(is));
-  a.layers = static_cast<idx>(read_pod<std::int64_t>(is));
-  a.distance = static_cast<idx>(read_pod<std::int64_t>(is));
-  a.gamma = read_pod<double>(is);
+  a.num_features = static_cast<idx>(r.pod<std::int64_t>());
+  a.layers = static_cast<idx>(r.pod<std::int64_t>());
+  a.distance = static_cast<idx>(r.pod<std::int64_t>());
+  a.gamma = r.pod<double>();
   QKMPS_CHECK(a.num_features >= 1 && a.layers >= 1 && a.distance >= 1);
   QKMPS_CHECK_MSG(std::isfinite(a.gamma), "corrupt gamma in manifest");
 
-  const auto policy = read_pod<std::int32_t>(is);
+  const auto policy = r.pod<std::int32_t>();
   QKMPS_CHECK_MSG(policy == 0 || policy == 1, "unknown execution policy");
   bundle.config.sim.policy = static_cast<linalg::ExecPolicy>(policy);
-  bundle.config.sim.truncation.max_discarded_weight = read_pod<double>(is);
+  bundle.config.sim.truncation.max_discarded_weight = r.pod<double>();
   QKMPS_CHECK_MSG(
       std::isfinite(bundle.config.sim.truncation.max_discarded_weight) &&
           bundle.config.sim.truncation.max_discarded_weight >= 0.0,
       "corrupt truncation budget in manifest");
   bundle.config.sim.truncation.max_bond =
-      static_cast<idx>(read_pod<std::int64_t>(is));
+      static_cast<idx>(r.pod<std::int64_t>());
   QKMPS_CHECK_MSG(bundle.config.sim.truncation.max_bond >= 0,
                   "corrupt bond cap in manifest");
 
-  const double lo = read_pod<double>(is);
-  const double hi = read_pod<double>(is);
-  auto mean = read_vector<double>(is);
-  auto stddev = read_vector<double>(is);
-  auto min_z = read_vector<double>(is);
-  auto max_z = read_vector<double>(is);
+  const double lo = r.pod<double>();
+  const double hi = r.pod<double>();
+  auto mean = r.vec<double>();
+  auto stddev = r.vec<double>();
+  auto min_z = r.vec<double>();
+  auto max_z = r.vec<double>();
   bundle.scaler =
       data::FeatureScaler::restore(std::move(mean), std::move(stddev),
                                    std::move(min_z), std::move(max_z), lo, hi);
   QKMPS_CHECK_MSG(bundle.scaler.num_features() == a.num_features,
                   "scaler/ansatz feature-count mismatch");
 
-  bundle.model.alpha = read_vector<double>(is);
-  const auto y32 = read_vector<std::int32_t>(is);
+  bundle.model.alpha = r.vec<double>();
+  const auto y32 = r.vec<std::int32_t>();
   bundle.model.y.assign(y32.begin(), y32.end());
-  bundle.model.bias = read_pod<double>(is);
+  bundle.model.bias = r.pod<double>();
   QKMPS_CHECK_MSG(std::isfinite(bundle.model.bias), "corrupt bias in manifest");
-  bundle.model.iterations = read_pod<std::int64_t>(is);
-  bundle.model.converged = read_pod<std::uint8_t>(is) != 0;
-  const auto sv64 = read_vector<std::int64_t>(is);
+  bundle.model.iterations = r.pod<std::int64_t>();
+  bundle.model.converged = r.pod<std::uint8_t>() != 0;
+  const auto sv64 = r.vec<std::int64_t>();
   bundle.sv_indices.assign(sv64.begin(), sv64.end());
 
-  const auto n_sv = read_pod<std::int64_t>(is);
+  const auto n_sv = r.pod<std::int64_t>();
+  r.expect_end("the bundle manifest");
   QKMPS_CHECK_MSG(n_sv >= 0 &&
                       bundle.model.alpha.size() ==
                           static_cast<std::size_t>(n_sv) &&

@@ -1,7 +1,5 @@
 #include "serve/shard_wire.hpp"
 
-#include <sstream>
-
 #include "util/binary_io.hpp"
 #include "util/error.hpp"
 
@@ -14,58 +12,23 @@ namespace {
 constexpr std::uint32_t kHelloMagic = 0x53484B51u;    // "QKHS"
 constexpr std::uint32_t kWelcomeMagic = 0x57484B51u;  // "QKHW"
 
-std::vector<std::uint8_t> take_bytes(const std::ostringstream& os) {
-  const std::string s = os.str();
-  return std::vector<std::uint8_t>(s.begin(), s.end());
+void write_string(io::Writer& w, const std::string& s) {
+  w.vec(std::vector<char>(s.begin(), s.end()));
 }
 
-/// Wraps untrusted payload bytes in a stream plus the byte budget the
-/// vector reads must respect. An istringstream is seekable, but the
-/// budget is what actually bounds a hostile length prefix: it caps the
-/// allocation at the payload size *before* any vector is constructed.
-struct PayloadReader {
-  explicit PayloadReader(const std::vector<std::uint8_t>& payload)
-      : is(std::string(payload.begin(), payload.end())),
-        budget(payload.size()) {}
-
-  template <typename T>
-  T pod() {
-    return io::read_pod<T>(is);
-  }
-
-  template <typename T>
-  std::vector<T> vec() {
-    return io::read_vector<T>(is, budget);
-  }
-
-  std::string str() {
-    const std::vector<char> chars = vec<char>();
-    return std::string(chars.begin(), chars.end());
-  }
-
-  /// Every decoder ends with this: payload bytes beyond the message are
-  /// a framing bug or an attack, not slack to ignore.
-  void expect_exhausted(const char* what) {
-    QKMPS_CHECK_MSG(is.peek() == std::istringstream::traits_type::eof(),
-                    "trailing bytes after " << what);
-  }
-
-  std::istringstream is;
-  std::uint64_t budget;
-};
-
-void write_string(std::ostream& os, const std::string& s) {
-  io::write_vector(os, std::vector<char>(s.begin(), s.end()));
+std::string read_string(io::Reader& r) {
+  const std::vector<char> chars = r.vec<char>();
+  return std::string(chars.begin(), chars.end());
 }
 
-void write_lru_stats(std::ostream& os, const LruStats& s) {
-  io::write_pod(os, s.hits);
-  io::write_pod(os, s.misses);
-  io::write_pod(os, s.evictions);
-  io::write_pod(os, s.insertions);
+void write_lru_stats(io::Writer& w, const LruStats& s) {
+  w.pod(s.hits);
+  w.pod(s.misses);
+  w.pod(s.evictions);
+  w.pod(s.insertions);
 }
 
-LruStats read_lru_stats(PayloadReader& r) {
+LruStats read_lru_stats(io::Reader& r) {
   LruStats s;
   s.hits = r.pod<std::uint64_t>();
   s.misses = r.pod<std::uint64_t>();
@@ -74,27 +37,27 @@ LruStats read_lru_stats(PayloadReader& r) {
   return s;
 }
 
-void write_worker_timings(std::ostream& os, const WorkerTimings& t) {
-  io::write_pod(os, t.gather_seconds);
-  io::write_pod(os, t.scale_seconds);
-  io::write_pod(os, t.memo_seconds);
-  io::write_pod(os, t.cache_seconds);
-  io::write_pod(os, t.simulate_seconds);
-  io::write_pod(os, t.kernel_seconds);
-  io::write_pod(os, t.score_seconds);
+void write_worker_timings(io::Writer& w, const WorkerTimings& t) {
+  w.pod(t.gather_seconds);
+  w.pod(t.scale_seconds);
+  w.pod(t.memo_seconds);
+  w.pod(t.cache_seconds);
+  w.pod(t.simulate_seconds);
+  w.pod(t.kernel_seconds);
+  w.pod(t.score_seconds);
 }
 
 /// A worker timing the router can turn into whole nanoseconds: NaN,
 /// negative, infinite or decades-long values are hostile bytes, and
 /// converting them to an integer would be undefined behaviour.
-double read_seconds(PayloadReader& r) {
+double read_seconds(io::Reader& r) {
   const double seconds = r.pod<double>();
   QKMPS_CHECK_MSG(seconds >= 0.0 && seconds < 1e9,
                   "worker timing " << seconds << " s out of range");
   return seconds;
 }
 
-WorkerTimings read_worker_timings(PayloadReader& r) {
+WorkerTimings read_worker_timings(io::Reader& r) {
   WorkerTimings t;
   t.gather_seconds = read_seconds(r);
   t.scale_seconds = read_seconds(r);
@@ -112,15 +75,15 @@ WorkerTimings read_worker_timings(PayloadReader& r) {
 // Envelope: u8 kind | u64 id | vec<double> features.
 
 std::vector<std::uint8_t> encode_envelope(const ShardEnvelope& envelope) {
-  std::ostringstream os;
-  io::write_pod(os, static_cast<std::uint8_t>(envelope.kind));
-  io::write_pod(os, envelope.id);
-  io::write_vector(os, envelope.features);
-  return take_bytes(os);
+  io::Writer w;
+  w.pod(static_cast<std::uint8_t>(envelope.kind));
+  w.pod(envelope.id);
+  w.vec(envelope.features);
+  return w.take();
 }
 
 ShardEnvelope decode_envelope(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
+  io::Reader r(payload);
   ShardEnvelope envelope;
   const auto kind = r.pod<std::uint8_t>();
   QKMPS_CHECK_MSG(
@@ -129,7 +92,7 @@ ShardEnvelope decode_envelope(const std::vector<std::uint8_t>& payload) {
   envelope.kind = static_cast<ShardEnvelope::Kind>(kind);
   envelope.id = r.pod<std::uint64_t>();
   envelope.features = r.vec<double>();
-  r.expect_exhausted("envelope");
+  r.expect_end("envelope");
   return envelope;
 }
 
@@ -140,27 +103,27 @@ ShardEnvelope decode_envelope(const std::vector<std::uint8_t>& payload) {
 // layout means one decoder to torture instead of three.
 
 std::vector<std::uint8_t> encode_reply(const ShardReply& reply) {
-  std::ostringstream os;
-  io::write_pod(os, static_cast<std::uint8_t>(reply.kind));
-  io::write_pod(os, reply.id);
-  io::write_pod(os, static_cast<std::int32_t>(reply.prediction.label));
-  io::write_pod(os, reply.prediction.decision_value);
-  io::write_pod(os, static_cast<std::uint8_t>(reply.prediction.cache_hit));
-  io::write_pod(os, static_cast<std::uint8_t>(reply.prediction.memo_hit));
-  io::write_pod(os, reply.prediction.latency_seconds);
-  write_string(os, reply.error);
-  io::write_pod(os, reply.stats.requests);
-  io::write_pod(os, reply.stats.batches);
-  io::write_pod(os, reply.stats.circuits_simulated);
-  io::write_pod(os, reply.stats.max_batch_seen);
-  write_lru_stats(os, reply.stats.cache);
-  write_lru_stats(os, reply.stats.memo);
-  write_worker_timings(os, reply.timings);
-  return take_bytes(os);
+  io::Writer w;
+  w.pod(static_cast<std::uint8_t>(reply.kind));
+  w.pod(reply.id);
+  w.pod(static_cast<std::int32_t>(reply.prediction.label));
+  w.pod(reply.prediction.decision_value);
+  w.pod(static_cast<std::uint8_t>(reply.prediction.cache_hit));
+  w.pod(static_cast<std::uint8_t>(reply.prediction.memo_hit));
+  w.pod(reply.prediction.latency_seconds);
+  write_string(w, reply.error);
+  w.pod(reply.stats.requests);
+  w.pod(reply.stats.batches);
+  w.pod(reply.stats.circuits_simulated);
+  w.pod(reply.stats.max_batch_seen);
+  write_lru_stats(w, reply.stats.cache);
+  write_lru_stats(w, reply.stats.memo);
+  write_worker_timings(w, reply.timings);
+  return w.take();
 }
 
 ShardReply decode_reply(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
+  io::Reader r(payload);
   ShardReply reply;
   const auto kind = r.pod<std::uint8_t>();
   QKMPS_CHECK_MSG(
@@ -173,7 +136,7 @@ ShardReply decode_reply(const std::vector<std::uint8_t>& payload) {
   reply.prediction.cache_hit = r.pod<std::uint8_t>() != 0;
   reply.prediction.memo_hit = r.pod<std::uint8_t>() != 0;
   reply.prediction.latency_seconds = r.pod<double>();
-  reply.error = r.str();
+  reply.error = read_string(r);
   reply.stats.requests = r.pod<std::uint64_t>();
   reply.stats.batches = r.pod<std::uint64_t>();
   reply.stats.circuits_simulated = r.pod<std::uint64_t>();
@@ -181,7 +144,7 @@ ShardReply decode_reply(const std::vector<std::uint8_t>& payload) {
   reply.stats.cache = read_lru_stats(r);
   reply.stats.memo = read_lru_stats(r);
   reply.timings = read_worker_timings(r);
-  r.expect_exhausted("reply");
+  r.expect_end("reply");
   return reply;
 }
 
@@ -189,18 +152,18 @@ ShardReply decode_reply(const std::vector<std::uint8_t>& payload) {
 // Handshake.
 
 std::vector<std::uint8_t> encode_hello(const ShardHello& hello) {
-  std::ostringstream os;
-  io::write_pod(os, kHelloMagic);
-  io::write_pod(os, hello.wire_version);
-  io::write_pod(os, hello.shard_index);
-  io::write_pod(os, hello.num_features);
-  io::write_pod(os, hello.weight);
-  io::write_pod(os, hello.generation);
-  return take_bytes(os);
+  io::Writer w;
+  w.pod(kHelloMagic);
+  w.pod(hello.wire_version);
+  w.pod(hello.shard_index);
+  w.pod(hello.num_features);
+  w.pod(hello.weight);
+  w.pod(hello.generation);
+  return w.take();
 }
 
 ShardHello decode_hello(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
+  io::Reader r(payload);
   QKMPS_CHECK_MSG(r.pod<std::uint32_t>() == kHelloMagic,
                   "not a shard hello message");
   ShardHello hello;
@@ -209,28 +172,28 @@ ShardHello decode_hello(const std::vector<std::uint8_t>& payload) {
   hello.num_features = r.pod<std::int64_t>();
   hello.weight = r.pod<double>();
   hello.generation = r.pod<std::uint64_t>();
-  r.expect_exhausted("hello");
+  r.expect_end("hello");
   return hello;
 }
 
 std::vector<std::uint8_t> encode_welcome(const ShardWelcome& welcome) {
-  std::ostringstream os;
-  io::write_pod(os, kWelcomeMagic);
-  io::write_pod(os, welcome.wire_version);
-  io::write_pod(os, static_cast<std::uint8_t>(welcome.accepted));
-  write_string(os, welcome.error);
-  return take_bytes(os);
+  io::Writer w;
+  w.pod(kWelcomeMagic);
+  w.pod(welcome.wire_version);
+  w.pod(static_cast<std::uint8_t>(welcome.accepted));
+  write_string(w, welcome.error);
+  return w.take();
 }
 
 ShardWelcome decode_welcome(const std::vector<std::uint8_t>& payload) {
-  PayloadReader r(payload);
+  io::Reader r(payload);
   QKMPS_CHECK_MSG(r.pod<std::uint32_t>() == kWelcomeMagic,
                   "not a shard welcome message");
   ShardWelcome welcome;
   welcome.wire_version = r.pod<std::uint16_t>();
   welcome.accepted = r.pod<std::uint8_t>() != 0;
-  welcome.error = r.str();
-  r.expect_exhausted("welcome");
+  welcome.error = read_string(r);
+  r.expect_end("welcome");
   return welcome;
 }
 

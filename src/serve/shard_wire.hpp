@@ -17,9 +17,9 @@ namespace qkmps::serve {
 /// Either way the bytes, the router logic, the worker loop, and the
 /// batching are identical — the transport substitution of DESIGN.md §1.
 ///
-/// Numbers are written with the util/binary_io.hpp primitives, so the
-/// wire inherits its endianness caveat: native little-endian, not
-/// portable to big-endian hosts.
+/// Payloads are encoded with util/binary_io.hpp's io::Writer and decoded
+/// with its io::Reader, so the wire inherits its endianness caveat: native
+/// little-endian, not portable to big-endian hosts.
 
 /// Router -> shard. A request envelope carries the raw (pre-scaling)
 /// feature vector, validated once at submit(); kShutdown carries no
@@ -111,9 +111,9 @@ struct ShardWelcome {
 
 /// Byte codecs. decode_* treat the payload as untrusted wire input:
 /// unknown kind bytes, any strict prefix of a message, hostile vector
-/// lengths (the byte-budget read_vector overload bounds every allocation
-/// to the payload size), and trailing garbage all throw qkmps::Error —
-/// never a crash or a silently wrong message (tests/test_shard_wire.cpp).
+/// lengths (io::Reader bounds every read by the payload bytes left), and
+/// trailing garbage all throw qkmps::Error — never a crash or a silently
+/// wrong message (tests/test_shard_wire.cpp).
 std::vector<std::uint8_t> encode_envelope(const ShardEnvelope& envelope);
 ShardEnvelope decode_envelope(const std::vector<std::uint8_t>& payload);
 

@@ -1,126 +1,134 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <istream>
-#include <ostream>
+#include <cstring>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace qkmps::io {
 
-/// Binary primitives shared by every on-disk artifact in the repo (MPS
-/// states, kernel matrices, model bundles) and by the serving wire frames
-/// (parallel/socket_transport.hpp, serve/shard_wire.hpp). Values are
-/// written in native host byte order — little-endian on every target the
-/// repo supports; the formats are not portable to big-endian hosts. Each
-/// format owns its magic/version header; these helpers only move PODs and
-/// flat vectors and fail loudly on short reads *and* short writes so
-/// corruption surfaces as a qkmps::Error at the faulting site (a full
-/// disk or closed pipe at write time, a truncated or hostile stream at
-/// read time) instead of garbage tensors later.
+/// The one byte codec behind every on-disk artifact in the repo (MPS
+/// states, model bundles) and every message payload (serve/shard_wire.hpp,
+/// the Fig. 4 ring). Encoders append to a Writer; decoders read bytes
+/// already in hand through a Reader, whose every read is bounded by the
+/// bytes left, so a corrupt or hostile length or shape fails as
+/// qkmps::Error before anything is allocated from it. Files move whole
+/// through read_file and write_file. Values are in native host byte
+/// order, little-endian on every target the repo supports; the formats
+/// are not portable to big-endian hosts. Each format owns its magic and
+/// version header; the codec only moves PODs and flat vectors.
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-  QKMPS_CHECK_MSG(os.good(),
-                  "short write (" << sizeof(T) << " bytes rejected)");
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  QKMPS_CHECK_MSG(is.good(), "truncated stream");
-  return v;
-}
-
-/// Length-prefixed flat vector of trivially-copyable elements.
-template <typename T>
-void write_vector(std::ostream& os, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  write_pod(os, static_cast<std::int64_t>(v.size()));
-  if (!v.empty()) {
-    os.write(reinterpret_cast<const char*>(v.data()),
-             static_cast<std::streamsize>(v.size() * sizeof(T)));
-    QKMPS_CHECK_MSG(os.good(), "short write (vector payload of "
-                                   << v.size() * sizeof(T)
-                                   << " bytes rejected)");
+/// Appends PODs and vectors to a byte buffer.
+class Writer {
+ public:
+  template <typename T>
+  void pod(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    append(&v, sizeof(T));
   }
-}
 
-/// Bytes left between the read position and the end of a seekable
-/// stream, or -1 when the stream is not seekable (pipes, sockets). The
-/// read position is restored. Readers bound every allocation sized from a
-/// header field by it (fits_budget), so a corrupt or hostile size fails
-/// as qkmps::Error instead of bad_alloc or a runaway allocation.
-inline std::int64_t remaining_bytes(std::istream& is) {
-  const std::istream::pos_type pos = is.tellg();
-  if (pos == std::istream::pos_type(-1)) return -1;
-  is.seekg(0, std::ios::end);
-  const std::istream::pos_type end = is.tellg();
-  // The probe seeks must not leave sticky eof/fail state behind on
-  // stream types whose end-seek trips a state bit; the payload read
-  // re-checks health on its own.
-  is.clear();
-  is.seekg(pos);
-  QKMPS_CHECK_MSG(is.good(), "stream seek failed during length check");
-  return end >= pos ? static_cast<std::int64_t>(end - pos) : 0;
-}
-
-/// True when a rows x cols payload of `elem_bytes`-byte elements fits in
-/// `budget` bytes, checked without overflowing the product. A negative
-/// budget (remaining_bytes of a non-seekable stream) admits any shape.
-inline bool fits_budget(std::int64_t budget, std::int64_t rows,
-                        std::int64_t cols, std::int64_t elem_bytes) {
-  if (budget < 0 || rows == 0 || cols == 0) return true;
-  return rows > 0 && cols > 0 && rows <= budget / elem_bytes &&
-         cols <= budget / elem_bytes / rows;
-}
-
-namespace detail {
-template <typename T>
-std::vector<T> read_vector_payload(std::istream& is, std::int64_t n) {
-  std::vector<T> v(static_cast<std::size_t>(n));
-  if (n > 0) {
-    is.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-    QKMPS_CHECK_MSG(is.good(), "truncated vector payload");
+  /// A vector prefixed by its int64 element count (Reader::vec).
+  template <typename T>
+  void vec(const std::vector<T>& v) {
+    pod(static_cast<std::int64_t>(v.size()));
+    raw(v);
   }
-  return v;
-}
-}  // namespace detail
 
-template <typename T>
-std::vector<T> read_vector(std::istream& is) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto n = read_pod<std::int64_t>(is);
-  QKMPS_CHECK_MSG(n >= 0, "negative vector length");
-  // Non-seekable streams get no bound here — callers reading untrusted
-  // bytes from one must use the explicit byte-budget overload below.
-  QKMPS_CHECK_MSG(fits_budget(remaining_bytes(is), n, 1, sizeof(T)),
-                  "vector length " << n << " exceeds remaining stream size");
-  return detail::read_vector_payload<T>(is, n);
-}
+  /// A vector's elements alone, for a payload whose shape the format has
+  /// already written (Reader::take).
+  template <typename T>
+  void raw(const std::vector<T>& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    append(v.data(), v.size() * sizeof(T));
+  }
 
-/// Byte-budget overload for non-seekable / untrusted streams (the socket
-/// wire codec): the decoded length may claim at most `max_bytes` of
-/// payload, whatever the stream says about its own size. A hostile or
-/// corrupt length prefix therefore fails as qkmps::Error before any
-/// allocation happens — it can never over-allocate.
-template <typename T>
-std::vector<T> read_vector(std::istream& is, std::uint64_t max_bytes) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto n = read_pod<std::int64_t>(is);
-  QKMPS_CHECK_MSG(n >= 0, "negative vector length");
-  QKMPS_CHECK_MSG(
-      static_cast<std::uint64_t>(n) <= max_bytes / sizeof(T),
-      "vector length " << n << " exceeds the " << max_bytes
-                       << "-byte budget");
-  return detail::read_vector_payload<T>(is, n);
-}
+  std::vector<std::uint8_t> take() { return std::move(bytes_); }
+
+ private:
+  void append(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    bytes_.insert(bytes_.end(), b, b + n);
+  }
+
+  std::vector<std::uint8_t> bytes_;
+};
+
+/// Reads bytes already in hand, which must outlive the Reader. Every read
+/// is bounded by the bytes left.
+class Reader {
+ public:
+  explicit Reader(const std::vector<std::uint8_t>& bytes)
+      : data_(bytes.data()), left_(bytes.size()) {}
+  /// A temporary would be gone before the first read.
+  explicit Reader(std::vector<std::uint8_t>&&) = delete;
+
+  std::size_t left() const { return left_; }
+
+  /// The next rows x cols elements of `elem_bytes` bytes each, in place.
+  /// The bound divides instead of multiplying, so a shape whose byte
+  /// count overflows 64 bits is refused like any other that overruns.
+  const std::uint8_t* take(std::int64_t rows, std::int64_t cols,
+                           std::size_t elem_bytes) {
+    const std::uint64_t fit = left_ / elem_bytes;
+    QKMPS_CHECK_MSG(
+        rows >= 0 && cols >= 0 &&
+            (rows == 0 || cols == 0 ||
+             (static_cast<std::uint64_t>(rows) <= fit &&
+              static_cast<std::uint64_t>(cols) <=
+                  fit / static_cast<std::uint64_t>(rows))),
+        "truncated: " << rows << "x" << cols << " elements of " << elem_bytes
+                      << " bytes do not fit in the " << left_
+                      << " bytes left");
+    const std::size_t n = static_cast<std::size_t>(rows) *
+                          static_cast<std::size_t>(cols) * elem_bytes;
+    const std::uint8_t* p = data_;
+    data_ += n;
+    left_ -= n;
+    return p;
+  }
+
+  template <typename T>
+  T pod() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T v{};
+    std::memcpy(&v, take(1, 1, sizeof(T)), sizeof(T));
+    return v;
+  }
+
+  /// A vector written by Writer::vec.
+  template <typename T>
+  std::vector<T> vec() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const auto n = pod<std::int64_t>();
+    const std::uint8_t* p = take(n, 1, sizeof(T));
+    std::vector<T> v(static_cast<std::size_t>(n));
+    if (n > 0) std::memcpy(v.data(), p, v.size() * sizeof(T));
+    return v;
+  }
+
+  /// Every decode ends here: bytes past the message are a framing bug or
+  /// an attack, not slack to ignore.
+  void expect_end(const char* what) const {
+    QKMPS_CHECK_MSG(left_ == 0, left_ << " trailing bytes after " << what);
+  }
+
+ private:
+  const std::uint8_t* data_;
+  std::size_t left_;
+};
+
+/// The whole contents of a regular file. Anything else (a FIFO, a device
+/// such as /dev/zero, a directory) is refused rather than read forever.
+std::vector<std::uint8_t> read_file(const std::string& path);
+
+/// Creates or truncates `path` and writes `bytes` to it; a short write
+/// (a full disk, say) throws here, not later as a truncated read.
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes);
 
 }  // namespace qkmps::io

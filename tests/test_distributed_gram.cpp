@@ -118,6 +118,24 @@ TEST(DistributedGram, DiscardedWeightIsMergedAcrossRanks) {
   EXPECT_GE(nm.total_discarded_weight, seq.total_discarded_weight - tol);
 }
 
+TEST(DistributedGram, TableOneAveragesAreMergedAcrossRanks) {
+  const RealMatrix x = random_scaled_data(12, 4, 1300);
+  GramStats seq, rr, nm;
+  gram_matrix(cfg4(), x, &seq);
+  distributed_gram_matrix(cfg4(), x, 3, DistributionStrategy::RoundRobin, &rr);
+  distributed_gram_matrix(cfg4(), x, 3, DistributionStrategy::NoMessaging, &nm);
+  ASSERT_GT(seq.avg_max_bond(), 0.0);
+  // Round-robin simulates the same circuits as gram_matrix, once each,
+  // and the sums are integers: they match exactly.
+  EXPECT_EQ(rr.max_bond_sum, seq.max_bond_sum);
+  EXPECT_EQ(rr.mps_bytes_sum, seq.mps_bytes_sum);
+  EXPECT_EQ(rr.avg_max_bond(), seq.avg_max_bond());
+  EXPECT_EQ(rr.avg_mps_bytes(), seq.avg_mps_bytes());
+  // No-messaging re-simulates circuits; its averages cover every copy.
+  EXPECT_GT(nm.avg_max_bond(), 0.0);
+  EXPECT_GT(nm.avg_mps_bytes(), 0.0);
+}
+
 TEST(DistributedGram, BlocksLargerThanTheSocketBufferCrossTheRing) {
   // 165-feature d=1 states are ~23 KiB as save_mps frames, so 16 of them
   // are a block larger than an AF_UNIX socket buffer (208 KiB by default

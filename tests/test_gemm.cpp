@@ -52,13 +52,6 @@ TEST(Gemm, BothOpsConjTranspose) {
   EXPECT_LT(max_abs_diff(r1, r2), 1e-13);
 }
 
-TEST(Gemv, MatchesGemm) {
-  Rng rng(4);
-  const Matrix a = testing::random_matrix(7, 5, rng);
-  const Matrix x = testing::random_matrix(5, 1, rng);
-  EXPECT_LT(max_abs_diff(gemv(a, x), naive_mul(a, x)), 1e-13);
-}
-
 /// Parameterized agreement sweep: all kernels must agree with the naive
 /// triple loop over a representative grid of shapes, including the
 /// parallel-dispatch threshold region.

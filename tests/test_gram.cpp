@@ -150,8 +150,21 @@ TEST(Gram, StatsCountsArePredictable) {
   // non-negativity is promised here (magnitudes are covered by the benches).
   EXPECT_GE(stats.simulation_seconds, 0.0);
   EXPECT_GE(stats.inner_product_seconds, 0.0);
-  EXPECT_GE(stats.avg_max_bond, 1.0);
-  EXPECT_GT(stats.avg_mps_bytes, 0u);
+  EXPECT_GE(stats.avg_max_bond(), 1.0);
+  EXPECT_GT(stats.avg_mps_bytes(), 0.0);
+}
+
+TEST(CrossKernel, StatsCoverTestAndTrainCircuits) {
+  const RealMatrix xtest = random_scaled_data(3, 4, 10);
+  const RealMatrix xtrain = random_scaled_data(5, 4, 11);
+  GramStats test_only, train_only, both;
+  simulate_states(small_config(4), xtest, &test_only);
+  simulate_states(small_config(4), xtrain, &train_only);
+  cross_kernel(small_config(4), xtest, xtrain, &both);
+  EXPECT_EQ(both.circuits_simulated, 8);
+  EXPECT_EQ(both.max_bond_sum, test_only.max_bond_sum + train_only.max_bond_sum);
+  EXPECT_EQ(both.mps_bytes_sum,
+            test_only.mps_bytes_sum + train_only.mps_bytes_sum);
 }
 
 TEST(CrossKernel, ShapeAndRange) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -12,6 +13,16 @@
 #include "util/rng.hpp"
 
 namespace qkmps::testing {
+
+/// FNV-1a-64 of a byte string: pins an encoding's exact bytes.
+inline std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 /// Random complex matrix with iid standard-normal entries.
 inline linalg::Matrix random_matrix(idx rows, idx cols, Rng& rng) {

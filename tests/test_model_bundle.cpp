@@ -11,12 +11,35 @@
 #include "serve_test_fixture.hpp"
 #include "svm/svm.hpp"
 #include "test_helpers.hpp"
+#include "util/binary_io.hpp"
 
 namespace qkmps::serve {
 namespace {
 
 using qkmps::testing::TrainedServing;
 using qkmps::testing::train_small_serving;
+
+/// A bundle of exactly representable values, so its manifest depends on
+/// the format alone and not on training or floating-point contraction.
+ModelBundle hand_built_bundle() {
+  ModelBundle b;
+  b.config.ansatz = {.num_features = 3, .layers = 2, .distance = 1,
+                     .gamma = 0.75};
+  b.config.sim.policy = linalg::ExecPolicy::Accelerated;
+  b.config.sim.truncation.max_discarded_weight = 0.0078125;
+  b.config.sim.truncation.max_bond = 8;
+  b.scaler = data::FeatureScaler::restore({0.5, 1.0, -2.0}, {1.0, 2.0, 0.25},
+                                          {-1.0, -2.0, -3.0}, {1.0, 2.0, 3.0},
+                                          0.0, 2.0);
+  b.model.alpha = {0.25, 1.5};
+  b.model.y = {1, -1};
+  b.model.bias = -0.125;
+  b.model.iterations = 42;
+  b.model.converged = true;
+  b.sv_indices = {1, 4};
+  b.sv_states = {mps::Mps(3), mps::Mps(3)};
+  return b;
+}
 
 class ModelBundleTest : public ::testing::Test {
  protected:
@@ -138,13 +161,43 @@ TEST_F(ModelBundleTest, RejectsUnsupportedVersion) {
   EXPECT_THROW(load_bundle(dir_), Error);
 }
 
-TEST_F(ModelBundleTest, RejectsTruncatedManifest) {
-  const TrainedServing t = train_small_serving(4);
-  save_bundle(t.bundle, dir_);
-  const auto path = dir_ + "/bundle.qkb";
-  const auto full_size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full_size / 2);
+TEST_F(ModelBundleTest, ManifestBytesArePinned) {
+  // A 76-byte fixed header (see RejectsCorruptVectorLength), four
+  // 3-feature scaler vectors (128), alpha (24), labels (16), bias,
+  // iterations and the converged byte (17), SV indices (24) and the SV
+  // count (8). The digest is FNV-1a-64 of the manifest, unchanged since
+  // version 1.
+  save_bundle(hand_built_bundle(), dir_);
+  const std::vector<std::uint8_t> bytes = io::read_file(dir_ + "/bundle.qkb");
+  EXPECT_EQ(bytes.size(), 76u + 128 + 24 + 16 + 17 + 24 + 8);
+  EXPECT_EQ(qkmps::testing::fnv1a64(bytes), 0xe5c0516d077530d5ull);
+}
+
+TEST_F(ModelBundleTest, EveryStrictPrefixAndAnAppendedByteAreRefused) {
+  // No cut of the manifest reads as some other bundle, and neither does
+  // the manifest or a state file with one byte more.
+  save_bundle(hand_built_bundle(), dir_);
+  const std::string manifest = dir_ + "/bundle.qkb";
+  const std::vector<std::uint8_t> full = io::read_file(manifest);
+  for (std::size_t keep = 0; keep < full.size(); ++keep) {
+    io::write_file(manifest, std::vector<std::uint8_t>(
+                                 full.begin(), full.begin() + static_cast<long>(keep)));
+    EXPECT_THROW(load_bundle(dir_), Error) << "cut at " << keep;
+  }
+  std::vector<std::uint8_t> longer = full;
+  longer.push_back(0);
+  io::write_file(manifest, longer);
   EXPECT_THROW(load_bundle(dir_), Error);
+
+  io::write_file(manifest, full);
+  const std::string state = dir_ + "/sv_1.mps";
+  std::vector<std::uint8_t> state_bytes = io::read_file(state);
+  state_bytes.push_back(0);
+  io::write_file(state, state_bytes);
+  EXPECT_THROW(load_bundle(dir_), Error);
+  state_bytes.pop_back();
+  io::write_file(state, state_bytes);
+  EXPECT_NO_THROW(load_bundle(dir_));
 }
 
 TEST_F(ModelBundleTest, RejectsCorruptVectorLength) {

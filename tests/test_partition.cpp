@@ -56,32 +56,5 @@ TEST(SplitSizes, MatchesSplitEvenlyAndDropsNothing) {
   EXPECT_EQ(total, 7);
 }
 
-TEST(MakeTiles, GridCoversMatrix) {
-  const auto tiles = make_tiles(10, 8, 3, 2);
-  ASSERT_EQ(tiles.size(), 6u);
-  idx area = 0;
-  for (const auto& t : tiles) area += t.rows.size() * t.cols.size();
-  EXPECT_EQ(area, 80);
-}
-
-TEST(MakeTiles, TileCoordinatesAreGridPositions) {
-  const auto tiles = make_tiles(4, 4, 2, 2);
-  EXPECT_EQ(tiles[3].index_row, 1);
-  EXPECT_EQ(tiles[3].index_col, 1);
-}
-
-TEST(SquareTileGrid, ProducesRequestedTileCount) {
-  for (idx parts : {1, 2, 4, 6, 9, 12, 16}) {
-    const auto [r, c] = square_tile_grid(parts);
-    EXPECT_EQ(r * c, parts) << parts;
-  }
-}
-
-TEST(SquareTileGrid, PrefersNearSquare) {
-  const auto [r, c] = square_tile_grid(16);
-  EXPECT_EQ(r, 4);
-  EXPECT_EQ(c, 4);
-}
-
 }  // namespace
 }  // namespace qkmps::parallel

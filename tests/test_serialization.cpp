@@ -3,16 +3,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <utility>
+#include <vector>
 
 #include "circuit/ansatz.hpp"
 #include "mps/inner_product.hpp"
 #include "mps/serialization.hpp"
 #include "mps/simulator.hpp"
 #include "test_helpers.hpp"
+#include "util/binary_io.hpp"
 
 namespace qkmps::mps {
 namespace {
@@ -28,17 +28,32 @@ Mps ansatz_state(idx m, std::uint64_t seed) {
       .state;
 }
 
+/// Three sites with bonds 1-2-1-1 and exactly representable amplitudes,
+/// so its encoding depends on the format alone and not on how the
+/// compiler contracts floating-point arithmetic.
+Mps hand_built_state() {
+  Mps psi(3);
+  SiteTensor s0(1, 2);
+  SiteTensor s1(2, 1);
+  for (std::size_t k = 0; k < s0.a.size(); ++k)
+    s0.a[k] = cplx(0.125 * static_cast<double>(k + 1), -0.5);
+  for (std::size_t k = 0; k < s1.a.size(); ++k)
+    s1.a[k] = cplx(-0.25, 0.0625 * static_cast<double>(k));
+  psi.site(0) = s0;
+  psi.site(1) = s1;
+  psi.set_center(1);
+  return psi;
+}
+
 class SerializationTest : public ::testing::Test {
  protected:
   std::string path_ = ::testing::TempDir() + "/qkmps_serialization_test.bin";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
-TEST_F(SerializationTest, MpsRoundTripThroughStream) {
+TEST_F(SerializationTest, MpsRoundTripThroughBytes) {
   const Mps psi = ansatz_state(6, 1);
-  std::stringstream ss;
-  save_mps(psi, ss);
-  const Mps back = load_mps(ss);
+  const Mps back = load_mps(save_mps(psi));
   EXPECT_EQ(back.num_sites(), psi.num_sites());
   EXPECT_EQ(back.center(), psi.center());
   EXPECT_EQ(back.bonds(), psi.bonds());
@@ -65,55 +80,67 @@ TEST_F(SerializationTest, LoadedStateIsUsable) {
   EXPECT_NEAR(overlap_squared(a2, b), expect, 1e-14);
 }
 
+TEST_F(SerializationTest, SavedBytesArePinned) {
+  // Magic, version, sites, center (24 bytes), then each site's two bonds
+  // (16 bytes) and its left x 2 x right amplitudes: 64 + 64 + 32 bytes.
+  // The digest is FNV-1a-64 of the encoding, unchanged since version 1.
+  const std::vector<std::uint8_t> bytes = save_mps(hand_built_state());
+  EXPECT_EQ(bytes.size(), 24u + 3 * 16 + 64 + 64 + 32);
+  EXPECT_EQ(qkmps::testing::fnv1a64(bytes), 0xfcfb497ad7e2995aull);
+  EXPECT_EQ(save_mps(load_mps(bytes)), bytes);
+}
+
 TEST_F(SerializationTest, RejectsGarbageMagic) {
-  std::ofstream os(path_, std::ios::binary);
-  os << "definitely not an MPS file";
-  os.close();
+  const std::string text = "definitely not an MPS file";
+  io::write_file(path_, std::vector<std::uint8_t>(text.begin(), text.end()));
   EXPECT_THROW(load_mps(path_), Error);
 }
 
-TEST_F(SerializationTest, RejectsTruncatedPayload) {
-  const Mps psi = ansatz_state(6, 5);
-  std::stringstream ss;
-  save_mps(psi, ss);
-  const std::string full = ss.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(load_mps(cut), Error);
+TEST_F(SerializationTest, EveryStrictPrefixAndAnAppendedByteAreRefused) {
+  // No cut of a saved file reads as some other state, and neither does
+  // the file with one byte more.
+  const std::vector<std::uint8_t> full = save_mps(hand_built_state());
+  for (std::size_t keep = 0; keep < full.size(); ++keep) {
+    io::write_file(path_, std::vector<std::uint8_t>(
+                              full.begin(), full.begin() + static_cast<long>(keep)));
+    EXPECT_THROW(load_mps(path_), Error) << "cut at " << keep;
+  }
+  std::vector<std::uint8_t> longer = full;
+  longer.push_back(0);
+  io::write_file(path_, longer);
+  EXPECT_THROW(load_mps(path_), Error);
+  io::write_file(path_, full);
+  EXPECT_NO_THROW(load_mps(path_));
 }
 
-// Hostile headers: each stream below claims an allocation far larger
-// than its payload. The loaders must reject it as qkmps::Error before
+// Hostile headers: each encoding below claims an allocation far larger
+// than its payload. load_mps must reject it as qkmps::Error before
 // allocating — not with std::bad_alloc, and not after reserving gigabytes.
-template <typename T>
-void put(std::ostream& os, T v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-std::stringstream mps_header(std::int64_t sites, std::int64_t center) {
-  std::stringstream ss;
-  put<std::uint32_t>(ss, 0x51'4B'4D'53);  // "QKMS"
-  put<std::uint32_t>(ss, 1);
-  put<std::int64_t>(ss, sites);
-  put<std::int64_t>(ss, center);
-  return ss;
+io::Writer mps_header(std::int64_t sites, std::int64_t center) {
+  io::Writer w;
+  w.pod(std::uint32_t{0x51'4B'4D'53});  // "QKMS"
+  w.pod(std::uint32_t{1});
+  w.pod(sites);
+  w.pod(center);
+  return w;
 }
 
 TEST_F(SerializationTest, RejectsHugeSiteCount) {
-  std::stringstream ss = mps_header(std::int64_t{1} << 40, 0);
-  put<std::int64_t>(ss, 1);
-  put<std::int64_t>(ss, 1);
-  put<cplx>(ss, 1.0);
-  put<cplx>(ss, 0.0);
-  EXPECT_THROW(load_mps(ss), Error);
+  io::Writer w = mps_header(std::int64_t{1} << 40, 0);
+  w.pod(std::int64_t{1});
+  w.pod(std::int64_t{1});
+  w.pod(cplx(1.0));
+  w.pod(cplx(0.0));
+  EXPECT_THROW(load_mps(w.take()), Error);
 }
 
 TEST_F(SerializationTest, RejectsHugeBondDimension) {
   // A huge right bond on the first site, with a payload of one amplitude.
-  std::stringstream right = mps_header(1, 0);
-  put<std::int64_t>(right, 1);
-  put<std::int64_t>(right, std::int64_t{1} << 40);
-  put<cplx>(right, 1.0);
-  EXPECT_THROW(load_mps(right), Error);
+  io::Writer right = mps_header(1, 0);
+  right.pod(std::int64_t{1});
+  right.pod(std::int64_t{1} << 40);
+  right.pod(cplx(1.0));
+  EXPECT_THROW(load_mps(right.take()), Error);
 
   // A huge left bond on a later site (matching the previous site's
   // right bond, so it passes the consistency check), and a bond pair whose
@@ -121,33 +148,29 @@ TEST_F(SerializationTest, RejectsHugeBondDimension) {
   for (const auto& [l, r] :
        {std::make_pair(std::int64_t{1} << 40, std::int64_t{1}),
         std::make_pair(std::int64_t{1} << 62, std::int64_t{1} << 62)}) {
-    std::stringstream left = mps_header(2, 0);
-    put<std::int64_t>(left, 1);
-    put<std::int64_t>(left, l);
-    put<cplx>(left, 1.0);
-    put<cplx>(left, 0.0);
-    put<std::int64_t>(left, l);
-    put<std::int64_t>(left, r);
-    EXPECT_THROW(load_mps(left), Error) << "left=" << l << " right=" << r;
+    io::Writer left = mps_header(2, 0);
+    left.pod(std::int64_t{1});
+    left.pod(l);
+    left.pod(cplx(1.0));
+    left.pod(cplx(0.0));
+    left.pod(l);
+    left.pod(r);
+    EXPECT_THROW(load_mps(left.take()), Error) << "left=" << l << " right=" << r;
   }
 }
 
 TEST_F(SerializationTest, RejectsNonFiniteAmplitudes) {
   // Overwrite the real part (NaN) or the imaginary part (+inf) of the
   // last amplitude of a valid state: the load must name the site.
-  const Mps psi = ansatz_state(5, 8);
-  std::stringstream ss;
-  save_mps(psi, ss);
-  const std::string good = ss.str();
+  const std::vector<std::uint8_t> good = save_mps(ansatz_state(5, 8));
   const std::pair<std::size_t, double> corruptions[] = {
       {good.size() - sizeof(cplx), std::numeric_limits<double>::quiet_NaN()},
       {good.size() - sizeof(double), std::numeric_limits<double>::infinity()}};
   for (const auto& [offset, value] : corruptions) {
-    std::string bad = good;
+    std::vector<std::uint8_t> bad = good;
     std::memcpy(bad.data() + offset, &value, sizeof(value));
-    std::stringstream in(bad);
     try {
-      load_mps(in);
+      load_mps(bad);
       ADD_FAILURE() << "loaded a state holding " << value;
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("site 4"), std::string::npos)
@@ -156,44 +179,8 @@ TEST_F(SerializationTest, RejectsNonFiniteAmplitudes) {
   }
 }
 
-TEST_F(SerializationTest, KernelRejectsOverflowingShape) {
-  // rows * cols * 8 wraps to 0 in 64 bits: without an overflow-checked
-  // bound this would load a 2^32 x 2^32 matrix with no storage.
-  for (const auto& [rows, cols] :
-       {std::make_pair(std::int64_t{1} << 32, std::int64_t{1} << 32),
-        std::make_pair(std::int64_t{1}, std::int64_t{1} << 40)}) {
-    {
-      std::ofstream os(path_, std::ios::binary);
-      put<std::uint32_t>(os, 0x51'4B'4B'4D);  // "QKKM"
-      put<std::uint32_t>(os, 1);
-      put<std::int64_t>(os, rows);
-      put<std::int64_t>(os, cols);
-      put<double>(os, 1.0);
-    }
-    EXPECT_THROW(load_kernel(path_), Error) << rows << "x" << cols;
-  }
-}
-
-TEST_F(SerializationTest, KernelRoundTrip) {
-  Rng rng(6);
-  kernel::RealMatrix k(7, 5);
-  for (idx i = 0; i < 7; ++i)
-    for (idx j = 0; j < 5; ++j) k(i, j) = rng.normal();
-  save_kernel(k, path_);
-  const kernel::RealMatrix back = load_kernel(path_);
-  EXPECT_EQ(back.rows(), 7);
-  EXPECT_EQ(back.cols(), 5);
-  EXPECT_EQ(kernel::max_abs_diff(k, back), 0.0);
-}
-
-TEST_F(SerializationTest, KernelRejectsMpsFile) {
-  save_mps(ansatz_state(4, 7), path_);
-  EXPECT_THROW(load_kernel(path_), Error);
-}
-
 TEST_F(SerializationTest, MissingFileThrows) {
   EXPECT_THROW(load_mps(path_ + ".missing"), Error);
-  EXPECT_THROW(load_kernel(path_ + ".missing"), Error);
 }
 
 }  // namespace
