@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "circuit/statevector.hpp"
 #include "kernel/gram.hpp"
+#include "mps/serialization.hpp"
 #include "test_helpers.hpp"
 
 namespace qkmps::kernel {
@@ -195,6 +199,77 @@ TEST(CrossKernel, CountsBothSimulationSets) {
   cross_kernel(small_config(4), xtest, xtrain, &stats);
   EXPECT_EQ(stats.circuits_simulated, 5);
   EXPECT_EQ(stats.inner_products, 6);
+}
+
+/// FNV-1a-64 of a kernel matrix's doubles, bit for bit.
+std::uint64_t bits_digest(const RealMatrix& k) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(k.rows() * k.cols()) *
+                                  sizeof(double));
+  if (!bytes.empty()) std::memcpy(bytes.data(), k.data(), bytes.size());
+  return qkmps::testing::fnv1a64(bytes);
+}
+
+/// FNV-1a-64 of the save_mps bytes of every state, one after another.
+std::uint64_t states_digest(const std::vector<mps::Mps>& states) {
+  std::vector<std::uint8_t> bytes;
+  for (const mps::Mps& psi : states) {
+    const std::vector<std::uint8_t> one = mps::save_mps(psi);
+    bytes.insert(bytes.end(), one.begin(), one.end());
+  }
+  return qkmps::testing::fnv1a64(bytes);
+}
+
+/// One workload shape whose simulated states, Gram matrix and cross kernel
+/// are pinned bit for bit: the digests were computed before the MPS
+/// storage moved to one buffer per state, and no storage or contraction
+/// change may move them.
+struct PinnedShape {
+  const char* name;
+  idx features, distance;
+  double gamma;
+  idx max_bond;
+  std::uint64_t seed;
+  std::uint64_t states, gram, cross;
+};
+
+TEST(Gram, StateAndKernelBitsArePinned) {
+  const PinnedShape shapes[] = {
+      // The paper's ansatz at 165 qubits (chi <= 3).
+      {"paper", 165, 1, 0.1, 0, 21, 0x8b5ea870358b8808ull, 0xc83492f0f4fee529ull,
+       0xb58ccb531ed1eef8ull},
+      // chi capped at 8 below its natural ~16: truncation binds and bonds
+      // change size mid-sweep.
+      {"capped", 10, 3, 1.0, 8, 22, 0xeae13737a0548bafull, 0xc4c9e3372dc20329ull,
+       0x33fe2f1eabca5c96ull},
+  };
+  for (const PinnedShape& s : shapes) {
+    SCOPED_TRACE(s.name);
+    QuantumKernelConfig cfg;
+    cfg.ansatz = {.num_features = s.features, .layers = 2,
+                  .distance = s.distance, .gamma = s.gamma};
+    cfg.sim.truncation.max_bond = s.max_bond;
+    GramStats stats;
+    const std::vector<mps::Mps> train =
+        simulate_states(cfg, random_scaled_data(4, s.features, s.seed), &stats);
+    const std::vector<mps::Mps> test = simulate_states(
+        cfg, random_scaled_data(2, s.features, s.seed + 100), &stats);
+    std::vector<mps::Mps> all = train;
+    all.insert(all.end(), test.begin(), test.end());
+    if (s.max_bond > 0) {
+      EXPECT_GT(stats.total_discarded_weight, 0.0);
+      for (const mps::Mps& psi : all) EXPECT_EQ(psi.max_bond(), s.max_bond);
+    }
+    EXPECT_EQ(states_digest(all), s.states) << std::hex << states_digest(all);
+    for (const linalg::ExecPolicy policy :
+         {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated}) {
+      SCOPED_TRACE(linalg::to_string(policy));
+      const std::uint64_t gram = bits_digest(gram_from_states(train, policy));
+      const std::uint64_t cross =
+          bits_digest(cross_from_states(test, train, policy));
+      EXPECT_EQ(gram, s.gram) << std::hex << gram;
+      EXPECT_EQ(cross, s.cross) << std::hex << cross;
+    }
+  }
 }
 
 TEST(Gram, RejectsFeatureMismatch) {
