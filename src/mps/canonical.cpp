@@ -1,5 +1,8 @@
 #include "mps/canonical.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "linalg/gemm.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
@@ -7,18 +10,36 @@
 
 namespace qkmps::mps {
 
+namespace {
+
+/// A copy of a site's matricization, for the factorizations that take a
+/// Matrix.
+linalg::Matrix to_matrix(linalg::ConstMatrixView v) {
+  linalg::Matrix m(v.rows, v.cols);
+  std::copy(v.data, v.data + v.rows * v.cols, m.data());
+  return m;
+}
+
+}  // namespace
+
+// Both shifts write their two factors over the pair's storage, which
+// moves only if the shared bond's size changed.
+
 void shift_center_right(Mps& psi, linalg::ExecPolicy policy) {
   const idx c = psi.center();
   QKMPS_CHECK(c + 1 < psi.num_sites());
 
-  SiteTensor& s = psi.site(c);
-  const linalg::QrResult qr = linalg::qr_thin(s.as_left_matrix());
-  s = SiteTensor::from_left_matrix(qr.q, s.left);
-
-  SiteTensor& t = psi.site(c + 1);
+  const linalg::QrResult qr =
+      linalg::qr_thin(to_matrix(std::as_const(psi).site(c).left_matrix()));
   // next <- R * next over the shared bond.
-  const linalg::Matrix merged = linalg::gemm(qr.r, t.as_right_matrix(), policy);
-  t = SiteTensor::from_right_matrix(merged, t.right);
+  const SiteView next = std::as_const(psi).site(c + 1);
+  linalg::Matrix merged(qr.r.rows(), 2 * next.right);
+  linalg::gemm_into(linalg::view(merged), linalg::view(qr.r), next.right_matrix(),
+                    policy);
+
+  psi.resize_bond(c, qr.q.cols());
+  psi.site(c).assign(qr.q);
+  psi.site(c + 1).assign(merged);
   psi.set_center(c + 1);
 }
 
@@ -26,13 +47,17 @@ void shift_center_left(Mps& psi, linalg::ExecPolicy policy) {
   const idx c = psi.center();
   QKMPS_CHECK(c - 1 >= 0);
 
-  SiteTensor& s = psi.site(c);
-  const linalg::LqResult lq = linalg::lq_thin(s.as_right_matrix());
-  s = SiteTensor::from_right_matrix(lq.q, s.right);
+  const linalg::LqResult lq =
+      linalg::lq_thin(to_matrix(std::as_const(psi).site(c).right_matrix()));
+  // prev <- prev * L over the shared bond.
+  const SiteView prev = std::as_const(psi).site(c - 1);
+  linalg::Matrix merged(prev.left * 2, lq.l.cols());
+  linalg::gemm_into(linalg::view(merged), prev.left_matrix(), linalg::view(lq.l),
+                    policy);
 
-  SiteTensor& t = psi.site(c - 1);
-  const linalg::Matrix merged = linalg::gemm(t.as_left_matrix(), lq.l, policy);
-  t = SiteTensor::from_left_matrix(merged, t.left);
+  psi.resize_bond(c - 1, lq.l.cols());
+  psi.site(c - 1).assign(merged);
+  psi.site(c).assign(lq.q);
   psi.set_center(c - 1);
 }
 
@@ -43,14 +68,13 @@ void move_center(Mps& psi, idx target, linalg::ExecPolicy policy) {
 }
 
 double left_orthonormality_defect(const Mps& psi, idx site) {
-  const linalg::Matrix m = psi.site(site).as_left_matrix();
-  return linalg::orthonormality_defect(m);
+  return linalg::orthonormality_defect(to_matrix(psi.site(site).left_matrix()));
 }
 
 double right_orthonormality_defect(const Mps& psi, idx site) {
   // Right-orthonormal means the (left | physical,right) matricization has
   // orthonormal rows.
-  const linalg::Matrix m = psi.site(site).as_right_matrix().adjoint();
+  const linalg::Matrix m = to_matrix(psi.site(site).right_matrix()).adjoint();
   return linalg::orthonormality_defect(m);
 }
 

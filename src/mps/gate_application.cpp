@@ -1,6 +1,7 @@
 #include "mps/gate_application.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <cmath>
 #include <cstdlib>
 
@@ -13,8 +14,8 @@ namespace qkmps::mps {
 
 namespace {
 
-/// Canonicalizes the bond (q, q+1) and matricizes both site tensors into
-/// the step; `u` is copied into step.gate.
+/// Canonicalizes the bond (q, q+1) and contracts its two site tensors,
+/// read in place, into step.theta; `u` is copied into step.gate.
 void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
                           TwoQubitStep& step, linalg::ExecPolicy policy) {
   QKMPS_CHECK(q >= 0 && q + 1 < psi.num_sites());
@@ -24,8 +25,8 @@ void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
   if (psi.center() < q) move_center(psi, q, policy);
   if (psi.center() > q + 1) move_center(psi, q + 1, policy);
 
-  const SiteTensor& a = psi.site(q);
-  const SiteTensor& b = psi.site(q + 1);
+  const SiteView a = std::as_const(psi).site(q);
+  const SiteView b = std::as_const(psi).site(q + 1);
   step.q = q;
   step.dl = a.left;
   step.dr = b.right;
@@ -34,12 +35,11 @@ void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
 
   step.gate = u;
   // The (left, physical) x right and left x (physical, right) groupings
-  // are reshapes of the row-major site storage — straight copies into the
-  // step's persistent buffers.
-  step.a_left.resize_for_overwrite(step.dl * 2, step.k);
-  std::copy(a.a.begin(), a.a.end(), step.a_left.data());
-  step.b_right.resize_for_overwrite(step.k, 2 * step.dr);
-  std::copy(b.a.begin(), b.a.end(), step.b_right.data());
+  // are reshapes of the row-major site storage, so the product reads the
+  // buffer as it lies.
+  step.theta.resize_for_overwrite(step.dl * 2, 2 * step.dr);
+  linalg::gemm_into(linalg::view(step.theta), a.left_matrix(), b.right_matrix(),
+                    policy);
 }
 
 void permute_theta_for_gate(TwoQubitStep& step) {
@@ -83,12 +83,17 @@ double commit_two_qubit_gate(Mps& psi, TwoQubitStep& step,
 
   // Left site gets U (left-orthonormal); the singular values are contracted
   // into the right factor (Fig. 1b, last step), so the center lands on q+1.
-  psi.site(step.q) = SiteTensor::from_left_matrix(f.u, step.dl);
+  // Both overwrite the pair's storage, which moves only if the bond's size
+  // changed.
+  psi.resize_bond(step.q, keep);
+  psi.site(step.q).assign(f.u);
+  const MutableSiteView right = psi.site(step.q + 1);
+  QKMPS_CHECK(right.a.size() == static_cast<std::size_t>(f.vh.size()));
   for (idx i = 0; i < keep; ++i) {
     const double s = f.s[static_cast<std::size_t>(i)];
-    for (idx j = 0; j < f.vh.cols(); ++j) f.vh(i, j) *= s;
+    for (idx j = 0; j < f.vh.cols(); ++j)
+      right.a[static_cast<std::size_t>(i * f.vh.cols() + j)] = f.vh(i, j) * s;
   }
-  psi.site(step.q + 1) = SiteTensor::from_right_matrix(f.vh, step.dr);
   psi.set_center(step.q + 1);
 
   if (stats != nullptr) stats->record(discarded, keep);
@@ -115,7 +120,7 @@ linalg::Matrix chain_ordered_gate(const circuit::Gate& g) {
 void apply_single_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q) {
   QKMPS_CHECK(q >= 0 && q < psi.num_sites());
   QKMPS_CHECK(u.rows() == 2 && u.cols() == 2);
-  SiteTensor& t = psi.site(q);
+  const MutableSiteView t = psi.site(q);
   for (idx l = 0; l < t.left; ++l) {
     for (idx r = 0; r < t.right; ++r) {
       const cplx a0 = t.at(l, 0, r);
@@ -134,7 +139,6 @@ double apply_adjacent_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
   TwoQubitStep fresh;
   TwoQubitStep& step = scratch != nullptr ? *scratch : fresh;
   stage_two_qubit_gate(psi, u, q, step, policy);
-  linalg::gemm_into(step.theta, step.a_left, step.b_right, policy);
   permute_theta_for_gate(step);
   linalg::gemm_into(step.theta_u, step.gate, step.theta_p, policy);
   permute_theta_for_svd(step);

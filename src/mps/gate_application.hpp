@@ -8,20 +8,19 @@
 
 namespace qkmps::mps {
 
-/// Scratch of the two-qubit gate path (Fig. 1b): the matricized site
-/// tensors, theta in its three layouts, the SVD factors and the SVD
-/// driver's workspace. Every buffer is resized in place, so a scratch
-/// reused gate after gate (MpsSimulator::simulate keeps one per call)
-/// stops allocating once bond dimensions settle. What a scratch held
-/// before never changes a result: a warm and a fresh scratch give
-/// bitwise-identical states (tests/test_simulator.cpp).
+/// Scratch of the two-qubit gate path (Fig. 1b): theta in its three
+/// layouts, the SVD factors and the SVD driver's workspace. The two site
+/// tensors are read in place from the state's buffer. Every buffer is
+/// resized in place, so a scratch reused gate after gate
+/// (MpsSimulator::simulate keeps one per call) stops allocating once bond
+/// dimensions settle. What a scratch held before never changes a result:
+/// a warm and a fresh scratch give bitwise-identical states
+/// (tests/test_simulator.cpp).
 struct TwoQubitStep {
   idx q = 0;                ///< left site of the bond
   idx dl = 0, dr = 0, k = 0;  ///< outer-left, outer-right, shared bond dims
   linalg::Matrix gate;      ///< 4x4 in |lo hi> chain order
-  linalg::Matrix a_left;    ///< site q matricized (dl*2) x k
-  linalg::Matrix b_right;   ///< site q+1 matricized k x (2*dr)
-  linalg::Matrix theta;     ///< a_left * b_right
+  linalg::Matrix theta;     ///< site q (dl*2 x k) times site q+1 (k x 2*dr)
   linalg::Matrix theta_p;   ///< theta permuted to (s0 s1) x (l r)
   linalg::Matrix theta_u;   ///< gate * theta_p
   linalg::Matrix theta_m;   ///< theta_u permuted to (l s0) x (s1 r)

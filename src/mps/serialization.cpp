@@ -27,10 +27,10 @@ std::vector<std::uint8_t> save_mps(const Mps& psi) {
   w.pod(static_cast<std::int64_t>(psi.num_sites()));
   w.pod(static_cast<std::int64_t>(psi.center()));
   for (idx i = 0; i < psi.num_sites(); ++i) {
-    const SiteTensor& t = psi.site(i);
+    const SiteView t = psi.site(i);
     w.pod(static_cast<std::int64_t>(t.left));
     w.pod(static_cast<std::int64_t>(t.right));
-    w.raw(t.a);
+    for (const cplx& amp : t.a) w.pod(amp);
   }
   return w.take();
 }
@@ -43,34 +43,42 @@ Mps load_mps(const std::vector<std::uint8_t>& bytes) {
   const auto sites = static_cast<idx>(r.pod<std::int64_t>());
   const auto center = static_cast<idx>(r.pod<std::int64_t>());
   QKMPS_CHECK(sites >= 1 && center >= 0 && center < sites);
-  // Mps(sites) allocates every site up front, so the count must fit in
-  // the bytes left (at least one amplitude pair a site) before it is
-  // trusted.
+  // The bonds and payload pointers are sized by the site count, so it
+  // must fit in the bytes left (at least one amplitude pair a site)
+  // before it is trusted.
   QKMPS_CHECK_MSG(static_cast<std::uint64_t>(sites) <=
                       r.left() / (kBondBytes + kPairBytes),
                   "MPS header claims " << sites << " sites, more than the "
                                        << r.left() << " bytes left hold");
 
-  Mps psi(sites);
-  idx prev_right = 1;
+  // Every site's shape is checked against the bytes left before the
+  // state's one buffer is sized from the shapes.
+  std::vector<idx> bonds;
+  bonds.reserve(static_cast<std::size_t>(sites) + 1);
+  bonds.push_back(1);
+  std::vector<const std::uint8_t*> payloads;
+  payloads.reserve(static_cast<std::size_t>(sites));
   for (idx i = 0; i < sites; ++i) {
     const auto left = static_cast<idx>(r.pod<std::int64_t>());
     const auto right = static_cast<idx>(r.pod<std::int64_t>());
-    QKMPS_CHECK_MSG(left == prev_right, "inconsistent bond dimensions");
+    QKMPS_CHECK_MSG(left == bonds.back(), "inconsistent bond dimensions");
     QKMPS_CHECK(left >= 1 && right >= 1);
-    const std::uint8_t* amps = r.take(left, right, kPairBytes);
-    SiteTensor t(left, right);
-    std::memcpy(t.a.data(), amps, t.bytes());
+    payloads.push_back(r.take(left, right, kPairBytes));
+    bonds.push_back(right);
+  }
+  QKMPS_CHECK_MSG(bonds.back() == 1, "open boundary bond must close at 1");
+  r.expect_end("the last MPS site");
+
+  Mps psi = Mps::from_bonds(std::move(bonds));
+  for (idx i = 0; i < sites; ++i) {
+    const MutableSiteView t = psi.site(i);
+    std::memcpy(t.a.data(), payloads[static_cast<std::size_t>(i)], t.bytes());
     // A NaN or inf amplitude loads as a valid-looking state whose every
     // overlap is NaN, and a NaN decision value scores as label -1.
     for (const cplx& amp : t.a)
       QKMPS_CHECK_MSG(std::isfinite(amp.real()) && std::isfinite(amp.imag()),
                       "MPS site " << i << " holds a non-finite amplitude");
-    psi.site(i) = std::move(t);
-    prev_right = right;
   }
-  QKMPS_CHECK_MSG(prev_right == 1, "open boundary bond must close at 1");
-  r.expect_end("the last MPS site");
   psi.set_center(center);
   return psi;
 }

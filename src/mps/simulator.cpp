@@ -33,6 +33,9 @@ SimulationResult MpsSimulator::simulate(const circuit::Circuit& c,
                         out.state.max_bond());
     }
   }
+  // The sweep's splices may leave spare capacity; the state that is
+  // returned, and usually stored, holds its amplitudes exactly.
+  out.state.shrink_to_fit();
   out.seconds = timer.seconds();
   return out;
 }

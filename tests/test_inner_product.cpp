@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "circuit/ansatz.hpp"
 #include "circuit/statevector.hpp"
@@ -8,6 +12,28 @@
 #include "mps/inner_product.hpp"
 #include "mps/simulator.hpp"
 #include "test_helpers.hpp"
+
+namespace {
+
+/// Heap allocations made through operator new while g_counting is set;
+/// this binary replaces the global operator new and delete to count them.
+std::atomic<bool> g_counting{false};
+std::atomic<std::int64_t> g_allocations{0};
+
+}  // namespace
+
+// Kept out of line: inlined into this file's callers, the malloc/free pair
+// would look to the compiler like new paired with free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace qkmps::mps {
 namespace {
@@ -83,6 +109,45 @@ TEST(InnerProduct, KernelEntryInZeroOneRange) {
     const double k = overlap_squared(a.mps, b.mps);
     EXPECT_GE(k, 0.0);
     EXPECT_LE(k, 1.0 + 1e-12);
+  }
+}
+
+/// A feature-map state too wide for the statevector oracle.
+Mps ansatz_state(idx m, idx d, double gamma, std::uint64_t seed) {
+  Rng rng(seed);
+  const circuit::AnsatzParams p{.num_features = m, .layers = 2, .distance = d,
+                                .gamma = gamma};
+  return MpsSimulator()
+      .simulate(circuit::feature_map_circuit(p, qkmps::testing::random_features(m, rng)))
+      .state;
+}
+
+std::int64_t overlap_allocations(const Mps& a, const Mps& b,
+                                 linalg::ExecPolicy policy) {
+  g_allocations = 0;
+  g_counting = true;
+  const double v = overlap_squared(a, b, policy);
+  g_counting = false;
+  EXPECT_TRUE(std::isfinite(v));
+  return g_allocations.load();
+}
+
+TEST(InnerProduct, AllocationsDoNotGrowWithSites) {
+  // The sweep reads both states in place and keeps its environment in one
+  // workspace, so the allocation count is the same at 12 sites and at the
+  // paper's 165, and small.
+  const Mps a12 = ansatz_state(12, 2, 0.8, 31), b12 = ansatz_state(12, 2, 0.8, 32);
+  const Mps a165 = ansatz_state(165, 1, 0.1, 33), b165 = ansatz_state(165, 1, 0.1, 34);
+  ASSERT_GT(a12.max_bond(), 1);
+  ASSERT_GT(a165.max_bond(), 1);
+  for (const linalg::ExecPolicy policy :
+       {linalg::ExecPolicy::Reference, linalg::ExecPolicy::Accelerated}) {
+    SCOPED_TRACE(linalg::to_string(policy));
+    overlap_squared(a12, b12, policy);  // warm-up
+    const std::int64_t small = overlap_allocations(a12, b12, policy);
+    const std::int64_t large = overlap_allocations(a165, b165, policy);
+    EXPECT_EQ(small, large);
+    EXPECT_LE(large, 4);
   }
 }
 

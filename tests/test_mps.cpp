@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "mps/mps.hpp"
 #include "test_helpers.hpp"
@@ -57,22 +60,99 @@ TEST(Mps, NormalizeScalesCenterSite) {
   EXPECT_NEAR(psi.norm(), 1.0, 1e-13);
 }
 
-TEST(SiteTensor, MatricizationRoundTrip) {
-  Rng rng(1);
-  SiteTensor t(3, 4);
-  for (auto& v : t.a) v = rng.normal_cplx();
-  const SiteTensor back_l = SiteTensor::from_left_matrix(t.as_left_matrix(), 3);
-  const SiteTensor back_r = SiteTensor::from_right_matrix(t.as_right_matrix(), 4);
-  for (std::size_t i = 0; i < t.a.size(); ++i) {
-    EXPECT_EQ(back_l.a[i], t.a[i]);
-    EXPECT_EQ(back_r.a[i], t.a[i]);
+/// Fills every amplitude of psi with a distinct value: k + 0.5i for the
+/// k-th amplitude of the buffer.
+void number_amplitudes(Mps& psi) {
+  double k = 0.0;
+  for (idx i = 0; i < psi.num_sites(); ++i)
+    for (cplx& v : psi.site(i).a) v = cplx(k++, 0.5);
+}
+
+TEST(SiteView, MatricizationsReadTheBufferInPlace) {
+  Mps psi = Mps::from_bonds({1, 2, 3, 4, 2, 1});
+  const SiteView t = std::as_const(psi).site(2);
+  ASSERT_EQ(t.left, 3);
+  ASSERT_EQ(t.right, 4);
+  const linalg::ConstMatrixView l = t.left_matrix();
+  const linalg::ConstMatrixView r = t.right_matrix();
+  EXPECT_EQ(l.data, t.a.data());
+  EXPECT_EQ(l.rows, 6);
+  EXPECT_EQ(l.cols, 4);
+  EXPECT_EQ(r.data, t.a.data());
+  EXPECT_EQ(r.rows, 3);
+  EXPECT_EQ(r.cols, 8);
+  EXPECT_EQ(t.bytes(), 24u * sizeof(cplx));
+}
+
+TEST(SiteView, IndexingIsRowMajor) {
+  Mps psi = Mps::from_bonds({1, 2, 3, 1});
+  const MutableSiteView t = psi.site(1);
+  t.at(1, 0, 2) = cplx(7.0);
+  EXPECT_EQ(t.a[(1 * 2 + 0) * 3 + 2], cplx(7.0));
+  EXPECT_EQ(std::as_const(psi).site(1).at(1, 0, 2), cplx(7.0));
+}
+
+TEST(Mps, SitesArePackedBackToBack) {
+  const Mps psi = Mps::from_bonds({1, 2, 4, 3, 2, 1});
+  ASSERT_EQ(psi.num_sites(), 5);
+  EXPECT_EQ(psi.bonds(), (std::vector<idx>{2, 4, 3, 2}));
+  EXPECT_EQ(psi.max_bond(), 4);
+  std::size_t bytes = psi.site(0).bytes();
+  for (idx i = 1; i < psi.num_sites(); ++i) {
+    EXPECT_EQ(psi.site(i).a.data(),
+              psi.site(i - 1).a.data() + psi.site(i - 1).a.size());
+    EXPECT_EQ(psi.site(i).left, psi.site(i - 1).right);
+    bytes += psi.site(i).bytes();
+  }
+  EXPECT_EQ(psi.memory_bytes(), bytes);
+  for (idx i = 0; i < psi.num_sites(); ++i)
+    for (const cplx& v : psi.site(i).a) EXPECT_EQ(v, cplx(0.0));
+}
+
+TEST(Mps, FromBondsRejectsAnOpenBoundaryAboveOne) {
+  EXPECT_THROW(Mps::from_bonds({2, 2, 1}), Error);
+  EXPECT_THROW(Mps::from_bonds({1, 2, 2}), Error);
+  EXPECT_THROW(Mps::from_bonds({1}), Error);
+  EXPECT_THROW(Mps::from_bonds({1, 0, 1}), Error);
+}
+
+TEST(Mps, ResizeBondSplicesOnlyThePair) {
+  // Sites 0..4 with bonds 2, 4, 3, 2; resize the bond between sites 1
+  // and 2 up, down and to its own size.
+  for (const idx chi : {6, 1, 4}) {
+    SCOPED_TRACE(chi);
+    Mps psi = Mps::from_bonds({1, 2, 4, 3, 2, 1});
+    number_amplitudes(psi);
+    const Mps before = psi;
+    psi.resize_bond(1, chi);
+    EXPECT_EQ(psi.bonds(), (std::vector<idx>{2, chi, 3, 2}));
+    EXPECT_EQ(psi.site(1).a.size(), static_cast<std::size_t>(2 * 2 * chi));
+    EXPECT_EQ(psi.site(2).a.size(), static_cast<std::size_t>(chi * 2 * 3));
+    // Sites outside the pair keep their amplitudes, wherever they moved.
+    for (const idx i : {0, 3, 4}) {
+      const SiteView was = before.site(i);
+      const SiteView now = std::as_const(psi).site(i);
+      ASSERT_EQ(now.a.size(), was.a.size()) << "site " << i;
+      EXPECT_TRUE(std::equal(was.a.begin(), was.a.end(), now.a.begin()))
+          << "site " << i;
+    }
+    for (idx i = 1; i < psi.num_sites(); ++i)
+      EXPECT_EQ(psi.site(i).a.data(),
+                psi.site(i - 1).a.data() + psi.site(i - 1).a.size());
+    if (chi == 4) {
+      EXPECT_EQ(psi.site(1).a.data(), before.site(1).a.data() -
+                                          before.site(0).a.data() +
+                                          psi.site(0).a.data());
+      EXPECT_EQ(psi.to_statevector(), before.to_statevector());
+    }
   }
 }
 
-TEST(SiteTensor, IndexingIsRowMajor) {
-  SiteTensor t(2, 3);
-  t.at(1, 0, 2) = cplx(7.0);
-  EXPECT_EQ(t.a[(1 * 2 + 0) * 3 + 2], cplx(7.0));
+TEST(Mps, ResizeBondRejectsBadArguments) {
+  Mps psi(3);
+  EXPECT_THROW(psi.resize_bond(2, 1), Error);   // no site 3
+  EXPECT_THROW(psi.resize_bond(-1, 1), Error);
+  EXPECT_THROW(psi.resize_bond(0, 0), Error);
 }
 
 TEST(Mps, ToStatevectorGuardsLargeSystems) {

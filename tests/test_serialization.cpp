@@ -33,14 +33,13 @@ Mps ansatz_state(idx m, std::uint64_t seed) {
 /// compiler contracts floating-point arithmetic.
 Mps hand_built_state() {
   Mps psi(3);
-  SiteTensor s0(1, 2);
-  SiteTensor s1(2, 1);
+  psi.resize_bond(0, 2);
+  const MutableSiteView s0 = psi.site(0);
+  const MutableSiteView s1 = psi.site(1);
   for (std::size_t k = 0; k < s0.a.size(); ++k)
     s0.a[k] = cplx(0.125 * static_cast<double>(k + 1), -0.5);
   for (std::size_t k = 0; k < s1.a.size(); ++k)
     s1.a[k] = cplx(-0.25, 0.0625 * static_cast<double>(k));
-  psi.site(0) = s0;
-  psi.site(1) = s1;
   psi.set_center(1);
   return psi;
 }

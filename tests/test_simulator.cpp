@@ -26,8 +26,8 @@ bool bitwise_equal(const Mps& x, const Mps& y) {
   if (x.num_sites() != y.num_sites() || x.center() != y.center())
     return false;
   for (idx i = 0; i < x.num_sites(); ++i) {
-    const SiteTensor& sx = x.site(i);
-    const SiteTensor& sy = y.site(i);
+    const SiteView sx = x.site(i);
+    const SiteView sy = y.site(i);
     if (sx.left != sy.left || sx.right != sy.right ||
         sx.a.size() != sy.a.size() ||
         std::memcmp(sx.a.data(), sy.a.data(), sx.a.size() * sizeof(cplx)) !=
