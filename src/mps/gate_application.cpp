@@ -27,11 +27,10 @@ void stage_two_qubit_gate(Mps& psi, const linalg::Matrix& u, idx q,
 
   const SiteView a = std::as_const(psi).site(q);
   const SiteView b = std::as_const(psi).site(q + 1);
+  QKMPS_CHECK(b.left == a.right);
   step.q = q;
   step.dl = a.left;
   step.dr = b.right;
-  step.k = a.right;
-  QKMPS_CHECK(b.left == step.k);
 
   step.gate = u;
   // The (left, physical) x right and left x (physical, right) groupings

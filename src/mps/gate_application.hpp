@@ -18,7 +18,7 @@ namespace qkmps::mps {
 /// (tests/test_simulator.cpp).
 struct TwoQubitStep {
   idx q = 0;                ///< left site of the bond
-  idx dl = 0, dr = 0, k = 0;  ///< outer-left, outer-right, shared bond dims
+  idx dl = 0, dr = 0;       ///< outer-left, outer-right bond dims
   linalg::Matrix gate;      ///< 4x4 in |lo hi> chain order
   linalg::Matrix theta;     ///< site q (dl*2 x k) times site q+1 (k x 2*dr)
   linalg::Matrix theta_p;   ///< theta permuted to (s0 s1) x (l r)

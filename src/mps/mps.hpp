@@ -17,7 +17,8 @@ namespace qkmps::mps {
 /// read in place: `a` spans the site's amplitudes inside the owning Mps's
 /// buffer, row-major a[(l * 2 + s) * right + r]. T is cplx for a view that
 /// writes (from a non-const Mps) and const cplx for one that reads. A view
-/// stays valid until the state's bonds change (Mps::resize_bond).
+/// dangles once the buffer moves (Mps::resize_bond, Mps::shrink_to_fit) or
+/// the state is destroyed.
 template <typename T>
 struct BasicSiteView {
   idx left = 1;
