@@ -20,21 +20,25 @@ SimulationResult MpsSimulator::simulate(const circuit::Circuit& c,
       c.is_nearest_neighbour() ? c : circuit::route_to_chain(c);
 
   SimulationResult out{std::move(initial), {}, {}, 0.0, 0};
-  // One gate scratch for the whole sweep: its buffers and SVD workspace
-  // are reused gate after gate, so the warm loop stops allocating.
-  TwoQubitStep scratch;
   Timer timer;
-  for (const circuit::Gate& g : routed.gates()) {
-    apply_gate(out.state, g, config_.truncation, config_.policy,
-               &out.truncation, &scratch);
-    ++out.gates_applied;
-    if (config_.track_memory) {
-      out.memory.record(out.gates_applied, out.state.memory_bytes(),
-                        out.state.max_bond());
+  {
+    // One gate scratch for the whole sweep: its buffers and SVD workspace
+    // are reused gate after gate, so the warm loop stops allocating.
+    TwoQubitStep scratch;
+    for (const circuit::Gate& g : routed.gates()) {
+      apply_gate(out.state, g, config_.truncation, config_.policy,
+                 &out.truncation, &scratch);
+      ++out.gates_applied;
+      if (config_.track_memory) {
+        out.memory.record(out.gates_applied, out.state.memory_bytes(),
+                          out.state.max_bond());
+      }
     }
   }
   // The sweep's splices may leave spare capacity; the state that is
-  // returned, and usually stored, holds its amplitudes exactly.
+  // returned, and usually stored, holds its amplitudes exactly. The trim
+  // comes after the scratch is freed, so the exact copy can take the
+  // scratch's place in the heap instead of a fresh block beside it.
   out.state.shrink_to_fit();
   out.seconds = timer.seconds();
   return out;
