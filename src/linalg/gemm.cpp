@@ -68,20 +68,6 @@ void gemm_blocked_core(const MatrixView& c, const ConstMatrixView& a,
   }
 }
 
-/// C += op(A) * B with the policy's kernel; C is zeroed by the caller.
-void multiply(const MatrixView& c, const ConstMatrixView& a,
-              const ConstMatrixView& b, ExecPolicy policy, Op op_a) {
-  const bool conj_a = op_a == Op::ConjT;
-  if (policy == ExecPolicy::Reference) {
-    if (conj_a) gemm_reference_core<true>(c, a, b);
-    else gemm_reference_core<false>(c, a, b);
-    return;
-  }
-  const bool parallel = c.rows * c.cols >= kParallelGemmThreshold;
-  if (conj_a) gemm_blocked_core<true>(c, a, b, parallel);
-  else gemm_blocked_core<false>(c, a, b, parallel);
-}
-
 }  // namespace
 
 Matrix gemm_reference(const Matrix& a, const Matrix& b) {
@@ -98,15 +84,6 @@ Matrix gemm_blocked(const Matrix& a, const Matrix& b, bool parallel) {
   return c;
 }
 
-void gemm_into(Matrix& c, const Matrix& a, const Matrix& b,
-               ExecPolicy policy) {
-  QKMPS_CHECK(a.cols() == b.rows());
-  QKMPS_CHECK_MSG(c.data() != a.data() && c.data() != b.data(),
-                  "gemm_into output must not alias an operand");
-  c.resize(a.rows(), b.cols());
-  multiply(view(c), view(a), view(b), policy, Op::None);
-}
-
 void gemm_into(MatrixView c, ConstMatrixView a, ConstMatrixView b,
                ExecPolicy policy, Op op_a) {
   const bool conj_a = op_a == Op::ConjT;
@@ -115,7 +92,23 @@ void gemm_into(MatrixView c, ConstMatrixView a, ConstMatrixView b,
   QKMPS_CHECK_MSG(c.data != a.data && c.data != b.data,
                   "gemm_into output must not alias an operand");
   std::fill(c.data, c.data + c.rows * c.cols, cplx(0.0));
-  multiply(c, a, b, policy, op_a);
+  if (policy == ExecPolicy::Reference) {
+    if (conj_a) gemm_reference_core<true>(c, a, b);
+    else gemm_reference_core<false>(c, a, b);
+    return;
+  }
+  const bool parallel = c.rows * c.cols >= kParallelGemmThreshold;
+  if (conj_a) gemm_blocked_core<true>(c, a, b, parallel);
+  else gemm_blocked_core<false>(c, a, b, parallel);
+}
+
+void gemm_into(Matrix& c, const Matrix& a, const Matrix& b,
+               ExecPolicy policy) {
+  QKMPS_CHECK(a.cols() == b.rows());
+  QKMPS_CHECK_MSG(c.data() != a.data() && c.data() != b.data(),
+                  "gemm_into output must not alias an operand");
+  c.resize_for_overwrite(a.rows(), b.cols());
+  gemm_into(view(c), view(a), view(b), policy);
 }
 
 Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy, Op op_a,
@@ -124,10 +117,8 @@ Matrix gemm(const Matrix& a, const Matrix& b, ExecPolicy policy, Op op_a,
   // (B's rows are the kernels' contiguous inner loop).
   Matrix bt;
   const Matrix& bm = op_b == Op::None ? b : (bt = b.adjoint());
-  const idx rows = op_a == Op::None ? a.rows() : a.cols();
-  QKMPS_CHECK((op_a == Op::None ? a.cols() : a.rows()) == bm.rows());
-  Matrix c(rows, bm.cols());
-  multiply(view(c), view(a), view(bm), policy, op_a);
+  Matrix c(op_a == Op::None ? a.rows() : a.cols(), bm.cols());
+  gemm_into(view(c), view(a), view(bm), policy, op_a);
   return c;
 }
 

@@ -220,9 +220,8 @@ std::uint64_t states_digest(const std::vector<mps::Mps>& states) {
 }
 
 /// One workload shape whose simulated states, Gram matrix and cross kernel
-/// are pinned bit for bit: the digests were computed before the MPS
-/// storage moved to one buffer per state, and no storage or contraction
-/// change may move them.
+/// are pinned bit for bit: a change to how states are stored or contracted
+/// must not move a digest.
 struct PinnedShape {
   const char* name;
   idx features, distance;
@@ -237,8 +236,8 @@ TEST(Gram, StateAndKernelBitsArePinned) {
       // The paper's ansatz at 165 qubits (chi <= 3).
       {"paper", 165, 1, 0.1, 0, 21, 0x8b5ea870358b8808ull, 0xc83492f0f4fee529ull,
        0xb58ccb531ed1eef8ull},
-      // chi capped at 8 below its natural ~16: truncation binds and bonds
-      // change size mid-sweep.
+      // chi capped at 8, well below the ~30 it reaches uncapped:
+      // truncation binds and bonds change size mid-sweep.
       {"capped", 10, 3, 1.0, 8, 22, 0xeae13737a0548bafull, 0xc4c9e3372dc20329ull,
        0x33fe2f1eabca5c96ull},
   };

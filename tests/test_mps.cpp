@@ -118,7 +118,7 @@ TEST(Mps, FromBondsRejectsAnOpenBoundaryAboveOne) {
 
 TEST(Mps, ResizeBondSplicesOnlyThePair) {
   // Sites 0..4 with bonds 2, 4, 3, 2; resize the bond between sites 1
-  // and 2 up, down and to its own size.
+  // and 2 up, down and to its own size (which changes nothing).
   for (const idx chi : {6, 1, 4}) {
     SCOPED_TRACE(chi);
     Mps psi = Mps::from_bonds({1, 2, 4, 3, 2, 1});
@@ -128,22 +128,18 @@ TEST(Mps, ResizeBondSplicesOnlyThePair) {
     EXPECT_EQ(psi.bonds(), (std::vector<idx>{2, chi, 3, 2}));
     EXPECT_EQ(psi.site(1).a.size(), static_cast<std::size_t>(2 * 2 * chi));
     EXPECT_EQ(psi.site(2).a.size(), static_cast<std::size_t>(chi * 2 * 3));
+    for (idx i = 1; i < psi.num_sites(); ++i)
+      EXPECT_EQ(psi.site(i).a.data(),
+                psi.site(i - 1).a.data() + psi.site(i - 1).a.size());
     // Sites outside the pair keep their amplitudes, wherever they moved.
-    for (const idx i : {0, 3, 4}) {
+    const std::vector<idx> kept =
+        chi == 4 ? std::vector<idx>{0, 1, 2, 3, 4} : std::vector<idx>{0, 3, 4};
+    for (const idx i : kept) {
       const SiteView was = before.site(i);
       const SiteView now = std::as_const(psi).site(i);
       ASSERT_EQ(now.a.size(), was.a.size()) << "site " << i;
       EXPECT_TRUE(std::equal(was.a.begin(), was.a.end(), now.a.begin()))
           << "site " << i;
-    }
-    for (idx i = 1; i < psi.num_sites(); ++i)
-      EXPECT_EQ(psi.site(i).a.data(),
-                psi.site(i - 1).a.data() + psi.site(i - 1).a.size());
-    if (chi == 4) {
-      EXPECT_EQ(psi.site(1).a.data(), before.site(1).a.data() -
-                                          before.site(0).a.data() +
-                                          psi.site(0).a.data());
-      EXPECT_EQ(psi.to_statevector(), before.to_statevector());
     }
   }
 }

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cmath>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include "circuit/routing.hpp"
 #include "circuit/statevector.hpp"
 #include "mps/gate_application.hpp"
+#include "mps/serialization.hpp"
 #include "mps/simulator.hpp"
 #include "test_helpers.hpp"
 
@@ -237,6 +239,28 @@ TEST(Simulator, WarmScratchMatchesColdGateLoopBitwise) {
         }
       }
     }
+  }
+}
+
+TEST(Simulator, StoredStatesHoldNoSpareCapacity) {
+  // The sweep's splices grow the buffer with spare room; the state
+  // simulate() returns, a copy and a loaded state each hold their
+  // amplitudes in a block no larger than the allocator's rounding needs.
+  Rng rng(41);
+  const circuit::AnsatzParams p{.num_features = 10, .layers = 2, .distance = 3,
+                                .gamma = 1.0};
+  const Mps simulated =
+      MpsSimulator()
+          .simulate(circuit::feature_map_circuit(p, qkmps::testing::random_features(10, rng)))
+          .state;
+  ASSERT_GT(simulated.max_bond(), 8);
+  const Mps copy = simulated;
+  const Mps loaded = load_mps(save_mps(simulated));
+  for (const Mps* psi : {&simulated, &copy, &loaded}) {
+    const std::size_t block =
+        malloc_usable_size(const_cast<cplx*>(psi->site(0).a.data()));
+    EXPECT_GE(block, psi->memory_bytes());
+    EXPECT_LT(block, psi->memory_bytes() + 32);
   }
 }
 
