@@ -16,13 +16,12 @@ idx Dataset::negatives() const {
 
 Dataset Dataset::select(const std::vector<idx>& rows) const {
   Dataset out;
-  out.x = kernel::RealMatrix(static_cast<idx>(rows.size()), x.cols());
+  out.x = kernel::RealMatrix::for_overwrite(static_cast<idx>(rows.size()), x.cols());
   out.y.resize(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const idx src = rows[i];
     QKMPS_CHECK(src >= 0 && src < x.rows());
-    for (idx j = 0; j < x.cols(); ++j)
-      out.x(static_cast<idx>(i), j) = x(src, j);
+    std::copy(x.row(src), x.row(src) + x.cols(), out.x.row(static_cast<idx>(i)));
     out.y[i] = y[static_cast<std::size_t>(src)];
   }
   return out;
@@ -31,10 +30,9 @@ Dataset Dataset::select(const std::vector<idx>& rows) const {
 Dataset Dataset::with_features(idx k) const {
   QKMPS_CHECK(k >= 1 && k <= x.cols());
   Dataset out;
-  out.x = kernel::RealMatrix(x.rows(), k);
+  out.x = kernel::RealMatrix::for_overwrite(x.rows(), k);
   out.y = y;
-  for (idx i = 0; i < x.rows(); ++i)
-    for (idx j = 0; j < k; ++j) out.x(i, j) = x(i, j);
+  for (idx i = 0; i < x.rows(); ++i) std::copy(x.row(i), x.row(i) + k, out.x.row(i));
   return out;
 }
 

@@ -28,10 +28,12 @@ struct EllipticSyntheticParams {
 
 /// Rows per block of work. Both passes of the generator (latents and
 /// scores, then features) run over fixed blocks of this many rows on a
-/// parallel::ThreadPool with one lane per hardware thread. The blocks
-/// split only the work: every block starts from the exact stream state a
-/// serial draw would reach there, so the output is bitwise-identical at
-/// any lane count.
+/// parallel::ThreadPool with one lane per hardware thread; the walk that
+/// finds the feature blocks' stream states runs as one more pool task
+/// during the latent pass. The blocks split only the work: every block
+/// starts from the exact stream state a serial draw would reach there, so
+/// the output is bitwise-identical at any lane count. Each lane is the
+/// first to touch the rows it writes.
 inline constexpr idx kEllipticBlockRows = 256;
 
 /// Draws the full synthetic pool. Feature columns are ordered by

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "util/error.hpp"
@@ -7,15 +8,51 @@
 
 namespace qkmps::kernel {
 
+namespace detail {
+
+/// std::allocator whose size-only construct default-initialises: a
+/// vector<double> grown by resize(n) leaves its new entries unwritten
+/// instead of zeroing them. Construction from a value is unchanged:
+/// std::allocator_traits constructs in place when the allocator has no
+/// construct for those arguments.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) {
+    std::uninitialized_default_construct_n(p, 1);
+  }
+};
+
+}  // namespace detail
+
 /// Dense real matrix used for kernel/Gram matrices and raw feature data.
 /// Row-major, double precision.
 class RealMatrix {
  public:
   RealMatrix() = default;
+  /// A rows x cols matrix of zeros.
   RealMatrix(idx rows, idx cols)
-      : rows_(rows), cols_(cols),
-        a_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), 0.0) {
-    QKMPS_CHECK(rows >= 0 && cols >= 0);
+      : rows_(rows), cols_(cols), a_(checked_size(rows, cols), 0.0) {}
+
+  /// A rows x cols matrix whose entries are left unwritten, for a caller
+  /// that writes every entry before it reads any. Nothing touches the
+  /// storage here, so each page is first touched by whoever writes it:
+  /// lanes that fill disjoint rows fault their pages in in parallel, and
+  /// a row copy writes its destination once instead of twice.
+  static RealMatrix for_overwrite(idx rows, idx cols) {
+    RealMatrix m;
+    m.a_.resize(checked_size(rows, cols));
+    m.rows_ = rows;
+    m.cols_ = cols;
+    return m;
   }
 
   idx rows() const { return rows_; }
@@ -34,9 +71,14 @@ class RealMatrix {
   const double* row(idx i) const { return a_.data() + i * cols_; }
 
  private:
+  static std::size_t checked_size(idx rows, idx cols) {
+    QKMPS_CHECK(rows >= 0 && cols >= 0);
+    return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  }
+
   idx rows_ = 0;
   idx cols_ = 0;
-  std::vector<double> a_;
+  std::vector<double, detail::DefaultInitAllocator<double>> a_;
 };
 
 /// Max |A_ij - B_ij|.

@@ -1,5 +1,6 @@
 #include "serve/rank_sharded_engine.hpp"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
@@ -45,6 +46,12 @@ std::string default_socket_address() {
          std::to_string(seq.fetch_add(1)) + ".sock";
 }
 
+/// Starts a worker that shares only stdout and stderr with this process:
+/// it connects back through --connect= and reads nothing from stdin, so
+/// any other descriptor it got would be one it does not own. Its stdin is
+/// /dev/null (the caller's stdin may be a socket, as a test runner's can
+/// be), and every descriptor above stderr is closed in the child, the
+/// ones without FD_CLOEXEC too.
 long spawn_worker_process(const std::string& exe,
                           const std::vector<std::string>& args) {
   std::vector<char*> argv;
@@ -52,9 +59,18 @@ long spawn_worker_process(const std::string& exe,
   argv.push_back(const_cast<char*>(exe.c_str()));
   for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  int rc = ::posix_spawn_file_actions_init(&actions);
+  QKMPS_CHECK_MSG(rc == 0, "posix_spawn_file_actions_init failed: "
+                               << std::strerror(rc));
+  rc = ::posix_spawn_file_actions_addopen(&actions, STDIN_FILENO, "/dev/null",
+                                          O_RDONLY, 0);
+  if (rc == 0)
+    rc = ::posix_spawn_file_actions_addclosefrom_np(&actions, STDERR_FILENO + 1);
   pid_t pid = 0;
-  const int rc =
-      ::posix_spawn(&pid, exe.c_str(), nullptr, nullptr, argv.data(), environ);
+  if (rc == 0)
+    rc = ::posix_spawn(&pid, exe.c_str(), &actions, nullptr, argv.data(), environ);
+  ::posix_spawn_file_actions_destroy(&actions);
   QKMPS_CHECK_MSG(rc == 0, "posix_spawn(" << exe
                                           << ") failed: " << std::strerror(rc));
   return static_cast<long>(pid);

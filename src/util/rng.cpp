@@ -61,6 +61,25 @@ double Rng::normal() {
   return r * std::cos(theta);
 }
 
+void Rng::discard_normals(std::uint64_t count) {
+  if (count == 0) return;
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;  // the first call returns the cached variate
+    --count;
+  }
+  // Each whole pair replays what normal() draws for it: u1 until it is
+  // nonzero, then u2. uniform() is zero exactly when the top 53 bits of
+  // next() are.
+  for (std::uint64_t pair = 0; pair < count / 2; ++pair) {
+    std::uint64_t u1 = next();
+    while ((u1 >> 11) == 0) u1 = next();
+    next();
+  }
+  // A pair that `count` splits is drawn for real, so the variate left
+  // cached is the one normal() would have left.
+  if (count % 2 == 1) normal();
+}
+
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }

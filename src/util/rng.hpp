@@ -29,6 +29,9 @@ class Rng {
   double uniform(double lo, double hi);
   /// Standard normal via Box-Muller (cached second variate).
   double normal();
+  /// Advances the stream exactly as `count` calls to normal() would,
+  /// cached variate included, without computing the variates it passes.
+  void discard_normals(std::uint64_t count);
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
   /// Uniform integer in [0, n).

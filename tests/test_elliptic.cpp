@@ -146,11 +146,12 @@ TEST(EllipticSynthetic, DefaultPoolBitsArePinned) {
 TEST(EllipticSynthetic, BlockedDrawMatchesSerialOracle) {
   // Row counts around the block size and across several blocks. An odd
   // row count with an odd latent_dim ends the latent pass inside a
-  // Box-Muller pair, so every feature block then starts mid-pair.
+  // Box-Muller pair, so every feature block then starts mid-pair. At
+  // latent_dim 12, the default, most mixing weights are zero.
   const idx b = kEllipticBlockRows;
   for (const idx n : {idx{2}, b - 1, b, b + 1, 4 * b + 37})
     for (const idx m : {idx{1}, idx{8}, idx{165}})
-      for (const idx kd : {idx{2}, idx{3}, idx{5}}) {
+      for (const idx kd : {idx{2}, idx{3}, idx{5}, idx{12}}) {
         EllipticSyntheticParams p = small_params(n, m);
         p.latent_dim = kd;
         EXPECT_TRUE(bitwise_equal(generate_elliptic_synthetic(p), serial_oracle(p)))

@@ -200,6 +200,39 @@ TEST_F(ModelBundleTest, EveryStrictPrefixAndAnAppendedByteAreRefused) {
   EXPECT_NO_THROW(load_bundle(dir_));
 }
 
+TEST_F(ModelBundleTest, ByteFlipFuzzNeverCrashes) {
+  // Single-byte corruption sweep over the manifest and one state file,
+  // after ShardWire.ByteFuzzNeverCrashes: every load either refuses the
+  // bundle with qkmps::Error or returns one that is consistent (some
+  // bytes are don't-care equivalent, e.g. flips inside a double). Never
+  // a crash, and never an allocation sized from a corrupt header.
+  save_bundle(hand_built_bundle(), dir_);
+  for (const char* file : {"bundle.qkb", "sv_1.mps"}) {
+    const std::string path = dir_ + "/" + file;
+    const std::vector<std::uint8_t> clean = io::read_file(path);
+    for (std::size_t pos = 0; pos < clean.size(); ++pos) {
+      for (const std::uint8_t flip : {0x01, 0x10, 0xFF}) {
+        std::vector<std::uint8_t> corrupted = clean;
+        corrupted[pos] ^= flip;
+        io::write_file(path, corrupted);
+        try {
+          const ModelBundle loaded = load_bundle(dir_);
+          EXPECT_EQ(static_cast<std::size_t>(loaded.num_support_vectors()),
+                    loaded.model.alpha.size())
+              << file << " byte " << pos << " ^ " << int{flip};
+          for (const mps::Mps& state : loaded.sv_states)
+            EXPECT_EQ(state.num_sites(), loaded.num_features())
+                << file << " byte " << pos << " ^ " << int{flip};
+        } catch (const Error&) {
+          // loud failure: the desired outcome for structural corruption
+        }
+      }
+    }
+    io::write_file(path, clean);
+  }
+  EXPECT_NO_THROW(load_bundle(dir_));
+}
+
 TEST_F(ModelBundleTest, RejectsCorruptVectorLength) {
   const TrainedServing t = train_small_serving(7);
   save_bundle(t.bundle, dir_);

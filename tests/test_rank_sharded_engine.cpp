@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -1030,8 +1032,33 @@ TEST_F(RankShardedSocketTest, StatsNeverWaitsOnAStoppedWorker) {
 /// router. Before CLOEXEC, every worker inherited the router's listener
 /// (and workers spawned later inherited earlier workers' accepted
 /// links), which kept dead peers' sockets alive and delayed EOF-based
-/// death detection by the lifetime of unrelated processes.
+/// death detection by the lifetime of unrelated processes. The test
+/// process also holds sockets a child could inherit, as a test runner or
+/// an embedding program can: one end of a pair without FD_CLOEXEC, and
+/// the other end as its stdin. A worker gets /dev/null as stdin and
+/// nothing above stderr, so it must list neither.
 TEST_F(RankShardedSocketTest, SpawnedWorkerHoldsNoInheritedSockets) {
+  int ends[2] = {-1, -1};
+  // Inheritable on purpose: the fds a worker must not get. lint: allow(cloexec)
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+  const struct Restore {
+    int ends[2];
+    int saved_stdin;
+    ~Restore() {
+      if (saved_stdin >= 0) {
+        ::dup2(saved_stdin, STDIN_FILENO);
+        ::close(saved_stdin);
+      } else {
+        ::close(STDIN_FILENO);
+      }
+      ::close(ends[0]);
+      ::close(ends[1]);
+    }
+  } restore{{ends[0], ends[1]}, ::fcntl(STDIN_FILENO, F_DUPFD_CLOEXEC, 3)};
+  ASSERT_EQ(::dup2(ends[1], STDIN_FILENO), STDIN_FILENO);
+  ASSERT_EQ(::fcntl(ends[0], F_GETFD) & FD_CLOEXEC, 0);
+  ASSERT_EQ(::fcntl(STDIN_FILENO, F_GETFD) & FD_CLOEXEC, 0);
+
   const Serving s = qkmps::testing::train_small_serving(58);
   RankShardedEngine engine(s.bundle, socket_config(bundle_dir_, 2));
 

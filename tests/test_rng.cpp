@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "util/rng.hpp"
@@ -73,6 +75,34 @@ TEST(Rng, NormalWithParamsShiftsAndScales) {
   const double var = s2 / n - mean * mean;
   EXPECT_NEAR(mean, 3.0, 0.05);
   EXPECT_NEAR(var, 4.0, 0.15);
+}
+
+/// The bits of a double: +0.0 and -0.0 differ, and a NaN equals itself.
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+TEST(Rng, DiscardNormalsLeavesTheStreamWhereNormalDoes) {
+  // From a fresh stream and from one holding a cached variate, each count
+  // ends on either side of a Box-Muller pair.
+  for (const bool cached : {false, true}) {
+    for (std::uint64_t count = 0; count < 10; ++count) {
+      Rng drawn(29), skipped(29);
+      if (cached) {
+        drawn.normal();
+        skipped.normal();
+      }
+      for (std::uint64_t i = 0; i < count; ++i) drawn.normal();
+      skipped.discard_normals(count);
+      for (int k = 0; k < 3; ++k)
+        EXPECT_EQ(bits(drawn.normal()), bits(skipped.normal()))
+            << "cached=" << cached << " count=" << count << " normal " << k;
+      EXPECT_EQ(bits(drawn.uniform()), bits(skipped.uniform()))
+          << "cached=" << cached << " count=" << count;
+    }
+  }
 }
 
 TEST(Rng, UniformIntStaysBelowBound) {
